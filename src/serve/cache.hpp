@@ -27,11 +27,12 @@ namespace ppk::serve {
 
 /// Schema tag every exact result frame must carry (as member
 /// "exact_schema") to be served from the cache.  Bump it whenever the
-/// meaning or fields of an exact answer change -- v2 introduced the
-/// solver-tagged frames of the lumped Markov back end; v1 frames carried
-/// no tag at all and are therefore recognized (and invalidated) by the
-/// tag's absence.
-inline constexpr std::string_view kExactResultSchema = "ppkd-exact-v2";
+/// meaning, fields or bits of an exact answer change -- v3 came with the
+/// block-by-block sparse solve (answers moved in their low digits) and
+/// the exact 1 for a lone bottom SCC; v2 introduced the solver-tagged
+/// frames of the lumped Markov back end; v1 frames carried no tag at all
+/// and are therefore recognized (and invalidated) by the tag's absence.
+inline constexpr std::string_view kExactResultSchema = "ppkd-exact-v3";
 
 /// The (scenario-hash, seed) result cache.  Thread-compatible: the daemon
 /// serializes access through its job lock.

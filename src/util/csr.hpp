@@ -6,10 +6,14 @@
 // The systems solved here are (I - Q) x = b with Q a sub-stochastic
 // jump-chain matrix (non-negative rows summing to < 1 somewhere along
 // every path to absorption), i.e. weakly diagonally dominant M-matrices:
-// both Jacobi and Gauss-Seidel converge, and Gauss-Seidel in a
-// topology-aware row order (the caller's job; see lumped_markov.cpp)
-// converges in a handful of sweeps.  Convergence is never assumed: the
-// solver certifies its answer with an explicitly recomputed residual
+// both Jacobi and Gauss-Seidel converge.  The caller orders the rows by
+// the strongly connected components of Q's graph, downstream first (see
+// lumped_markov.cpp), which makes A block-lower-triangular.  Gauss-Seidel
+// finds those diagonal blocks from the row order alone and solves them one
+// at a time, each with the blocks before it already final, so a sweep never
+// revisits a solved block and the sweep count is that of the slowest
+// block, not of the whole chain.  Convergence is never assumed: the solver
+// certifies its answer with an explicitly recomputed global residual
 // (compensated summation, so the certificate itself is trustworthy) and
 // reports failure honestly instead of returning a half-converged vector.
 
@@ -19,6 +23,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -121,30 +126,37 @@ class CsrBuilder {
 struct SolveOptions {
   /// Sweep kind.
   enum class Method : std::uint8_t {
-    kGaussSeidel,  // in-place sweeps; fast in a topology-aware row order
-    kJacobi,       // two-vector sweeps; order-independent reference
+    kGaussSeidel,  // in-place sweeps, block by block; see solve_sparse
+    kJacobi,       // two-vector global sweeps; order-independent reference
   };
   /// Sweep kind (default Gauss-Seidel).
   Method method = Method::kGaussSeidel;
-  /// Hard sweep cap; failure to certify within it is reported, not hidden.
+  /// Hard sweep cap per diagonal block; failure to certify within it is
+  /// reported, not hidden.
   std::uint32_t max_sweeps = 100'000;
   /// Relative residual target: certify when
   /// ||b - A x||_inf <= tolerance * (||A||_inf * ||x||_inf + ||b||_inf).
   double tolerance = 1e-13;
-  /// Residual is recomputed (compensated) every this many sweeps.
+  /// Residual is recomputed (compensated) after a block's first sweep and
+  /// then every this many sweeps.
   std::uint32_t check_every = 8;
 };
 
 /// Outcome of a solve: the certificate the caller must inspect.
 struct SolveCertificate {
-  /// True iff the residual bound below was met.
+  /// True iff every block converged and the global residual bound below
+  /// was met.
   bool converged = false;
-  /// Sweeps performed.
+  /// Sweeps performed on the block that needed the most (the whole system
+  /// is one block under Jacobi).
   std::uint32_t sweeps = 0;
   /// Final ||b - A x||_inf, recomputed with compensated summation.
   double residual = 0.0;
   /// The bound `residual` was required to meet.
   double residual_bound = 0.0;
+  /// Diagonal blocks solved in turn (1 when the matrix has no block
+  /// structure, and always 1 under Jacobi).
+  std::uint32_t blocks = 0;
 };
 
 /// Solves A x = b iteratively, overwriting `x` (whose incoming contents
@@ -152,83 +164,122 @@ struct SolveCertificate {
 /// a nonzero diagonal entry.  Returns the convergence certificate --
 /// callers must check `converged` and treat failure as an error, never as
 /// an approximate answer.
+///
+/// Gauss-Seidel first splits the rows into the diagonal blocks of a
+/// block-lower-triangular order: a block ends after row r when no row
+/// <= r has a column > r (a prefix max over the column indices).  Each
+/// block then iterates to its own residual bound in turn, earliest first,
+/// with the columns of the blocks before it already final.  A block that
+/// misses its bound within `max_sweeps` ends the solve as not converged.
+/// Either way the certificate is the global residual of the returned x.
 [[nodiscard]] inline SolveCertificate solve_sparse(
     const CsrMatrix& a, const std::vector<double>& b, std::vector<double>& x,
     const SolveOptions& options = {}) {
   PPK_EXPECTS(a.rows == a.cols);
   PPK_EXPECTS(b.size() == a.rows);
   x.resize(a.rows, 0.0);
+  const bool jacobi = options.method == SolveOptions::Method::kJacobi;
 
-  // Locate diagonals and the matrix / rhs norms for the residual bound.
+  // Locate diagonals, the matrix / rhs norms for the residual bound, and
+  // the block boundaries (Jacobi: one block).
   std::vector<std::size_t> diag(a.rows);
+  std::vector<std::uint32_t> block_end;
   double norm_a = 0.0;
   double norm_b = 0.0;
+  std::uint32_t reach = 0;  // largest column seen in rows 0..r
   for (std::uint32_t r = 0; r < a.rows; ++r) {
     std::size_t d = SIZE_MAX;
     double row_sum = 0.0;
     for (std::size_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
       row_sum += std::abs(a.value[i]);
       if (a.col[i] == r) d = i;
+      reach = std::max(reach, a.col[i]);
     }
     if (d == SIZE_MAX || a.value[d] == 0.0) {
-      return {false, 0, std::numeric_limits<double>::infinity(), 0.0};
+      return {false, 0, std::numeric_limits<double>::infinity(), 0.0, 0};
     }
     diag[r] = d;
     norm_a = std::max(norm_a, row_sum);
     norm_b = std::max(norm_b, std::abs(b[r]));
+    if (reach <= r && !jacobi) block_end.push_back(r + 1);
   }
+  if (jacobi && a.rows > 0) block_end.push_back(a.rows);
 
-  const auto residual_inf = [&]() {
+  const auto residual_inf = [&](std::uint32_t begin, std::uint32_t end) {
     double worst = 0.0;
-    for (std::uint32_t r = 0; r < a.rows; ++r) {
+    for (std::uint32_t r = begin; r < end; ++r) {
       CompensatedSum acc;
       acc.add(b[r]);
       for (std::size_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
         acc.add(-a.value[i] * x[a.col[i]]);
       }
-      worst = std::max(worst, std::abs(acc.value()));
+      const double r_abs = std::abs(acc.value());
+      // A diverged iterate overflows to inf and then NaN, which std::max
+      // would skip: report it as an infinite residual instead.
+      if (!std::isfinite(r_abs)) return std::numeric_limits<double>::infinity();
+      worst = std::max(worst, r_abs);
     }
     return worst;
   };
-  const auto bound = [&]() {
-    double norm_x = 0.0;
-    for (const double v : x) norm_x = std::max(norm_x, std::abs(v));
+  const auto meets = [](double residual, double bound) {
+    return std::isfinite(residual) && residual <= bound;
+  };
+  const auto bound = [&](double norm_x) {
     return options.tolerance * (norm_a * norm_x + norm_b);
+  };
+  const auto max_abs = [&](std::uint32_t begin, std::uint32_t end) {
+    double m = 0.0;
+    for (std::uint32_t r = begin; r < end; ++r) m = std::max(m, std::abs(x[r]));
+    return m;
   };
 
   SolveCertificate cert;
+  cert.blocks = static_cast<std::uint32_t>(block_end.size());
   std::vector<double> next;  // Jacobi scratch
-  if (options.method == SolveOptions::Method::kJacobi) next.resize(a.rows);
+  if (jacobi) next = x;
   const std::uint32_t stride = std::max(options.check_every, 1u);
-  while (cert.sweeps < options.max_sweeps) {
-    for (std::uint32_t r = 0; r < a.rows; ++r) {
-      CompensatedSum acc;
-      acc.add(b[r]);
-      for (std::size_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
-        if (i == diag[r]) continue;
-        acc.add(-a.value[i] * x[a.col[i]]);
+  double solved_norm = 0.0;  // ||x||_inf over the blocks already final
+  std::uint32_t begin = 0;
+  bool blocks_converged = true;
+  for (const std::uint32_t end : block_end) {
+    // The block's bound takes ||x|| over the blocks solved so far, so it
+    // never exceeds the global bound of the returned x.  With the later
+    // blocks seeded at zero it equals that bound when this block is the
+    // one that fails.
+    std::uint32_t sweeps = 0;
+    bool met = false;
+    while (!met && sweeps < options.max_sweeps) {
+      for (std::uint32_t r = begin; r < end; ++r) {
+        CompensatedSum acc;
+        acc.add(b[r]);
+        for (std::size_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
+          if (i == diag[r]) continue;
+          acc.add(-a.value[i] * x[a.col[i]]);
+        }
+        (jacobi ? next[r] : x[r]) = acc.value() / a.value[diag[r]];
       }
-      const double updated = acc.value() / a.value[diag[r]];
-      if (options.method == SolveOptions::Method::kJacobi) {
-        next[r] = updated;
-      } else {
-        x[r] = updated;
+      if (jacobi) x.swap(next);
+      ++sweeps;
+      if (sweeps == 1 || sweeps % stride == 0 ||
+          sweeps == options.max_sweeps) {
+        const double norm_x = std::max(solved_norm, max_abs(begin, end));
+        met = meets(residual_inf(begin, end), bound(norm_x));
       }
     }
-    if (options.method == SolveOptions::Method::kJacobi) x.swap(next);
-    ++cert.sweeps;
-    if (cert.sweeps % stride == 0 || cert.sweeps == options.max_sweeps) {
-      cert.residual = residual_inf();
-      cert.residual_bound = bound();
-      if (cert.residual <= cert.residual_bound) {
-        cert.converged = true;
-        return cert;
-      }
+    cert.sweeps = std::max(cert.sweeps, sweeps);
+    if (!met) {
+      blocks_converged = false;
+      break;
     }
+    solved_norm = std::max(solved_norm, max_abs(begin, end));
+    begin = end;
   }
-  cert.residual = residual_inf();
-  cert.residual_bound = bound();
-  cert.converged = cert.residual <= cert.residual_bound;
+
+  // The certificate proper: the global compensated residual of x.
+  cert.residual = residual_inf(0, a.rows);
+  cert.residual_bound = bound(max_abs(0, a.rows));
+  cert.converged =
+      blocks_converged && meets(cert.residual, cert.residual_bound);
   return cert;
 }
 

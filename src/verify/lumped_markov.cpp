@@ -78,6 +78,17 @@ RawRow raw_row(const pp::TransitionTable& table,
   return row;
 }
 
+/// The error of a solve whose certificate did not hold.
+[[noreturn]] void throw_uncertified(const util::SolveCertificate& cert,
+                                    const std::string& what) {
+  throw std::runtime_error(
+      "lumped: sparse solve failed to certify convergence" + what +
+      " (residual " + std::to_string(cert.residual) + " > bound " +
+      std::to_string(cert.residual_bound) + " after " +
+      std::to_string(cert.sweeps) + " sweeps in " +
+      std::to_string(cert.blocks) + " blocks)");
+}
+
 }  // namespace
 
 std::optional<LumpedMarkovAnalysis> LumpedMarkovAnalysis::try_build(
@@ -292,9 +303,10 @@ std::optional<double> LumpedMarkovAnalysis::expected_hitting_time(
   }
 
   // Unknowns: non-target orbits, ordered by ascending SCC id.  SCC ids are
-  // reverse topological, so Gauss-Seidel sweeps update an orbit only after
-  // the orbits it feeds into (absorbing side first) -- the sweep then
-  // propagates information backward along every path per pass.
+  // reverse topological, so an orbit's row references only its own SCC
+  // and SCCs earlier in the order: the matrix is block-lower-triangular,
+  // and solve_sparse solves it one SCC block at a time, absorbing side
+  // first, each block with everything downstream of it already final.
   std::vector<std::uint32_t> unknown_index(reps_.size(), UINT32_MAX);
   std::vector<std::uint32_t> unknown_orbits;
   for (std::uint32_t orbit = 0; orbit < reps_.size(); ++orbit) {
@@ -335,18 +347,34 @@ std::optional<double> LumpedMarkovAnalysis::expected_hitting_time(
   const util::CsrMatrix a = builder.build();
   std::vector<double> x;
   const util::SolveCertificate cert = util::solve_sparse(a, b, x, solver_);
-  if (!cert.converged) {
-    throw std::runtime_error(
-        "lumped: sparse solve failed to certify convergence (residual " +
-        std::to_string(cert.residual) + " > bound " +
-        std::to_string(cert.residual_bound) + " after " +
-        std::to_string(cert.sweeps) + " sweeps)");
-  }
+  if (!cert.converged) throw_uncertified(cert, "");
   return x[unknown_index[0]];
 }
 
 std::vector<LumpedMarkovAnalysis::Absorption>
 LumpedMarkovAnalysis::absorption_probabilities() const {
+  // First orbit per bottom SCC names the absorption outcome.
+  std::vector<std::uint32_t> first_orbit(num_sccs_, UINT32_MAX);
+  std::vector<std::uint32_t> bottoms;
+  for (std::uint32_t orbit = 0; orbit < reps_.size(); ++orbit) {
+    const std::uint32_t scc = scc_of_[orbit];
+    if (bottom_[scc] && first_orbit[scc] == UINT32_MAX) {
+      first_orbit[scc] = orbit;
+      bottoms.push_back(scc);
+    }
+  }
+
+  // A finite chain ends in some bottom SCC with probability 1, so a lone
+  // one takes all the mass -- exactly, with no solve.  (This covers an
+  // initial orbit that is already bottom: every orbit is reachable from
+  // it, so its SCC is the only one.)
+  std::vector<Absorption> result;
+  if (bottoms.size() == 1) {
+    result.push_back(
+        Absorption{bottoms[0], reps_[first_orbit[bottoms[0]]], 1.0});
+    return result;
+  }
+
   // Transient = not in a bottom SCC; same reverse-topological ordering as
   // expected_hitting_time.
   std::vector<std::uint32_t> unknown_index(reps_.size(), UINT32_MAX);
@@ -362,27 +390,6 @@ LumpedMarkovAnalysis::absorption_probabilities() const {
     unknown_index[unknown_orbits[row]] = row;
   }
   const auto m = static_cast<std::uint32_t>(unknown_orbits.size());
-
-  // First orbit per bottom SCC names the absorption outcome.
-  std::vector<std::uint32_t> first_orbit(num_sccs_, UINT32_MAX);
-  std::vector<std::uint32_t> bottoms;
-  for (std::uint32_t orbit = 0; orbit < reps_.size(); ++orbit) {
-    const std::uint32_t scc = scc_of_[orbit];
-    if (bottom_[scc] && first_orbit[scc] == UINT32_MAX) {
-      first_orbit[scc] = orbit;
-      bottoms.push_back(scc);
-    }
-  }
-
-  const std::uint32_t initial_scc = scc_of_[0];
-  std::vector<Absorption> result;
-  if (m == 0 || bottom_[initial_scc]) {
-    for (const std::uint32_t scc : bottoms) {
-      result.push_back(Absorption{scc, reps_[first_orbit[scc]],
-                                  scc == initial_scc ? 1.0 : 0.0});
-    }
-    return result;
-  }
 
   // One matrix, one rhs per bottom SCC: (I - Q) x = r with
   // r[orbit] = P(jump from orbit directly into the SCC).
@@ -419,9 +426,7 @@ LumpedMarkovAnalysis::absorption_probabilities() const {
     std::vector<double> x;
     const util::SolveCertificate cert = util::solve_sparse(a, b, x, solver_);
     if (!cert.converged) {
-      throw std::runtime_error(
-          "lumped: sparse solve failed to certify convergence for SCC " +
-          std::to_string(scc));
+      throw_uncertified(cert, " for SCC " + std::to_string(scc));
     }
     result.push_back(
         Absorption{scc, reps_[first_orbit[scc]], x[unknown_index[0]]});

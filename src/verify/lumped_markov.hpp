@@ -124,8 +124,9 @@ class LumpedMarkovAnalysis {
   };
 
   /// Exact absorption probabilities from the initial configuration; same
-  /// contract as MarkovAnalysis::absorption_probabilities.  Throws
-  /// std::runtime_error if a sparse solve fails to certify convergence.
+  /// contract as MarkovAnalysis::absorption_probabilities (a lone bottom
+  /// SCC gets exactly 1.0, with no solve).  Throws std::runtime_error if a
+  /// sparse solve fails to certify convergence.
   [[nodiscard]] std::vector<Absorption> absorption_probabilities() const;
 
   /// Exact distribution of the hitting time of `target`: returns F with

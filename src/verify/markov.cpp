@@ -256,6 +256,26 @@ MarkovAnalysis::absorption_probabilities() const {
   const std::size_t num_configs = graph.num_configs();
   const std::uint64_t denom = n_ * (n_ - 1);
 
+  // Representative config per bottom SCC.
+  std::vector<std::uint32_t> representative(graph.num_sccs(), UINT32_MAX);
+  std::vector<std::uint32_t> bottoms;
+  for (std::uint32_t c = 0; c < num_configs; ++c) {
+    const std::uint32_t scc = graph.scc_of()[c];
+    if (graph.is_bottom_scc(scc) && representative[scc] == UINT32_MAX) {
+      representative[scc] = c;
+      bottoms.push_back(scc);
+    }
+  }
+
+  // A finite chain ends in some bottom SCC with probability 1, so a lone
+  // one takes all the mass -- exactly, with no elimination.  (This covers
+  // an initial configuration that is already bottom: every configuration
+  // is reachable from it, so its SCC is the only one.)
+  if (bottoms.size() == 1) {
+    return {Absorption{bottoms[0], graph.config(representative[bottoms[0]]),
+                       1.0}};
+  }
+
   // Transient = not in a bottom SCC.
   std::vector<std::uint32_t> unknown_index(num_configs, UINT32_MAX);
   std::vector<std::uint32_t> unknown_configs;
@@ -268,27 +288,9 @@ MarkovAnalysis::absorption_probabilities() const {
   const std::size_t m = unknown_configs.size();
   if (m > kMaxDenseSystem) throw_dense_cap(m);
 
-  // Representative config per bottom SCC.
-  std::vector<std::uint32_t> representative(graph.num_sccs(), UINT32_MAX);
-  std::vector<std::uint32_t> bottoms;
-  for (std::uint32_t c = 0; c < num_configs; ++c) {
-    const std::uint32_t scc = graph.scc_of()[c];
-    if (graph.is_bottom_scc(scc) && representative[scc] == UINT32_MAX) {
-      representative[scc] = c;
-      bottoms.push_back(scc);
-    }
-  }
-
   std::vector<Absorption> result;
-  const std::uint32_t initial_scc = graph.scc_of()[0];
   const auto d = static_cast<double>(denom);
   for (std::uint32_t scc : bottoms) {
-    if (m == 0 || graph.is_bottom_scc(initial_scc)) {
-      // Initial configuration already absorbed.
-      result.push_back(Absorption{scc, graph.config(representative[scc]),
-                                  scc == initial_scc ? 1.0 : 0.0});
-      continue;
-    }
     // Solve (I - Q) x = r, where r[c] = P(one step from c into this SCC).
     std::vector<std::vector<double>> a(m, std::vector<double>(m, 0.0));
     std::vector<double> b(m, 0.0);

@@ -108,8 +108,9 @@ class MarkovAnalysis {
   };
 
   /// Probability, starting from the initial configuration, of eventually
-  /// being absorbed in each bottom SCC.  Throws std::runtime_error under
-  /// the same conditions as expected_hitting_time().
+  /// being absorbed in each bottom SCC.  A lone bottom SCC gets exactly
+  /// 1.0 without a solve; otherwise throws std::runtime_error under the
+  /// same conditions as expected_hitting_time().
   [[nodiscard]] std::vector<Absorption> absorption_probabilities() const;
 
   /// The back end actually built (kDense or kLumped, never kAuto).

@@ -249,12 +249,13 @@ TEST(ServeServer, MarkovOrbitCapIsAnErrorFrameNotACrash) {
   EXPECT_EQ(log.take().size(), 1u);
 }
 
-TEST(ServeServer, UntaggedExactCacheEntryIsAMissAndGetsRetagged) {
-  // Migration: an exact entry written by a pre-schema daemon (no
-  // "exact_schema" member) must be recomputed, not replayed, and the
-  // recomputation overwrites it with a tagged frame.
+/// Migration: a stale exact entry (`stale_frame`, written by an older
+/// daemon) must be recomputed, not replayed, and the recomputation
+/// overwrites it with a frame carrying the current tag.
+void expect_stale_exact_entry_is_recomputed(const char* name,
+                                            const std::string& stale_frame) {
   ServiceOptions options;
-  options.state_dir = temp_dir("markov_mig");
+  options.state_dir = temp_dir(name);
   ScenarioService service(options);
   FrameLog log;
 
@@ -272,11 +273,9 @@ TEST(ServeServer, UntaggedExactCacheEntryIsAMissAndGetsRetagged) {
       service.cache().exact_entry_path(scenario_hash_hex(spec));
   ASSERT_TRUE(file_exists(entry));
 
-  // Simulate the v1 daemon: same answer, no schema tag.
   {
     std::ofstream out(entry, std::ios::trunc);
-    out << "{\"event\": \"result\", \"mode\": \"markov\", "
-           "\"expected_interactions\": 17.5}\n";
+    out << stale_frame << "\n";
   }
   EXPECT_TRUE(service.handle_line(submit_line("m2", spec), log.emit()));
   const std::vector<std::string> second = log.take();
@@ -287,7 +286,8 @@ TEST(ServeServer, UntaggedExactCacheEntryIsAMissAndGetsRetagged) {
   ASSERT_EQ(recomputed.size(), 1u);
   EXPECT_EQ(recomputed[0], results[0]);
 
-  // The entry on disk is tagged again: the third submission is a hit.
+  // The entry on disk carries the current tag: the third submission is a
+  // hit.
   std::ifstream in(entry);
   std::ostringstream stored;
   stored << in.rdbuf();
@@ -297,6 +297,25 @@ TEST(ServeServer, UntaggedExactCacheEntryIsAMissAndGetsRetagged) {
   ASSERT_EQ(of_kind(third, "accepted").size(), 1u);
   EXPECT_NE(of_kind(third, "accepted")[0].find("\"cached\": true"),
             std::string::npos);
+}
+
+TEST(ServeServer, UntaggedExactCacheEntryIsAMissAndGetsRetagged) {
+  // The v1 daemon: same answer, no schema tag.
+  expect_stale_exact_entry_is_recomputed(
+      "markov_mig",
+      "{\"event\": \"result\", \"mode\": \"markov\", "
+      "\"expected_interactions\": 17.5}");
+}
+
+TEST(ServeServer, V2TaggedExactCacheEntryIsAMissAndGetsRetagged) {
+  // The v2 daemon: answers from the global Gauss-Seidel solve, whose low
+  // digits the block-by-block solve no longer reproduces.
+  ASSERT_NE(kExactResultSchema, "ppkd-exact-v2");
+  expect_stale_exact_entry_is_recomputed(
+      "markov_mig_v2",
+      "{\"event\": \"result\", \"mode\": \"markov\", "
+      "\"exact_schema\": \"ppkd-exact-v2\", \"solver\": \"lumped\", "
+      "\"expected_interactions\": 17.5}");
 }
 
 TEST(ServeServer, ConformanceModeRunsTheHarness) {

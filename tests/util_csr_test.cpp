@@ -1,5 +1,6 @@
 // Tests of the CSR sparse-matrix kit (util/csr.hpp): builder canonical
-// form, both iterative solvers against hand-solvable systems, and the
+// form, both iterative solvers against hand-solvable systems, the
+// block-by-block Gauss-Seidel of a block-lower-triangular system, and the
 // residual certificate's refusal to bless a non-converged answer.
 
 #include <cmath>
@@ -114,6 +115,111 @@ TEST(CsrSolve, NonConvergentSystemReportsFailure) {
   const SolveCertificate cert = solve_sparse(a, b, x, options);
   EXPECT_FALSE(cert.converged);
   EXPECT_GT(cert.residual, cert.residual_bound);
+}
+
+TEST(CsrSolve, DivergedIterateIsNeverCertified) {
+  // Enough sweeps of the divergent system above for the iterate to
+  // overflow to inf and then NaN: a NaN residual must not read as zero.
+  CsrBuilder builder(2, 2);
+  builder.add(0, 0, 1.0);
+  builder.add(0, 1, 3.0);
+  builder.add(1, 0, 3.0);
+  builder.add(1, 1, 1.0);
+  const CsrMatrix a = builder.build();
+  const std::vector<double> b = {1.0, 2.0};
+
+  std::vector<double> x(2, 0.0);
+  SolveOptions options;
+  options.max_sweeps = 2000;
+  const SolveCertificate cert = solve_sparse(a, b, x, options);
+  EXPECT_FALSE(cert.converged);
+  EXPECT_GT(cert.residual, cert.residual_bound);
+}
+
+/// A two-block lower-triangular system: rows 0-1 a fast block, rows 2-3 a
+/// slow-mixing one (off-diagonals -0.995) fed by column 0.
+CsrMatrix two_block_system() {
+  CsrBuilder builder(4, 4);
+  builder.add(0, 0, 4.0);
+  builder.add(0, 1, -1.0);
+  builder.add(1, 0, -1.0);
+  builder.add(1, 1, 4.0);
+  builder.add(2, 0, -0.002);
+  builder.add(2, 2, 1.0);
+  builder.add(2, 3, -0.995);
+  builder.add(3, 2, -0.995);
+  builder.add(3, 3, 1.0);
+  return builder.build();
+}
+
+TEST(CsrSolve, GaussSeidelSolvesTwoBlocksInTurnAndMatchesJacobi) {
+  const CsrMatrix a = two_block_system();
+  const std::vector<double> b = {3.0, 3.0, 0.01, 0.005};
+
+  std::vector<double> gs(4, 0.0);
+  const SolveCertificate gs_cert = solve_sparse(a, b, gs);
+  ASSERT_TRUE(gs_cert.converged) << "residual " << gs_cert.residual;
+  EXPECT_LE(gs_cert.residual, gs_cert.residual_bound);
+  EXPECT_EQ(gs_cert.blocks, 2u);
+  // The slow block sets the sweep count; the fast one needs far fewer.
+  EXPECT_GT(gs_cert.sweeps, 100u);
+
+  std::vector<double> jacobi(4, 0.0);
+  SolveOptions jacobi_options;
+  jacobi_options.method = SolveOptions::Method::kJacobi;
+  const SolveCertificate jacobi_cert =
+      solve_sparse(a, b, jacobi, jacobi_options);
+  ASSERT_TRUE(jacobi_cert.converged) << "residual " << jacobi_cert.residual;
+  EXPECT_EQ(jacobi_cert.blocks, 1u);
+
+  EXPECT_NEAR(gs[0], 1.0, 1e-10);
+  EXPECT_NEAR(gs[1], 1.0, 1e-10);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_NEAR(gs[i], jacobi[i], 1e-10) << "component " << i;
+  }
+}
+
+TEST(CsrSolve, ADivergentLaterBlockFailsTheWholeSolve) {
+  // Row 0 is a block of its own and converges at once; rows 1-2 are the
+  // divergent system above, fed by column 0.
+  CsrBuilder builder(3, 3);
+  builder.add(0, 0, 2.0);
+  builder.add(1, 0, -1.0);
+  builder.add(1, 1, 1.0);
+  builder.add(1, 2, 3.0);
+  builder.add(2, 1, 3.0);
+  builder.add(2, 2, 1.0);
+  const CsrMatrix a = builder.build();
+  const std::vector<double> b = {2.0, 1.0, 2.0};
+
+  std::vector<double> x(3, 0.0);
+  SolveOptions options;
+  options.max_sweeps = 200;
+  const SolveCertificate cert = solve_sparse(a, b, x, options);
+  EXPECT_EQ(cert.blocks, 2u);
+  EXPECT_FALSE(cert.converged);
+  EXPECT_GT(cert.residual, cert.residual_bound);
+  EXPECT_EQ(cert.sweeps, 200u);
+  EXPECT_DOUBLE_EQ(x[0], 1.0);  // the first block was solved
+}
+
+TEST(CsrSolve, AMatrixWithoutBlockStructureIsOneBlock) {
+  // Row 0 reaches the last column, so no block can end before it.
+  CsrBuilder builder(3, 3);
+  builder.add(0, 0, 4.0);
+  builder.add(0, 2, -1.0);
+  builder.add(1, 0, -1.0);
+  builder.add(1, 1, 4.0);
+  builder.add(2, 1, -1.0);
+  builder.add(2, 2, 4.0);
+  const CsrMatrix a = builder.build();
+  const std::vector<double> b = {3.0, 3.0, 3.0};
+
+  std::vector<double> x(3, 0.0);
+  const SolveCertificate cert = solve_sparse(a, b, x);
+  ASSERT_TRUE(cert.converged);
+  EXPECT_EQ(cert.blocks, 1u);
+  for (const double v : x) EXPECT_NEAR(v, 1.0, 1e-10);
 }
 
 TEST(CompensatedSumTest, RecoversMassLostToCancellation) {

@@ -8,11 +8,15 @@
 //  * rejection of a symmetry declaration that is not one;
 //  * the ceiling claim -- for each family, a size where the dense path
 //    refuses (recoverably) and the lumped path answers;
-//  * exact hand-computed pins of the hitting-time CDF.
+//  * exact hand-computed pins of the hitting-time CDF;
+//  * absorption: exactly 1 for a lone bottom SCC on both back ends, and
+//    dense agreement across several bottom SCCs;
+//  * the benchmark's k = 2, n = 160 answer.
 
 #include "verify/lumped_markov.hpp"
 
 #include <cmath>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -199,6 +203,86 @@ TEST(LumpedMarkov, BipartitionHandComputedPinsAreExact) {
   double tail_sum = 0.0;
   for (const double f : cdf) tail_sum += 1.0 - f;
   EXPECT_NEAR(tail_sum, 3.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Absorption probabilities
+
+TEST(LumpedMarkov, LoneBottomSccAbsorbsWithProbabilityExactlyOne) {
+  const core::KPartitionProtocol protocol(3);
+  const pp::TransitionTable table(protocol);
+  const pp::Counts initial = initial_counts(protocol, 7);
+
+  MarkovOptions dense_options;
+  dense_options.method = MarkovMethod::kDense;
+  MarkovOptions lumped_options;
+  lumped_options.method = MarkovMethod::kLumped;
+  lumped_options.symmetry = protocol.symmetry();
+  for (const MarkovOptions& options : {dense_options, lumped_options}) {
+    const MarkovAnalysis markov(table, initial, options);
+    const auto absorption = markov.absorption_probabilities();
+    ASSERT_EQ(absorption.size(), 1u) << markov.method_name();
+    EXPECT_EQ(absorption[0].probability, 1.0) << markov.method_name();
+    EXPECT_TRUE(
+        core::matches_stable_pattern(protocol, 7, absorption[0].representative))
+        << markov.method_name();
+  }
+}
+
+TEST(LumpedMarkov, SeveralBottomSccsAgreeWithDense) {
+  // The basic strategy wedges: several bottom SCCs, so the lumped back end
+  // (here over the trivial group, i.e. the raw chain) must solve one
+  // system per bottom SCC.
+  const core::BasicStrategyProtocol protocol(3);
+  const pp::TransitionTable table(protocol);
+  const pp::Counts initial = initial_counts(protocol, 6);
+
+  const MarkovAnalysis dense(table, initial);
+  ASSERT_EQ(dense.method(), MarkovMethod::kDense);
+  MarkovOptions lumped_options;
+  lumped_options.method = MarkovMethod::kLumped;
+  lumped_options.symmetry = pp::trivial_symmetry(protocol.num_states());
+  const MarkovAnalysis lumped(table, initial, std::move(lumped_options));
+  ASSERT_EQ(lumped.method(), MarkovMethod::kLumped);
+
+  // Bottom-SCC ids and representatives are back-end specific: key the
+  // dense answer by every configuration of each bottom SCC.
+  std::map<pp::Counts, double> dense_by_config;
+  const auto dense_absorption = dense.absorption_probabilities();
+  for (const auto& a : dense_absorption) {
+    for (const std::uint32_t c : dense.graph().members_of_scc(a.scc)) {
+      dense_by_config[dense.graph().config(c)] = a.probability;
+    }
+  }
+  const auto lumped_absorption = lumped.absorption_probabilities();
+  ASSERT_GE(lumped_absorption.size(), 2u);
+  ASSERT_EQ(lumped_absorption.size(), dense_absorption.size());
+  double total = 0.0;
+  for (const auto& a : lumped_absorption) {
+    const auto it = dense_by_config.find(a.representative);
+    ASSERT_NE(it, dense_by_config.end());
+    EXPECT_NEAR(a.probability, it->second, 1e-9);
+    total += a.probability;
+  }
+  EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+TEST(LumpedMarkov, KPartitionK2N160MatchesThePinnedAnswer) {
+  // The exact answer the benchmark pins for k = 2, n = 160 (3281 orbits in
+  // 81 SCCs).
+  const core::KPartitionProtocol protocol(2);
+  const pp::TransitionTable table(protocol);
+  MarkovOptions options;
+  options.symmetry = protocol.symmetry();
+  const MarkovAnalysis markov(table, initial_counts(protocol, 160),
+                              std::move(options));
+  ASSERT_EQ(markov.method(), MarkovMethod::kLumped);
+  const auto expected =
+      markov.expected_hitting_time([&](const pp::Counts& config) {
+        return core::matches_stable_pattern(protocol, 160, config);
+      });
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_NEAR(*expected / 35159.468358745275, 1.0, 1e-9);
 }
 
 // ---------------------------------------------------------------------------
