@@ -39,17 +39,23 @@
 // is amortized out) and "sharded_scale" (one deep exact-budget trial at
 // n = 10^8 -- 4x10^6 in smoke mode -- batch baseline vs sharded at worker
 // counts 1/2/4/8, each row carrying a verdict fingerprint that must match
-// across reps and thread counts; the bench exits nonzero if not).
+// across reps and thread counts; the bench exits nonzero if not).  The v3
+// report adds "auto_crossover": agent vs jump timed to stabilization over
+// 32 fixed-seed trials per (family, k, n) point below the batch band,
+// with the engine kAuto picks there -- the gate behind pp::kJumpCrossover.
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/graph_bipartition.hpp"
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
+#include "core/weak_kpartition.hpp"
 #include "obs/sink.hpp"
 #include "pp/agent_simulator.hpp"
 #include "pp/batch_sharded_simulator.hpp"
@@ -57,6 +63,7 @@
 #include "pp/count_simulator.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/monte_carlo.hpp"
+#include "pp/stability.hpp"
 #include "pp/transition_table.hpp"
 #include "util/log_fact.hpp"
 #include "util/rng.hpp"
@@ -325,6 +332,86 @@ struct ScaleRow {
   std::uint64_t fingerprint = 0;
 };
 
+// ---------------------------------------------------------------------------
+// The auto_crossover block: kAuto's small-n pick against both candidates
+
+/// One (family, k, n) point: both candidate engines timed to stabilization
+/// over the same fixed-seed trials, and the engine kAuto picks there.
+struct CrossoverPoint {
+  const char* family;
+  ppk::pp::GroupId k;
+  std::uint32_t n;
+  ppk::pp::Engine pick;
+  double agent_seconds = 0.0;
+  double jump_seconds = 0.0;
+  std::uint64_t agent_interactions = 0;
+  std::uint64_t jump_interactions = 0;
+  bool stabilized = true;  // every trial, both engines
+
+  [[nodiscard]] double pick_seconds() const {
+    return pick == ppk::pp::Engine::kJump ? jump_seconds : agent_seconds;
+  }
+  /// kAuto's pick against the faster candidate (1 = kAuto chose right).
+  [[nodiscard]] double pick_ratio() const {
+    const double best = std::min(agent_seconds, jump_seconds);
+    return best > 0.0 ? pick_seconds() / best : 1.0;
+  }
+};
+
+/// Times `trials` fixed-seed trials of one engine to stabilization through
+/// run_monte_carlo, single-threaded -- the path every kAuto caller takes.
+/// Returns the wall seconds; stores the trials' total interactions in
+/// `interactions` and clears `stabilized` if any trial missed.
+double time_to_stabilization(ppk::pp::Engine engine,
+                             const ppk::pp::Protocol& protocol,
+                             const ppk::pp::TransitionTable& table,
+                             std::uint32_t n,
+                             const ppk::pp::OracleFactory& make_oracle,
+                             std::uint32_t trials, std::uint64_t seed,
+                             std::uint64_t* interactions, bool* stabilized) {
+  ppk::pp::MonteCarloOptions options;
+  options.trials = trials;
+  options.master_seed = seed;
+  options.engine = engine;
+  options.threads = 1;
+  const ppk::Stopwatch clock;
+  const ppk::pp::MonteCarloResult result =
+      ppk::pp::run_monte_carlo(protocol, table, n, make_oracle, options);
+  const double seconds = clock.seconds();
+  std::uint64_t total = 0;
+  for (const auto& t : result.trials) total += t.interactions;
+  *interactions = total;
+  if (result.stabilized_count() != trials) *stabilized = false;
+  return seconds;
+}
+
+/// Measures one crossover point: agent and jump alternate `reps` times
+/// (ABAB, so slow drift hits both) and each keeps its fastest rep --
+/// interference only ever slows a run down.
+CrossoverPoint measure_crossover(const char* family, ppk::pp::GroupId k,
+                                 std::uint32_t n,
+                                 const ppk::pp::Protocol& protocol,
+                                 const ppk::pp::TransitionTable& table,
+                                 const ppk::pp::OracleFactory& make_oracle,
+                                 std::uint32_t trials, std::uint64_t seed,
+                                 int reps) {
+  CrossoverPoint point{family, k, n,
+                       ppk::pp::resolve_engine(ppk::pp::Engine::kAuto, n,
+                                               /*watch=*/false)};
+  for (int rep = 0; rep < std::max(1, reps); ++rep) {
+    const double agent = time_to_stabilization(
+        ppk::pp::Engine::kAgentArray, protocol, table, n, make_oracle, trials,
+        seed, &point.agent_interactions, &point.stabilized);
+    const double jump = time_to_stabilization(
+        ppk::pp::Engine::kJump, protocol, table, n, make_oracle, trials, seed,
+        &point.jump_interactions, &point.stabilized);
+    point.agent_seconds =
+        rep == 0 ? agent : std::min(point.agent_seconds, agent);
+    point.jump_seconds = rep == 0 ? jump : std::min(point.jump_seconds, jump);
+  }
+  return point;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -554,13 +641,84 @@ int main(int argc, char** argv) {
     }
   }
 
+  // -- Auto crossover: kAuto's agent/jump pick below the batch band --------
+  //
+  // Both candidate engines run the same fixed-seed trials to stabilization
+  // at every point, for the three protocol families kAuto callers run
+  // (Algorithm 1, the weak-fairness family under the silence oracle, graph
+  // bipartition on the complete graph).  Gate 7 of
+  // scripts/check_bench_regression.py holds kAuto's jump pick within 1.2x
+  // of the faster engine and checks that agent still wins somewhere just
+  // below the crossover; it compares two engines of one run, so it holds
+  // on any machine.
+  std::vector<CrossoverPoint> crossover;
+  const std::uint32_t crossover_trials = 32;
+  {
+    const std::vector<std::uint32_t> ns =
+        *smoke ? std::vector<std::uint32_t>{256, 512, 1000}
+               : std::vector<std::uint32_t>{128, 256, 384, 512, 768, 1000};
+    const std::vector<ppk::pp::GroupId> kpartition_ks =
+        *smoke ? std::vector<ppk::pp::GroupId>{2, 8, 16}
+               : std::vector<ppk::pp::GroupId>{2, 3, 4, 6, 8, 16};
+    const std::vector<ppk::pp::GroupId> weak_ks =
+        *smoke ? std::vector<ppk::pp::GroupId>{3}
+               : std::vector<ppk::pp::GroupId>{2, 3, 4};
+    const auto seed = static_cast<std::uint64_t>(*common.seed);
+    ppk::analysis::Table out({"family", "k", "n", "agent s", "jump s",
+                              "kAuto", "pick / best"});
+    const auto measure = [&](const char* family, ppk::pp::GroupId k,
+                             std::uint32_t n, const ppk::pp::Protocol& protocol,
+                             const ppk::pp::TransitionTable& transitions,
+                             const ppk::pp::OracleFactory& make_oracle) {
+      if (ppk::bench::interrupted()) return;
+      crossover.push_back(measure_crossover(family, k, n, protocol, transitions,
+                                            make_oracle, crossover_trials,
+                                            seed, *reps));
+      const CrossoverPoint& p = crossover.back();
+      out.row(family, int{k}, n, p.agent_seconds, p.jump_seconds,
+              engine_name(p.pick), p.pick_ratio());
+    };
+    std::printf("\nauto crossover: %u trials per engine and point\n",
+                crossover_trials);
+    for (const ppk::pp::GroupId k : kpartition_ks) {
+      const ppk::core::KPartitionProtocol protocol(k);
+      const ppk::pp::TransitionTable transitions(protocol);
+      for (const std::uint32_t n : ns) {
+        measure("kpartition", k, n, protocol, transitions, [&protocol, n] {
+          return ppk::core::stable_pattern_oracle(protocol, n);
+        });
+      }
+    }
+    for (const ppk::pp::GroupId k : weak_ks) {
+      const ppk::core::WeakKPartitionProtocol protocol(k);
+      const ppk::pp::TransitionTable transitions(protocol);
+      for (const std::uint32_t n : ns) {
+        measure("weak-kpartition", k, n, protocol, transitions, [&transitions] {
+          return std::make_unique<ppk::pp::SilenceOracle>(transitions);
+        });
+      }
+    }
+    {
+      const ppk::core::GraphBipartitionProtocol protocol;
+      const ppk::pp::TransitionTable transitions(protocol);
+      for (const std::uint32_t n : ns) {
+        measure("graph-bipartition", 2, n, protocol, transitions,
+                [&protocol, n] {
+                  return ppk::core::graph_bipartition_stable_oracle(protocol,
+                                                                    n);
+                });
+      }
+    }
+    out.print(std::cout);
+  }
+
   if (!common.json->empty()) {
     // Atomic (temp + rename): an interrupted run cannot leave a truncated
     // report where the regression gate expects a baseline.
     ppk::io::AtomicFileWriter file(*common.json);
     ppk::io::JsonWriter json(file.stream());
     json.begin_object();
-    json.member("schema", "ppk-bench-engines-v2");
+    json.member("schema", "ppk-bench-engines-v3");
     json.member("bench", "batch_throughput");
     json.member("git_rev", *git_rev);
     json.member("smoke", *smoke);
@@ -643,6 +801,30 @@ int main(int argc, char** argv) {
       json.member("calibration_rate", r.calibration);
       json.member("rep_spread", r.rep_spread);
       json.member("fingerprint", verdict);
+      json.end_object();
+    }
+    json.end_array();
+    json.end_object();
+    // The kAuto gate: per point, both candidates' best-of-reps seconds over
+    // the same fixed-seed trials, and kAuto's pick.
+    json.key("auto_crossover");
+    json.begin_object();
+    json.member("trials", static_cast<std::uint64_t>(crossover_trials));
+    json.member("seed", static_cast<std::int64_t>(*common.seed));
+    json.key("points");
+    json.begin_array();
+    for (const CrossoverPoint& p : crossover) {
+      json.begin_object();
+      json.member("family", p.family);
+      json.member("k", int{p.k});
+      json.member("n", static_cast<std::uint64_t>(p.n));
+      json.member("pick", engine_name(p.pick));
+      json.member("agent_seconds", p.agent_seconds);
+      json.member("jump_seconds", p.jump_seconds);
+      json.member("agent_interactions", p.agent_interactions);
+      json.member("jump_interactions", p.jump_interactions);
+      json.member("stabilized", p.stabilized);
+      json.member("pick_ratio", p.pick_ratio());
       json.end_object();
     }
     json.end_array();

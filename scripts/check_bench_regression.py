@@ -3,11 +3,12 @@
 
 Dispatches on the new report's schema:
 
- - ppk-bench-engines-v1/-v2 (bench/batch_throughput): engine-throughput
-   gates, baseline BENCH_ENGINES.json -- see below.  v2 adds the
-   "sharded" engine to the grid plus the "sampler_setup" and
-   "sharded_scale" blocks; v1 reports (older baselines) are still
-   accepted, skipping the v2-only gates.
+ - ppk-bench-engines-v1/-v2/-v3 (bench/batch_throughput): engine-
+   throughput gates, baseline BENCH_ENGINES.json -- see below.  v2 adds
+   the "sharded" engine to the grid plus the "sampler_setup" and
+   "sharded_scale" blocks; v3 adds the "auto_crossover" block; older
+   reports (baselines) are still accepted, skipping the gates of the
+   blocks they lack.
  - ppk-bench-topology-v1 (bench/topology_sensitivity): topology gates,
    baseline BENCH_TOPOLOGY.json -- see check_topology().
  - ppk-bench-fairness-v1 (bench/fairness_matrix): the three-families
@@ -72,6 +73,19 @@ against the committed baseline:
     regression gates, and -- same machine only, because the shared
     table's lgamma values are libm-specific -- fingerprint equality
     with the baseline's rows.
+ 7. Auto crossover (v3): at every (family, k, n) point of the block both
+    candidate engines below the batch band (agent, jump) ran the same
+    fixed-seed trials to stabilization, and every trial stabilized.
+    Where kAuto picks jump (n >= kJumpCrossover) its pick takes at most
+    MAX_AUTO_PICK_RATIO x the faster engine's time.  Below the crossover
+    kAuto picks agent, and the block must show why the n-only constant
+    cannot move down: at the largest grid n below the crossover, agent
+    is still the faster engine at some point (k = 16 on the paper's
+    protocol, 1.25-1.5x on a 4-vCPU host), so picking jump there would
+    pick the slower engine.  Smaller |Q| favours jump further down (the
+    report's pick_ratio column shows by how much); choosing by |Q| too
+    is the open ROADMAP item.  Both checks compare two engines of one
+    run, so they need no baseline and no calibration.
 
  Calibration and noise.  Machines -- especially shared/virtualized
  ones -- drift in effective speed under sustained load, by far more
@@ -102,13 +116,16 @@ from pathlib import Path
 
 SCHEMA_V1 = "ppk-bench-engines-v1"
 SCHEMA_V2 = "ppk-bench-engines-v2"
-ENGINE_SCHEMAS = (SCHEMA_V1, SCHEMA_V2)
+SCHEMA_V3 = "ppk-bench-engines-v3"
+ENGINE_SCHEMAS = (SCHEMA_V1, SCHEMA_V2, SCHEMA_V3)
+SHARDED_SCHEMAS = (SCHEMA_V2, SCHEMA_V3)  # carry the v2 sharded blocks
 TOPOLOGY_SCHEMA = "ppk-bench-topology-v1"
 ENGINES_V1 = {"agent", "count", "jump", "batch"}
 ENGINES_V2 = ENGINES_V1 | {"sharded"}
 REQUIRED_TOP = {"schema", "bench", "git_rev", "smoke", "wall_cap_seconds",
                 "seed", "machine", "results"}
 REQUIRED_TOP_V2 = REQUIRED_TOP | {"sampler_setup", "sharded_scale"}
+REQUIRED_TOP_V3 = REQUIRED_TOP_V2 | {"auto_crossover"}
 REQUIRED_ROW = {"engine", "k", "n", "interactions", "effective", "seconds",
                 "stabilized", "interactions_per_second"}
 REQUIRED_SCALE_ROW = {"engine", "threads", "interactions", "effective",
@@ -127,6 +144,11 @@ MACHINE_KEYS = ("hardware_threads", "compiler", "assertions_disabled",
 MIN_SHARDED_SPEEDUP = 1.25    # slowest sharded row vs batch, same budget
 MAX_WARM_FRACTION = 0.5       # warm engine ctor vs cold log-fact build
 SHARDED_THREADS = (1, 2, 4, 8)
+
+# v3 auto-crossover gate.
+MAX_AUTO_PICK_RATIO = 1.2     # kAuto's pick vs the faster of agent/jump
+REQUIRED_CROSSOVER_POINT = {"family", "k", "n", "pick", "agent_seconds",
+                            "jump_seconds", "stabilized"}
 
 # Fairness-report gates (schema ppk-bench-fairness-v1).
 FAIRNESS_SCHEMA = "ppk-bench-fairness-v1"
@@ -201,14 +223,15 @@ def load(path):
 
 
 def engine_set(doc):
-    return ENGINES_V2 if doc.get("schema") == SCHEMA_V2 else ENGINES_V1
+    return ENGINES_V2 if doc.get("schema") in SHARDED_SCHEMAS else ENGINES_V1
 
 
 def validate_schema(doc, path):
     if doc.get("schema") not in ENGINE_SCHEMAS:
         fail(f"{path}: schema {doc.get('schema')!r}, expected one of "
              f"{list(ENGINE_SCHEMAS)}")
-    required = REQUIRED_TOP_V2 if doc["schema"] == SCHEMA_V2 else REQUIRED_TOP
+    required = {SCHEMA_V1: REQUIRED_TOP, SCHEMA_V2: REQUIRED_TOP_V2,
+                SCHEMA_V3: REQUIRED_TOP_V3}[doc["schema"]]
     missing = required - doc.keys()
     if missing:
         fail(f"{path}: missing top-level keys {sorted(missing)}")
@@ -229,8 +252,10 @@ def validate_schema(doc, path):
         if set(rows) != engines:
             fail(f"{path}: point (k={k}, n={n}) has engines {sorted(rows)}, "
                  f"expected all of {sorted(engines)}")
-    if doc["schema"] == SCHEMA_V2:
+    if doc["schema"] in SHARDED_SCHEMAS:
         validate_sharded_scale(doc, path)
+    if doc["schema"] == SCHEMA_V3:
+        validate_auto_crossover(doc, path)
     return points
 
 
@@ -274,6 +299,79 @@ def validate_sharded_scale(doc, path):
              f"thread counts: {sorted(verdicts)} -- the sharded engine "
              f"must be bit-identical at 1/2/4/8 workers")
     return batch, sharded
+
+
+def validate_auto_crossover(doc, path):
+    """Structural checks on the v3 auto_crossover block.  Gating happens
+    in check_auto_crossover()."""
+    block = doc["auto_crossover"]
+    points = block.get("points") if isinstance(block, dict) else None
+    if not isinstance(points, list) or not points:
+        fail(f"{path}: auto_crossover.points must be a non-empty array")
+    for i, point in enumerate(points):
+        missing = REQUIRED_CROSSOVER_POINT - point.keys()
+        if missing:
+            fail(f"{path}: auto_crossover.points[{i}] missing "
+                 f"{sorted(missing)}")
+        if point["pick"] not in ("agent", "jump"):
+            fail(f"{path}: auto_crossover.points[{i}] pick "
+                 f"{point['pick']!r} is neither agent nor jump")
+        if point["agent_seconds"] <= 0 or point["jump_seconds"] <= 0:
+            fail(f"{path}: auto_crossover.points[{i}] non-positive time")
+    return points
+
+
+def crossover_label(point):
+    return f"{point['family']} k={point['k']} n={point['n']}"
+
+
+def check_auto_crossover(new_doc, new_path):
+    """Gate 7: kAuto's agent/jump pick is within MAX_AUTO_PICK_RATIO of
+    the faster engine wherever it picks jump, and agent still wins some
+    point at the grid n just below the crossover."""
+    if new_doc["schema"] != SCHEMA_V3:
+        print("skip: auto-crossover gate (report predates the block)")
+        return
+    points = validate_auto_crossover(new_doc, new_path)
+    for point in points:
+        if not point["stabilized"]:
+            fail(f"auto_crossover ({crossover_label(point)}): a trial did "
+                 f"not stabilize; the times are not to stabilization")
+    jump_points = [p for p in points if p["pick"] == "jump"]
+    for point in jump_points:
+        best = min(point["agent_seconds"], point["jump_seconds"])
+        ratio = point["jump_seconds"] / best
+        if ratio > MAX_AUTO_PICK_RATIO:
+            fail(f"auto_crossover ({crossover_label(point)}): kAuto picks "
+                 f"jump, which takes {ratio:.2f}x the faster engine "
+                 f"(agent {point['agent_seconds']:.3g} s, jump "
+                 f"{point['jump_seconds']:.3g} s); the gate allows "
+                 f"{MAX_AUTO_PICK_RATIO}x -- raise pp::kJumpCrossover")
+    print(f"ok: auto_crossover kAuto's jump pick within "
+          f"{MAX_AUTO_PICK_RATIO}x of the faster engine at all "
+          f"{len(jump_points)} point(s) of the jump band")
+    if not jump_points:
+        return
+    crossover = min(p["n"] for p in jump_points)
+    below = [p for p in points if p["n"] < crossover]
+    if any(p["pick"] != "agent" for p in below):
+        fail(f"auto_crossover: kAuto's picks are not monotone in n around "
+             f"n = {crossover}")
+    if not below:
+        print("skip: auto-crossover lower-bound check (no grid n below the "
+              "crossover)")
+        return
+    edge = max(p["n"] for p in below)
+    needs_agent = [p for p in below if p["n"] == edge and
+                   p["jump_seconds"] > p["agent_seconds"]]
+    if not needs_agent:
+        fail(f"auto_crossover: jump is the faster engine at every point of "
+             f"n = {edge}; the crossover (n = {crossover}) could move down")
+    worst = max(needs_agent, key=lambda p: p["jump_seconds"] /
+                p["agent_seconds"])
+    print(f"ok: auto_crossover agent still wins below the crossover "
+          f"n = {crossover} ({crossover_label(worst)}: jump "
+          f"{worst['jump_seconds'] / worst['agent_seconds']:.2f}x agent)")
 
 
 def calibration_scales(new_row, base_row):
@@ -780,7 +878,7 @@ def check_fairness(new_doc, base_doc, new_path, base_path):
 
 def check_sampler_setup(new_doc):
     """Gate 5: per-engine sampler setup stays amortized out."""
-    if new_doc["schema"] != SCHEMA_V2:
+    if new_doc["schema"] not in SHARDED_SCHEMAS:
         print("skip: sampler-setup gate (v1 report)")
         return
     setup = new_doc["sampler_setup"]
@@ -798,7 +896,7 @@ def check_sampler_setup(new_doc):
 def check_sharded_scale(new_doc, base_doc, new_path, base_path):
     """Gate 6: the deep-trial block's speedup, determinism and (when the
     baseline ran the identical configuration) regression gates."""
-    if new_doc["schema"] != SCHEMA_V2:
+    if new_doc["schema"] not in SHARDED_SCHEMAS:
         print("skip: sharded-scale gate (v1 report)")
         return
     scale = new_doc["sharded_scale"]
@@ -819,7 +917,7 @@ def check_sharded_scale(new_doc, base_doc, new_path, base_path):
           f"sharded/batch speedup {speedup:.2f}x "
           f"(>= {MIN_SHARDED_SPEEDUP}x)")
 
-    if base_doc["schema"] != SCHEMA_V2:
+    if base_doc["schema"] not in SHARDED_SCHEMAS:
         print("skip: sharded-scale baseline comparison (v1 baseline)")
         return
     base_scale = base_doc["sharded_scale"]
@@ -906,6 +1004,7 @@ def check_engines(new_doc, base_doc, new_path, base_path):
     check_obs_overhead(new_doc, base_doc, new_points, base_points)
     check_sampler_setup(new_doc)
     check_sharded_scale(new_doc, base_doc, new_path, base_path)
+    check_auto_crossover(new_doc, new_path)
 
 
 def main(argv):

@@ -705,15 +705,34 @@ void run_trial(Shared& s, const pp::Protocol* protocol,
   maybe_checkpoint_locked(s);
 }
 
+/// The engine the campaign's trials run on: kAgentArray for adversarial
+/// fairness (the agent-level scheduler bypasses engine resolution),
+/// otherwise resolve_engine() of the requested one.
+Engine campaign_engine(const pp::Counts& initial,
+                       const CampaignOptions& options) {
+  if (options.mc.fairness.needs_adversarial_engine()) {
+    return Engine::kAgentArray;
+  }
+  std::uint64_t n = 0;
+  for (const std::uint32_t c : initial) n += c;
+  return pp::resolve_engine(options.mc.engine, n,
+                            options.mc.watch_state.has_value(),
+                            static_cast<bool>(options.mc.graph));
+}
+
 }  // namespace
 
 std::string campaign_fingerprint(const pp::Counts& initial,
                                  const CampaignOptions& options) {
+  // The resolved engine, not the requested one: a kAuto checkpoint written
+  // under another resolve_engine() mapping holds snapshots of a different
+  // engine and must be refused, not restored into the wrong one.
   std::ostringstream out;
   out << kCampaignSchema << " trials=" << options.mc.trials
       << " seed=" << options.mc.master_seed
       << " budget=" << options.mc.max_interactions
-      << " engine=" << static_cast<int>(options.mc.engine) << " topology="
+      << " engine=" << static_cast<int>(campaign_engine(initial, options))
+      << " topology="
       << (options.topology_tag.empty()
               ? (options.mc.graph ? "unnamed" : "complete")
               : options.topology_tag)
@@ -824,7 +843,7 @@ CampaignResult run_campaign_impl(const pp::Protocol* protocol,
 
   std::uint64_t n = 0;
   for (const std::uint32_t c : initial) n += c;
-  Engine engine = Engine::kAgentArray;
+  const Engine engine = campaign_engine(initial, options);
   if (options.mc.fairness.needs_adversarial_engine()) {
     // Adversarial fairness bypasses engine resolution entirely: only the
     // agent-level scheduler realizes the policy, and it needs the
@@ -835,9 +854,6 @@ CampaignResult run_campaign_impl(const pp::Protocol* protocol,
     PPK_EXPECTS(options.mc.engine == Engine::kAuto ||
                 options.mc.engine == Engine::kAgentArray);
   } else {
-    engine = pp::resolve_engine(options.mc.engine, n,
-                                options.mc.watch_state.has_value(),
-                                static_cast<bool>(options.mc.graph));
     PPK_EXPECTS(!(engine == Engine::kBatch && options.mc.watch_state));
     const bool graph_engine =
         engine == Engine::kGraph || engine == Engine::kGraphJump;
@@ -867,6 +883,7 @@ CampaignResult run_campaign_impl(const pp::Protocol* protocol,
         result.error = options.checkpoint_path +
                        ": checkpoint was written by a different campaign "
                        "configuration";
+        result.stale_checkpoint = true;
         return result;
       }
       for (const CompletedTrial& t : ckpt->completed) {

@@ -168,6 +168,12 @@ struct CampaignResult {
   /// ran and `trials` is empty in that case.
   std::string error;
 
+  /// True iff `error` is a fingerprint mismatch: the checkpoint is well
+  /// formed but belongs to a different configuration (or to an engine
+  /// mapping of an older build).  A caller that owns the checkpoint path
+  /// may delete the file and run afresh.
+  bool stale_checkpoint = false;
+
   /// Trials with a verdict.
   [[nodiscard]] std::uint32_t completed_count() const;
   /// Trials that needed at least one retry.
@@ -228,7 +234,9 @@ struct CampaignCheckpoint {
 };
 
 /// Deterministic one-line description of everything that shapes trial
-/// trajectories (trials, seed, budget, engine, fairness policy + epsilon,
+/// trajectories (trials, seed, budget, the engine as resolved -- kAuto is
+/// recorded as the engine it picks for this population --, fairness
+/// policy + epsilon,
 /// chunk size, retry policy, watch state, topology tag, initial
 /// configuration).  Stored in checkpoints and compared verbatim on
 /// resume.  The topology factory itself cannot be fingerprinted: set

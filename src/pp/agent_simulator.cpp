@@ -48,12 +48,16 @@ SimResult AgentSimulator::resume(StabilityOracle& oracle,
   SimResult result;
   const std::uint64_t start = interactions_;
   const std::uint64_t start_effective = effective_;
-  while (!oracle.stable() && interactions_ - start < max_interactions) {
-    step(oracle);
+  // A null draw makes no oracle callback, so it cannot change the verdict
+  // (StabilityOracle's contract): query once up front and then only after
+  // effective draws.  At the paper's sizes nearly every draw is null.
+  bool stable = oracle.stable();
+  while (!stable && interactions_ - start < max_interactions) {
+    if (step(oracle)) stable = oracle.stable();
   }
   result.interactions = interactions_ - start;
   result.effective = effective_ - start_effective;
-  result.stabilized = oracle.stable();
+  result.stabilized = stable;
   return result;
 }
 

@@ -28,13 +28,19 @@
 // When it wins: the cost per *effective* interaction is O(|Q|) (the free
 // states' columns are dense for the paper's protocol), versus the agent
 // engine's O(1) per *drawn* interaction, so the speedup is roughly
-// (null ratio) / |Q| x (agent step cost).  For the paper's protocol the
-// null ratio plateaus around 25-75 at large k (free-agent flips are
-// effective and scale with the total), giving a measured ~2x at k = 20
-// and parity elsewhere -- the ablation_engines bench reports the numbers.
-// For protocols that approach silence (rare effective pairs, e.g. the
-// endgame of leader election on huge n) the ratio, and the win, is
-// unbounded.
+// (null ratio) / |Q| x (agent step cost).  The null ratio grows with n,
+// so the win does too.  Measured to stabilization (the auto_crossover
+// block of bench/batch_throughput): at n >= 512 this engine beats the
+// agent engine at every point -- the paper's protocol by ~1.2x (k = 16,
+// |Q| = 46) to ~8x (k = 2), the weak-fairness family under the silence
+// oracle by 38-110x, graph bipartition by 4-8x -- which is why kAuto picks
+// it for 512 <= n < 1024 (pp::kJumpCrossover).  Below 512 the small-|Q|
+// protocols still favour it, while at k = 16 the agent engine wins (2x at
+// n = 128).  Protocols that keep a large share of draws effective lose:
+// approximate majority (~26% effective) runs 1.5-1.8x faster on the agent
+// engine at n = 512-1000.  For protocols that approach silence (rare
+// effective pairs, e.g. the endgame of leader election on huge n) the
+// ratio, and the win, is unbounded.
 
 #pragma once
 

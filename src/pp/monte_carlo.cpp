@@ -252,13 +252,17 @@ Engine resolve_engine(Engine engine, std::uint64_t n, bool watch,
     // the count engine's O(log |Q|) steps beat chasing n agent slots.
     return n < 4096 ? Engine::kAgentArray : Engine::kCountVector;
   }
-  // The agent array's O(1) steps win while the population is small enough
-  // that batching overhead (O(|Q|^2) RNG work per ~sqrt(n) interactions)
-  // dominates; beyond that the batch engine's amortized cost vanishes.
-  // Past the log-factorial table bound the plain batch engine degrades to
-  // live lgamma per hypergeometric probe; the sharded SoA engine keeps the
-  // shared table + Stirling tail and takes over (docs/engines.md).
-  if (n < 1024) return Engine::kAgentArray;
+  // Below kJumpCrossover effective pairs are common and the agent array's
+  // O(1) steps win; from there null pairs dominate and the jump engine's
+  // O(1) skip over each null run wins (measured to stabilization by the
+  // auto_crossover block of bench/batch_throughput).  Past 1024 batching
+  // overhead (O(|Q|^2) RNG work per ~sqrt(n) interactions) is amortized
+  // and the batch engine takes over.  Past the log-factorial table bound
+  // the plain batch engine degrades to live lgamma per hypergeometric
+  // probe; the sharded SoA engine keeps the shared table + Stirling tail
+  // and takes over (docs/engines.md).
+  if (n < kJumpCrossover) return Engine::kAgentArray;
+  if (n < 1024) return Engine::kJump;
   return n > kShardedCrossover ? Engine::kBatchSharded : Engine::kBatch;
 }
 

@@ -56,6 +56,15 @@ enum class Engine {
 /// shared-table + Stirling sampler keeps amortizing (docs/engines.md).
 inline constexpr std::uint64_t kShardedCrossover = 1ULL << 20;
 
+/// Population size from which kAuto prefers kJump over kAgentArray for
+/// unwatched complete-graph runs (up to the batch engine's n >= 1024).
+/// At these sizes almost every drawn pair is null, and the jump engine
+/// skips null runs in O(1) where the agent engine pays a full draw per
+/// pair; the auto_crossover block of bench/batch_throughput measures both
+/// engines to stabilization on either side of the constant and gates it
+/// (docs/engines.md).
+inline constexpr std::uint64_t kJumpCrossover = 512;
+
 /// The engine kAuto resolves to for a population of n agents with (or
 /// without) watch-mark instrumentation:
 ///  - a topology factory set: kGraphJump -- the live-edge engine records
@@ -66,11 +75,16 @@ inline constexpr std::uint64_t kShardedCrossover = 1ULL << 20;
 ///    and the observer is free), count above -- both record exact marks;
 ///    the batch engine cannot (aggregated draws have no per-interaction
 ///    indices) and is never chosen here.
-///  - otherwise: agent while the population fits comfortably in cache
-///    (n < 1024 -- batching overhead beats O(1) array steps only past
-///    that), batch above, and the sharded SoA batch engine past
-///    kShardedCrossover (where the plain batch engine falls off its
-///    log-factorial table).
+///  - otherwise: agent for small populations (n < kJumpCrossover, where
+///    effective pairs are common enough that O(1) array steps beat the
+///    jump engine's O(|Q|) per effective pair), jump from kJumpCrossover
+///    up to n < 1024 (null pairs dominate and the jump engine skips them),
+///    batch above (batching overhead beats per-pair engines only past
+///    that), and the sharded SoA batch engine past kShardedCrossover
+///    (where the plain batch engine falls off its log-factorial table).
+///    Protocols that keep a large share of draws effective (approximate
+///    majority: ~26%, where agent is 1.5-1.8x faster at n = 512-1000)
+///    should pick kAgentArray explicitly.
 [[nodiscard]] Engine resolve_engine(Engine engine, std::uint64_t n,
                                     bool watch, bool graph = false);
 

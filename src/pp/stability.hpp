@@ -17,6 +17,9 @@
 //
 // Oracles are notified of every effective transition; null interactions
 // cannot change stability, so the simulator skips notifying on them.
+// Engines rely on this: stable() is a function of the callbacks received
+// so far (see StabilityOracle::stable()), so they may query it only after
+// a callback instead of after every null draw.
 
 #pragma once
 
@@ -60,7 +63,12 @@ class StabilityOracle {
     reset(counts);
   }
 
-  /// True iff the current configuration is stable.
+  /// True iff the current configuration is stable.  The verdict must be
+  /// a function of the callbacks received so far (reset, on_transition,
+  /// on_batch, on_external_change, restore_state): it may not change
+  /// between two callbacks.  Engines rely on this to skip the query after
+  /// null draws, which make no callback -- AgentSimulator asks once per
+  /// run()/resume() and then once per effective interaction.
   [[nodiscard]] virtual bool stable() const = 0;
 
   /// Called by churn-capable engines (see pp/faults.hpp) when the

@@ -24,6 +24,19 @@ std::optional<std::string> read_file(const std::string& path) {
   return buffer.str();
 }
 
+/// `entry` if it carries `"member": "schema"`, else nullopt.  Untagged or
+/// differently-tagged entries are misses: the caller recomputes and
+/// overwrites them with a current frame.
+std::optional<std::string> if_tagged(std::optional<std::string> entry,
+                                     std::string_view member,
+                                     std::string_view schema) {
+  if (!entry) return std::nullopt;
+  const std::string tag = "\"" + std::string(member) + "\": \"" +
+                          std::string(schema) + "\"";
+  if (entry->find(tag) == std::string::npos) return std::nullopt;
+  return entry;
+}
+
 }  // namespace
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {}
@@ -45,17 +58,16 @@ std::optional<std::string> ResultCache::find(const std::string& hash_hex,
   return read_file(entry_path(hash_hex, seed));
 }
 
+std::optional<std::string> ResultCache::find_sim(const std::string& hash_hex,
+                                                 std::uint64_t seed) const {
+  return if_tagged(find(hash_hex, seed), "sim_schema", kSimResultSchema);
+}
+
 std::optional<std::string> ResultCache::find_exact(
     const std::string& hash_hex) const {
   if (!enabled()) return std::nullopt;
-  std::optional<std::string> entry = read_file(exact_entry_path(hash_hex));
-  if (!entry) return std::nullopt;
-  // Untagged (pre-v2) or differently-tagged entries are misses: the caller
-  // recomputes and overwrites them with a current frame.
-  const std::string tag =
-      "\"exact_schema\": \"" + std::string(kExactResultSchema) + "\"";
-  if (entry->find(tag) == std::string::npos) return std::nullopt;
-  return entry;
+  return if_tagged(read_file(exact_entry_path(hash_hex)), "exact_schema",
+                   kExactResultSchema);
 }
 
 bool ResultCache::store(const std::string& hash_hex, std::uint64_t seed,

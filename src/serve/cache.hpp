@@ -34,6 +34,14 @@ namespace ppk::serve {
 /// and are therefore recognized (and invalidated) by the tag's absence.
 inline constexpr std::string_view kExactResultSchema = "ppkd-exact-v3";
 
+/// Schema tag every simulate and conformance result frame must carry (as
+/// member "sim_schema") to be served from the cache.  Bump it whenever the
+/// trajectories behind a (spec, seed) change -- v2 came with kAuto's jump
+/// band (512 <= n < 1024 runs the jump engine, so such specs draw other
+/// trials than before); v1 frames carried no tag and are recognized (and
+/// invalidated) by its absence, like pre-v2 exact frames.
+inline constexpr std::string_view kSimResultSchema = "ppkd-sim-v2";
+
 /// The (scenario-hash, seed) result cache.  Thread-compatible: the daemon
 /// serializes access through its job lock.
 class ResultCache {
@@ -42,9 +50,17 @@ class ResultCache {
   /// empty dir disables the cache: lookups miss, stores drop.
   explicit ResultCache(std::string dir);
 
-  /// Seed-dependent lookup (simulate / conformance).
+  /// Seed-dependent raw lookup: whatever frame store() left under (hash,
+  /// seed), tagged or not.
   [[nodiscard]] std::optional<std::string> find(const std::string& hash_hex,
                                                 std::uint64_t seed) const;
+  /// find() restricted to entries tagged with the current kSimResultSchema
+  /// -- the daemon's simulate / conformance lookup.  An entry from an older
+  /// daemon may hold trials of another engine, so replaying it would break
+  /// "fresh == cached, byte for byte"; it is a miss, and the recomputed
+  /// frame overwrites it.
+  [[nodiscard]] std::optional<std::string> find_sim(
+      const std::string& hash_hex, std::uint64_t seed) const;
   /// Seed-independent lookup (verify / markov).  Only entries tagged with
   /// the current kExactResultSchema are hits: an exact answer's meaning
   /// depends on the solver generation that produced it, so untagged

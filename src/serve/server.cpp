@@ -200,7 +200,7 @@ void ScenarioService::handle_submit(const io::JsonValue& request,
   const bool seed_dependent = spec->mode == ScenarioMode::kSimulate ||
                               spec->mode == ScenarioMode::kConformance;
   std::optional<std::string> cached =
-      seed_dependent ? cache_.find(hash_hex, spec->seed)
+      seed_dependent ? cache_.find_sim(hash_hex, spec->seed)
                      : cache_.find_exact(hash_hex);
 
   emit(frame([&](io::JsonWriter& w) {
@@ -231,7 +231,7 @@ void ScenarioService::handle_submit(const io::JsonValue& request,
     // One campaign at a time owns the cores; a queued submit re-checks the
     // cache once it gets the lock (an identical spec may just have landed).
     const std::lock_guard<std::mutex> run(run_mutex_);
-    cached = seed_dependent ? cache_.find(hash_hex, spec->seed)
+    cached = seed_dependent ? cache_.find_sim(hash_hex, spec->seed)
                             : cache_.find_exact(hash_hex);
     if (cached) {
       emit(*cached);
@@ -274,9 +274,19 @@ void ScenarioService::run_simulate(const ScenarioSpec& spec,
     emit(trial_frame(id, trial, t));
   };
 
-  const core::CampaignResult result = core::run_campaign(
-      runtime.protocol(), runtime.table(), spec.n, runtime.oracle_factory(),
-      options);
+  const auto run = [&] {
+    return core::run_campaign(runtime.protocol(), runtime.table(), spec.n,
+                              runtime.oracle_factory(), options);
+  };
+  core::CampaignResult result = run();
+  if (result.stale_checkpoint) {
+    // The checkpoint at the daemon's own path belongs to another campaign
+    // configuration or engine mapping (e.g. an older daemon's kAuto pick):
+    // it can never resume, so drop it and run the job fresh rather than
+    // failing this (spec, seed) forever.
+    std::remove(options.checkpoint_path.c_str());
+    result = run();
+  }
 
   if (!result.error.empty()) {
     emit(error_frame(id, "campaign: " + result.error));
@@ -303,6 +313,7 @@ void ScenarioService::run_simulate(const ScenarioSpec& spec,
     w.member("scenario", hash_hex);
     w.member("seed", spec.seed);
     w.member("mode", "simulate");
+    w.member("sim_schema", std::string(kSimResultSchema));
     w.key("trials");
     w.begin_array();
     for (const core::CampaignTrial& t : result.trials) {
@@ -437,6 +448,7 @@ void ScenarioService::run_conformance(const ScenarioSpec& spec,
     w.member("scenario", hash_hex);
     w.member("seed", spec.seed);
     w.member("mode", "conformance");
+    w.member("sim_schema", std::string(kSimResultSchema));
     w.member("ok", report.ok());
     w.member("checks_run", static_cast<std::int64_t>(report.checks_run));
     w.key("divergences");

@@ -61,6 +61,29 @@ std::string verdicts(const CampaignResult& result) {
   return out.str();
 }
 
+/// Forwards to an inner oracle and raises `stop` after `limit` effective
+/// transitions: a deterministic mid-trial interruption.
+class StopAfterOracle final : public ppk::pp::StabilityOracle {
+ public:
+  StopAfterOracle(std::unique_ptr<ppk::pp::StabilityOracle> inner,
+                  std::atomic<bool>* stop, std::uint64_t limit)
+      : inner_(std::move(inner)), stop_(stop), limit_(limit) {}
+  void reset(const ppk::pp::Counts& counts) override { inner_->reset(counts); }
+  void on_transition(ppk::pp::StateId p, ppk::pp::StateId q,
+                     ppk::pp::StateId p_next,
+                     ppk::pp::StateId q_next) override {
+    inner_->on_transition(p, q, p_next, q_next);
+    if (++seen_ == limit_) stop_->store(true);
+  }
+  [[nodiscard]] bool stable() const override { return inner_->stable(); }
+
+ private:
+  std::unique_ptr<ppk::pp::StabilityOracle> inner_;
+  std::atomic<bool>* stop_;
+  std::uint64_t limit_;
+  std::uint64_t seen_ = 0;
+};
+
 class CampaignTest : public ::testing::Test {
  protected:
   CampaignTest() : protocol_(3), table_(protocol_) {}
@@ -229,6 +252,7 @@ TEST_F(CampaignTest, RefusesACheckpointFromADifferentConfiguration) {
   options.mc.master_seed = 100;  // different campaign, same file
   const CampaignResult refused = run(options);
   EXPECT_FALSE(refused.error.empty());
+  EXPECT_TRUE(refused.stale_checkpoint);
   EXPECT_TRUE(refused.trials.empty());
   std::filesystem::remove(options.checkpoint_path);
 }
@@ -242,6 +266,7 @@ TEST_F(CampaignTest, RefusesAMalformedCheckpointFile) {
   }
   const CampaignResult refused = run(options);
   EXPECT_FALSE(refused.error.empty());
+  EXPECT_FALSE(refused.stale_checkpoint);  // unreadable, not merely stale
   EXPECT_TRUE(refused.trials.empty());
   std::filesystem::remove(options.checkpoint_path);
 }
@@ -283,6 +308,64 @@ TEST_F(CampaignTest, FingerprintCoversTheTrajectoryShapingKnobs) {
   changed.campaign_deadline_seconds = 5.0;
   changed.checkpoint_every_chunks = 99;
   EXPECT_EQ(ppk::core::campaign_fingerprint(initial, changed), fp);
+
+  // The engine is recorded as resolved: kAuto and the engine it picks for
+  // this population draw the same trajectories and share a fingerprint.
+  changed = base;
+  changed.mc.engine = ppk::pp::Engine::kAuto;
+  const std::string automatic =
+      ppk::core::campaign_fingerprint(initial, changed);
+  changed.mc.engine = ppk::pp::resolve_engine(ppk::pp::Engine::kAuto, kN,
+                                              /*watch=*/false);
+  EXPECT_EQ(ppk::core::campaign_fingerprint(initial, changed), automatic);
+  changed.mc.engine = ppk::pp::Engine::kCountVector;
+  EXPECT_NE(ppk::core::campaign_fingerprint(initial, changed), automatic);
+}
+
+TEST_F(CampaignTest, RefusesACheckpointOfAnotherResolvedEngine) {
+  // kAuto sends n = 600 to the jump engine.  A checkpoint holding agent
+  // snapshots at that size (an explicit kAgentArray run here; a kAuto run
+  // of a build with another engine mapping in the field) must come back as
+  // a fingerprint error -- restoring it into a JumpSimulator would trip
+  // the snapshot reader's engine-tag precondition and abort the process.
+  constexpr std::uint32_t kBigN = 600;
+  ASSERT_EQ(ppk::pp::resolve_engine(ppk::pp::Engine::kAuto, kBigN, false),
+            ppk::pp::Engine::kJump);
+  // The stop flag rises mid-trial, so the halted campaign captures the
+  // running trial's engine snapshot at the next chunk boundary.
+  std::atomic<bool> stop{false};
+  const auto halting_oracle = [&] {
+    return std::make_unique<StopAfterOracle>(
+        ppk::core::stable_pattern_oracle(protocol_, kBigN), &stop, 1000);
+  };
+  CampaignOptions options = base_options();
+  options.mc.trials = 2;
+  options.mc.max_interactions = ppk::pp::kDefaultInteractionBudget;
+  options.mc.engine = ppk::pp::Engine::kAgentArray;
+  options.checkpoint_path = temp_checkpoint("engine_mismatch");
+  options.stop = &stop;
+  const CampaignResult halted = ppk::core::run_campaign(
+      protocol_, table_, kBigN, halting_oracle, options);
+  EXPECT_FALSE(halted.complete);
+
+  std::ifstream file(options.checkpoint_path);
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  const auto ckpt = ppk::core::parse_campaign_checkpoint(buffer.str());
+  ASSERT_TRUE(ckpt.has_value());
+  ASSERT_FALSE(ckpt->in_flight.empty());
+  EXPECT_EQ(ckpt->in_flight.front().snapshot.engine, "agent");
+
+  options.stop = nullptr;
+  options.mc.engine = ppk::pp::Engine::kAuto;
+  const CampaignResult refused = ppk::core::run_campaign(
+      protocol_, table_, kBigN,
+      [&] { return ppk::core::stable_pattern_oracle(protocol_, kBigN); },
+      options);
+  EXPECT_FALSE(refused.error.empty());
+  EXPECT_TRUE(refused.stale_checkpoint);
+  EXPECT_TRUE(refused.trials.empty());
+  std::filesystem::remove(options.checkpoint_path);
 }
 
 TEST_F(CampaignTest, FingerprintCoversFairnessAndTopology) {

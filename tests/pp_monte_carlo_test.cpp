@@ -136,8 +136,16 @@ TEST_F(MonteCarloTest, AutoEngineResolutionPolicy) {
   // kAuto picks by population size and never picks batch when marks are
   // requested; explicit choices pass through untouched.
   EXPECT_EQ(resolve_engine(Engine::kAuto, 100, false), Engine::kAgentArray);
+  // The jump band [kJumpCrossover, 1024): null-dominated populations.
+  EXPECT_EQ(kJumpCrossover, 512u);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 511, false), Engine::kAgentArray);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 512, false), Engine::kJump);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 1023, false), Engine::kJump);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 1024, false), Engine::kBatch);
   EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000, false), Engine::kBatch);
   EXPECT_EQ(resolve_engine(Engine::kAuto, 100, true), Engine::kAgentArray);
+  // Watched runs keep the agent engine through the jump band.
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 600, true), Engine::kAgentArray);
   EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000, true),
             Engine::kCountVector);
   EXPECT_EQ(resolve_engine(Engine::kJump, 100'000, false), Engine::kJump);

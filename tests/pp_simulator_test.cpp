@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
 
 #include "core/invariants.hpp"
@@ -121,6 +122,61 @@ TEST(AgentSimulator, ResumePreservesOracleProgressAcrossChunks) {
     stabilized = r.stabilized;
   }
   EXPECT_FALSE(stabilized);
+}
+
+/// Forwards to an inner oracle and counts stable() queries.
+class QueryCountingOracle final : public StabilityOracle {
+ public:
+  explicit QueryCountingOracle(std::unique_ptr<StabilityOracle> inner)
+      : inner_(std::move(inner)) {}
+  void reset(const Counts& counts) override { inner_->reset(counts); }
+  void on_transition(StateId p, StateId q, StateId p_next,
+                     StateId q_next) override {
+    inner_->on_transition(p, q, p_next, q_next);
+  }
+  [[nodiscard]] bool stable() const override {
+    ++queries_;
+    return inner_->stable();
+  }
+  [[nodiscard]] std::uint64_t queries() const noexcept { return queries_; }
+
+ private:
+  std::unique_ptr<StabilityOracle> inner_;
+  mutable std::uint64_t queries_ = 0;
+};
+
+TEST(AgentSimulator, QueriesOracleOnlyAfterEffectiveDraws) {
+  // run() asks the oracle once up front and then once per effective draw:
+  // a null draw makes no callback, so it cannot change the verdict.  The
+  // result must equal a loop that queries after every step().
+  const core::KPartitionProtocol protocol(4);
+  const TransitionTable table(protocol);
+  constexpr std::uint32_t kN = 40;
+  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{1000},
+                                     std::uint64_t{UINT64_MAX}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const Population initial(kN, protocol.num_states(),
+                               protocol.initial_state());
+      AgentSimulator sim(table, initial, seed);
+      QueryCountingOracle oracle(core::stable_pattern_oracle(protocol, kN));
+      const SimResult fast = sim.run(oracle, budget);
+      EXPECT_LE(oracle.queries(), fast.effective + 1);
+
+      AgentSimulator ref(table, initial, seed);
+      auto ref_oracle = core::stable_pattern_oracle(protocol, kN);
+      ref_oracle->reset(ref.population().counts());
+      SimResult slow;
+      while (!ref_oracle->stable() && slow.interactions < budget) {
+        ++slow.interactions;
+        if (ref.step(*ref_oracle)) ++slow.effective;
+      }
+      slow.stabilized = ref_oracle->stable();
+      EXPECT_EQ(fast.interactions, slow.interactions) << "seed " << seed;
+      EXPECT_EQ(fast.effective, slow.effective) << "seed " << seed;
+      EXPECT_EQ(fast.stabilized, slow.stabilized) << "seed " << seed;
+      EXPECT_EQ(sim.population().counts(), ref.population().counts());
+    }
+  }
 }
 
 TEST(AgentSimulator, ObserverSeesEveryEffectiveInteraction) {

@@ -17,6 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/campaign.hpp"
+#include "serve/cache.hpp"
+
 namespace ppk::serve {
 namespace {
 
@@ -318,6 +321,106 @@ TEST(ServeServer, V2TaggedExactCacheEntryIsAMissAndGetsRetagged) {
       "\"expected_interactions\": 17.5}");
 }
 
+TEST(ServeServer, UntaggedSimCacheEntryIsAMissAndGetsRetagged) {
+  // A simulate entry written before sim_schema existed may hold trials of
+  // another engine (kAuto's mapping moved): it must be recomputed, not
+  // replayed, and the recomputation overwrites it with a tagged frame.
+  ServiceOptions options;
+  options.state_dir = temp_dir("sim_mig");
+  ScenarioService service(options);
+  FrameLog log;
+
+  ScenarioSpec spec;
+  spec.n = 12;
+  spec.trials = 3;
+  spec.seed = 5;
+  spec.budget = 1'000'000;
+
+  EXPECT_TRUE(service.handle_line(submit_line("s1", spec), log.emit()));
+  const std::vector<std::string> results = of_kind(log.take(), "result");
+  ASSERT_EQ(results.size(), 1u);
+  const std::string tag =
+      "\"sim_schema\": \"" + std::string(kSimResultSchema) + "\",";
+  const std::size_t at = results[0].find(tag);
+  ASSERT_NE(at, std::string::npos);
+
+  // The same frame as an untagged (pre-tag) daemon would have stored it.
+  const std::string entry =
+      service.cache().entry_path(scenario_hash_hex(spec), spec.seed);
+  ASSERT_TRUE(file_exists(entry));
+  std::string untagged = results[0];
+  untagged.erase(at, tag.size());
+  {
+    std::ofstream out(entry, std::ios::trunc);
+    out << untagged << "\n";
+  }
+  EXPECT_TRUE(service.handle_line(submit_line("s2", spec), log.emit()));
+  const std::vector<std::string> second = log.take();
+  ASSERT_EQ(of_kind(second, "accepted").size(), 1u);
+  EXPECT_NE(of_kind(second, "accepted")[0].find("\"cached\": false"),
+            std::string::npos);
+  const std::vector<std::string> recomputed = of_kind(second, "result");
+  ASSERT_EQ(recomputed.size(), 1u);
+  EXPECT_EQ(recomputed[0], results[0]);
+
+  // The entry on disk carries the tag again: the third submission hits.
+  EXPECT_TRUE(service.handle_line(submit_line("s3", spec), log.emit()));
+  const std::vector<std::string> third = log.take();
+  ASSERT_EQ(third.size(), 2u);
+  EXPECT_NE(third[0].find("\"cached\": true"), std::string::npos);
+  EXPECT_EQ(third[1], results[0]);
+}
+
+TEST(ServeServer, StaleCheckpointIsDiscardedAndTheJobRunsFresh) {
+  // A well-formed checkpoint at the job's own path whose fingerprint
+  // belongs to another configuration (here: an older daemon's engine
+  // mapping) can never resume.  The daemon deletes it and runs the job
+  // from scratch instead of answering this (spec, seed) with an error
+  // frame forever.
+  ScenarioSpec spec;
+  spec.n = 12;
+  spec.trials = 3;
+  spec.seed = 9;
+  spec.budget = 1'000'000;
+
+  std::string reference;
+  {
+    ServiceOptions options;
+    options.state_dir = temp_dir("stale_ref");
+    ScenarioService service(options);
+    FrameLog log;
+    EXPECT_TRUE(service.handle_line(submit_line("ref", spec), log.emit()));
+    const std::vector<std::string> results = of_kind(log.take(), "result");
+    ASSERT_EQ(results.size(), 1u);
+    reference = results[0];
+  }
+
+  ServiceOptions options;
+  options.state_dir = temp_dir("stale_ckpt");
+  const std::string checkpoint = options.state_dir + "/ckpt-" +
+                                 scenario_hash_hex(spec) + "-" +
+                                 std::to_string(spec.seed) + ".json";
+  {
+    core::CampaignCheckpoint stale;
+    stale.fingerprint = std::string(core::kCampaignSchema) +
+                        " written by another engine mapping";
+    std::ofstream out(checkpoint, std::ios::trunc);
+    out << core::serialize_campaign_checkpoint(stale);
+  }
+  ScenarioService service(options);
+  FrameLog log;
+  EXPECT_TRUE(service.handle_line(submit_line("fresh", spec), log.emit()));
+  const std::vector<std::string> frames = log.take();
+  EXPECT_TRUE(of_kind(frames, "error").empty());
+  const std::vector<std::string> jobs = of_kind(frames, "job");
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_NE(jobs[0].find("\"resumed\": false"), std::string::npos);
+  const std::vector<std::string> results = of_kind(frames, "result");
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0], reference);
+  EXPECT_FALSE(file_exists(checkpoint));  // consumed on completion
+}
+
 TEST(ServeServer, ConformanceModeRunsTheHarness) {
   ServiceOptions options;
   options.state_dir = temp_dir("conf");
@@ -335,6 +438,7 @@ TEST(ServeServer, ConformanceModeRunsTheHarness) {
   const std::vector<std::string> results = of_kind(log.take(), "result");
   ASSERT_EQ(results.size(), 1u);
   EXPECT_NE(results[0].find("\"mode\": \"conformance\""), std::string::npos);
+  EXPECT_NE(results[0].find(kSimResultSchema), std::string::npos);
   EXPECT_NE(results[0].find("\"ok\": true"), std::string::npos);
 }
 
