@@ -213,7 +213,10 @@ Measurement measure_engine(ppk::pp::Engine engine,
   }
 }
 
-const char* engine_name(ppk::pp::Engine e) {
+/// Engine spelling of this bench's report rows ("sharded", not the scenario
+/// spelling "batch-sharded" of ppk::pp::engine_name): the committed
+/// BENCH_ENGINES.json baseline and its regression gates key on it.
+const char* report_engine_name(ppk::pp::Engine e) {
   switch (e) {
     case ppk::pp::Engine::kAgentArray: return "agent";
     case ppk::pp::Engine::kCountVector: return "count";
@@ -523,9 +526,9 @@ int main(int argc, char** argv) {
       // gate is tight exactly when the machine was quiet enough to earn it.
       const double rep_spread = norm_hi > 0.0 ? 1.0 - norm_lo / norm_hi : 0.0;
       rows.push_back(
-          {c, engine_name(engine), m, rate, calibration, rep_spread});
-      table.row(int{c.k}, c.n, engine_name(engine), m.interactions, m.seconds,
-                m.stabilized ? "yes" : "no", rate / 1e6);
+          {c, report_engine_name(engine), m, rate, calibration, rep_spread});
+      table.row(int{c.k}, c.n, report_engine_name(engine), m.interactions,
+                m.seconds, m.stabilized ? "yes" : "no", rate / 1e6);
     }
   }
   table.print(std::cout);
@@ -676,7 +679,7 @@ int main(int argc, char** argv) {
                                             seed, *reps));
       const CrossoverPoint& p = crossover.back();
       out.row(family, int{k}, n, p.agent_seconds, p.jump_seconds,
-              engine_name(p.pick), p.pick_ratio());
+              report_engine_name(p.pick), p.pick_ratio());
     };
     std::printf("\nauto crossover: %u trials per engine and point\n",
                 crossover_trials);
@@ -818,7 +821,7 @@ int main(int argc, char** argv) {
       json.member("family", p.family);
       json.member("k", int{p.k});
       json.member("n", static_cast<std::uint64_t>(p.n));
-      json.member("pick", engine_name(p.pick));
+      json.member("pick", report_engine_name(p.pick));
       json.member("agent_seconds", p.agent_seconds);
       json.member("jump_seconds", p.jump_seconds);
       json.member("agent_interactions", p.agent_interactions);

@@ -37,6 +37,8 @@ REPO = Path(__file__).resolve().parent.parent
 DEFAULT_TARGETS = sorted((REPO / "src" / "obs").glob("*.hpp")) + [
     REPO / "src" / "pp" / "stability.hpp",
     REPO / "src" / "core" / "campaign.hpp",
+    # The engine factory and trial loop every driver shares.
+    REPO / "src" / "pp" / "trial.hpp",
     # The fairness-policy axis and the protocol families riding on it.
     REPO / "src" / "pp" / "fairness.hpp",
     REPO / "src" / "pp" / "adversarial.hpp",

@@ -6,9 +6,9 @@
 #include "core/kpartition.hpp"
 #include "core/recovery.hpp"
 #include "pp/transition_table.hpp"
+#include "pp/trial.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppk::analysis {
 
@@ -113,18 +113,12 @@ RecoveryResult measure_recovery(pp::GroupId k, std::uint32_t n,
   result.trials.resize(options.trials);
 
   Stopwatch timer;
-  auto body = [&](std::size_t trial) {
+  pp::for_each_trial(options.trials, options.threads, [&](std::size_t trial) {
     const std::uint64_t seed = derive_stream_seed(options.master_seed, trial);
     result.trials[trial] = options.with_recovery
                                ? run_with_recovery(k, n, options, seed)
                                : run_without_recovery(k, n, options, seed);
-  };
-  if (options.threads == 1 || options.trials == 1) {
-    for (std::size_t t = 0; t < options.trials; ++t) body(t);
-  } else {
-    ThreadPool pool(options.threads);
-    pool.parallel_for_index(options.trials, body);
-  }
+  });
   result.wall_seconds = timer.seconds();
 
   std::uint32_t recovered = 0;

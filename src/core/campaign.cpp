@@ -11,12 +11,10 @@
 #include "io/json.hpp"
 #include "io/json_reader.hpp"
 #include "io/snapshot_io.hpp"
-#include "obs/sink.hpp"
-#include "pp/adversarial.hpp"
+#include "pp/trial.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppk::core {
 
@@ -47,9 +45,6 @@ std::uint32_t CampaignResult::censored_count() const {
 namespace {
 
 using pp::Counts;
-using pp::Engine;
-using pp::MonteCarloOptions;
-using pp::StateId;
 
 /// Sub-stream of a trial's seed that seeds retry attempt r (offset by r),
 /// keeping retries independent of the original attempt yet pure functions
@@ -366,103 +361,7 @@ bool read_inflight(const io::JsonValue& v, InFlightTrial* out,
   return true;
 }
 
-// --- engine dispatch -------------------------------------------------------
-
-/// The engine's live configuration, engine-shape agnostic.
-template <typename Sim>
-Counts engine_counts(const Sim& sim) {
-  if constexpr (requires { sim.counts(); }) {
-    return sim.counts();
-  } else {
-    return sim.population().counts();
-  }
-}
-
-/// Installs watch-mark recording on engines that support it (set_watch on
-/// the count-shaped engines, an observer on the agent engine).
-template <typename Sim>
-void attach_watch(Sim& sim, StateId watched,
-                  std::vector<std::uint64_t>* marks) {
-  if constexpr (requires { sim.set_watch(watched, marks); }) {
-    sim.set_watch(watched, marks);
-  } else if constexpr (requires {
-                         sim.set_observer(
-                             std::function<void(const pp::SimEvent&)>{});
-                       }) {
-    sim.set_observer([marks, watched](const pp::SimEvent& event) {
-      const int delta = (event.p_next == watched ? 1 : 0) +
-                        (event.q_next == watched ? 1 : 0) -
-                        (event.p == watched ? 1 : 0) -
-                        (event.q == watched ? 1 : 0);
-      for (int i = 0; i < delta; ++i) marks->push_back(event.interaction);
-    });
-  }
-}
-
-/// Constructs the resolved engine for one attempt and invokes `fn` on it.
-/// Mirrors the Monte-Carlo runner's per-trial construction exactly
-/// (including the topology sub-stream and the adversarial fairness
-/// route), so a campaign trial's trajectory is the chunk-driven version
-/// of the corresponding Monte-Carlo trial.
-template <typename Fn>
-auto with_engine(const pp::Protocol* protocol, const pp::TransitionTable& table,
-                 const Counts& initial, const MonteCarloOptions& mc,
-                 std::uint64_t n, Engine engine, std::uint64_t seed, Fn&& fn) {
-  if (mc.fairness.needs_adversarial_engine()) {
-    // Only the agent-level scheduler can realize a non-uniform fairness
-    // policy; it needs the protocol's group map for its adversary probes.
-    PPK_ASSERT(protocol != nullptr);
-    std::optional<pp::InteractionGraph> graph;
-    if (mc.graph) {
-      graph.emplace(mc.graph(derive_stream_seed(seed, pp::kGraphTopologyStream)));
-      PPK_EXPECTS(graph->num_agents() == n);
-    }
-    pp::AdversarialSimulator sim(*protocol, table, pp::Population(initial),
-                                 mc.fairness, seed, graph ? &*graph : nullptr);
-    return fn(sim);
-  }
-  switch (engine) {
-    case Engine::kGraph:
-    case Engine::kGraphJump: {
-      pp::InteractionGraph graph =
-          mc.graph(derive_stream_seed(seed, pp::kGraphTopologyStream));
-      PPK_EXPECTS(graph.num_agents() == n);
-      if (engine == Engine::kGraph) {
-        pp::GraphSimulator sim(table, std::move(graph), pp::Population(initial),
-                               seed);
-        return fn(sim);
-      }
-      pp::GraphJumpSimulator sim(table, std::move(graph),
-                                 pp::Population(initial), seed);
-      return fn(sim);
-    }
-    case Engine::kCountVector: {
-      pp::CountSimulator sim(table, initial, seed);
-      return fn(sim);
-    }
-    case Engine::kJump: {
-      pp::JumpSimulator sim(table, initial, seed);
-      return fn(sim);
-    }
-    case Engine::kBatch: {
-      pp::BatchSimulator sim(table, initial, seed);
-      return fn(sim);
-    }
-    case Engine::kBatchSharded: {
-      pp::BatchShardedSimulator sim(table, initial, seed, mc.engine_threads);
-      return fn(sim);
-    }
-    case Engine::kAgentArray:
-    case Engine::kAuto:
-      break;
-  }
-  pp::AgentSimulator sim(table, pp::Population(initial), seed);
-  return fn(sim);
-}
-
 // --- the runner ------------------------------------------------------------
-
-enum class AttemptEnd { kStabilized, kStalled, kBudget, kTimedOut, kCensored };
 
 struct Shared {
   std::mutex mutex;
@@ -525,99 +424,31 @@ void maybe_checkpoint_locked(Shared& s) {
   write_checkpoint_locked(s);
 }
 
-struct TrialCtx {
-  Shared* shared = nullptr;
-  std::uint32_t trial = 0;
-  CampaignTrial* out = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
-/// Chunk-boundary bookkeeping: captures the engine + oracle into the
-/// shared in-flight table (the state a checkpoint would persist), counts
-/// the progress event, and reports whether the campaign is halting.
-template <typename Sim>
-bool at_boundary(TrialCtx& ctx, Sim& sim, pp::StabilityOracle& oracle,
-                 std::uint32_t retry, std::uint64_t consumed) {
-  Shared& s = *ctx.shared;
-  InFlightTrial entry;
-  entry.trial = ctx.trial;
-  entry.retry = retry;
-  entry.consumed = consumed;
-  entry.interactions = ctx.out->result.interactions;
-  entry.effective = ctx.out->result.effective;
-  entry.snapshot = sim.snapshot();
-  entry.oracle_state = oracle.save_state();
-  entry.counts = engine_counts(sim);
-  entry.watch_marks = ctx.out->result.watch_marks;
-  entry.metrics = *ctx.metrics;
+/// Chunk-boundary bookkeeping: files an in-flight capture (the state a
+/// checkpoint would persist), counts the progress event, and reports
+/// whether the campaign is halting.
+bool at_boundary(Shared& s, InFlightTrial entry) {
   const std::lock_guard<std::mutex> lock(s.mutex);
-  s.inflight[ctx.trial] = std::move(entry);
+  const std::uint32_t trial = entry.trial;
+  s.inflight[trial] = std::move(entry);
   maybe_checkpoint_locked(s);
   return halt_locked(s);
 }
 
-/// Drives one attempt in fixed chunks, optionally continuing from a
-/// checkpointed capture.  The grant sequence depends only on (budget,
-/// chunk, consumed-at-restore), so a restored attempt and the
-/// uninterrupted attempt issue identical grants -- the precondition of
-/// the snapshot bit-identity contract.
-template <typename Sim>
-AttemptEnd run_attempt(Sim& sim, pp::StabilityOracle& oracle, TrialCtx& ctx,
-                       std::uint32_t retry, std::uint64_t budget,
-                       const InFlightTrial* from) {
-  const CampaignOptions& o = *ctx.shared->options;
-  std::uint64_t consumed = 0;
-  bool first = true;
-  if (from != nullptr) {
-    sim.restore(from->snapshot);
-    oracle.reset(from->counts);
-    oracle.restore_state(from->oracle_state);
-    consumed = from->consumed;
-    first = false;
-  }
-  const Stopwatch attempt_clock;  // deadline runs from (re)start
-  while (true) {
-    const std::uint64_t grant =
-        std::min(o.chunk_interactions, budget - consumed);
-    const pp::SimResult r =
-        first ? sim.run(oracle, grant) : sim.resume(oracle, grant);
-    first = false;
-    consumed += r.interactions;
-    ctx.out->result.interactions += r.interactions;
-    ctx.out->result.effective += r.effective;
-    if (r.stabilized) return AttemptEnd::kStabilized;
-    if (r.interactions < grant) return AttemptEnd::kStalled;
-    if (consumed >= budget) return AttemptEnd::kBudget;
-    if (at_boundary(ctx, sim, oracle, retry, consumed)) {
-      return AttemptEnd::kCensored;
-    }
-    if (o.trial_deadline_seconds &&
-        attempt_clock.seconds() >= *o.trial_deadline_seconds) {
-      return AttemptEnd::kTimedOut;
-    }
-  }
-}
-
-/// Per-trial outcome instruments, mirroring the Monte-Carlo runner's names
-/// plus the supervision verdicts.
+/// Per-trial outcome instruments: the Monte-Carlo runner's plus the
+/// supervision verdicts.
 void stamp_outcome(obs::MetricsRegistry& metrics, const CampaignTrial& t) {
-  metrics.counter("trials").inc();
-  if (t.result.stabilized) metrics.counter("trials.stabilized").inc();
-  if (t.result.timed_out) metrics.counter("trials.timed_out").inc();
-  if (t.result.stalled) metrics.counter("trials.stalled").inc();
+  pp::record_trial_metrics(metrics, t.result);
   if (t.failed) metrics.counter("trials.failed").inc();
   if (t.retries > 0) {
     metrics.counter("trials.retried").inc();
     metrics.counter("trial.retries").inc(t.retries);
   }
-  metrics.histogram("trial.interactions").record(t.result.interactions);
-  metrics.histogram("trial.effective").record(t.result.effective);
 }
 
 void run_trial(Shared& s, const pp::Protocol* protocol,
                const pp::TransitionTable& table, const Counts& initial,
-               const pp::OracleFactory& make_oracle, Engine engine,
-               std::uint64_t n, std::uint32_t idx) {
+               const pp::OracleFactory& make_oracle, std::uint32_t idx) {
   const CampaignOptions& o = *s.options;
   std::optional<InFlightTrial> start;
   {
@@ -643,7 +474,6 @@ void run_trial(Shared& s, const pp::Protocol* protocol,
   }
 
   const std::uint64_t trial_seed = derive_stream_seed(o.mc.master_seed, idx);
-  TrialCtx ctx{&s, idx, &out, &trial_metrics};
   while (true) {
     const std::uint64_t seed =
         attempt == 0 ? trial_seed
@@ -652,27 +482,40 @@ void run_trial(Shared& s, const pp::Protocol* protocol,
         attempt_budget(o.mc.max_interactions, o.retry_backoff, attempt);
     auto oracle = make_oracle();
     PPK_ASSERT(oracle != nullptr);
-    std::optional<obs::ObsSink> sink;
-    if (o.collect_metrics) sink.emplace(trial_metrics);
-    const AttemptEnd end = with_engine(
-        protocol, table, initial, o.mc, n, engine, seed, [&](auto& sim) {
-          if (sink) sim.set_obs_sink(&*sink);
-          if (o.mc.watch_state) {
-            attach_watch(sim, *o.mc.watch_state, &out.result.watch_marks);
+    const pp::TrialLimits limits{budget, o.chunk_interactions,
+                                 o.trial_deadline_seconds};
+    const pp::TrialEnd end = pp::with_engine(
+        protocol, table, initial, o.mc, seed,
+        o.collect_metrics ? &trial_metrics : nullptr, &out.result.watch_marks,
+        [&](auto& sim) {
+          std::uint64_t consumed = 0;
+          if (start) {
+            sim.restore(start->snapshot);
+            oracle->reset(start->counts);
+            oracle->restore_state(start->oracle_state);
+            consumed = start->consumed;
           }
-          return run_attempt(sim, *oracle, ctx, attempt, budget,
-                             start ? &*start : nullptr);
+          return pp::drive_trial(
+              sim, *oracle, limits, &out.result, consumed,
+              [&](std::uint64_t at) {
+                return at_boundary(
+                    s, InFlightTrial{idx, attempt, at, out.result.interactions,
+                                     out.result.effective, sim.snapshot(),
+                                     oracle->save_state(),
+                                     pp::engine_counts(sim),
+                                     out.result.watch_marks, trial_metrics});
+              });
         });
     start.reset();
-    if (end == AttemptEnd::kStabilized) {
+    if (end == pp::TrialEnd::kStabilized) {
       out.result.stabilized = true;
       break;
     }
-    if (end == AttemptEnd::kTimedOut) {
+    if (end == pp::TrialEnd::kTimedOut) {
       out.result.timed_out = true;
       break;
     }
-    if (end == AttemptEnd::kCensored) {
+    if (end == pp::TrialEnd::kCensored) {
       out.censored = true;
       break;
     }
@@ -680,7 +523,7 @@ void run_trial(Shared& s, const pp::Protocol* protocol,
     // up with a failed verdict.
     if (attempt >= o.max_retries) {
       out.failed = true;
-      out.result.stalled = end == AttemptEnd::kStalled;
+      out.result.stalled = end == pp::TrialEnd::kStalled;
       break;
     }
     ++attempt;
@@ -705,21 +548,6 @@ void run_trial(Shared& s, const pp::Protocol* protocol,
   maybe_checkpoint_locked(s);
 }
 
-/// The engine the campaign's trials run on: kAgentArray for adversarial
-/// fairness (the agent-level scheduler bypasses engine resolution),
-/// otherwise resolve_engine() of the requested one.
-Engine campaign_engine(const pp::Counts& initial,
-                       const CampaignOptions& options) {
-  if (options.mc.fairness.needs_adversarial_engine()) {
-    return Engine::kAgentArray;
-  }
-  std::uint64_t n = 0;
-  for (const std::uint32_t c : initial) n += c;
-  return pp::resolve_engine(options.mc.engine, n,
-                            options.mc.watch_state.has_value(),
-                            static_cast<bool>(options.mc.graph));
-}
-
 }  // namespace
 
 std::string campaign_fingerprint(const pp::Counts& initial,
@@ -731,7 +559,7 @@ std::string campaign_fingerprint(const pp::Counts& initial,
   out << kCampaignSchema << " trials=" << options.mc.trials
       << " seed=" << options.mc.master_seed
       << " budget=" << options.mc.max_interactions
-      << " engine=" << static_cast<int>(campaign_engine(initial, options))
+      << " engine=" << static_cast<int>(pp::trial_engine(initial, options.mc))
       << " topology="
       << (options.topology_tag.empty()
               ? (options.mc.graph ? "unnamed" : "complete")
@@ -841,29 +669,11 @@ CampaignResult run_campaign_impl(const pp::Protocol* protocol,
   PPK_EXPECTS(options.checkpoint_every_chunks >= 1);
   PPK_EXPECTS(options.max_retries == 0 || options.retry_backoff >= 1.0);
 
-  std::uint64_t n = 0;
-  for (const std::uint32_t c : initial) n += c;
-  const Engine engine = campaign_engine(initial, options);
-  if (options.mc.fairness.needs_adversarial_engine()) {
-    // Adversarial fairness bypasses engine resolution entirely: only the
-    // agent-level scheduler realizes the policy, and it needs the
-    // protocol's group map (precondition documented on the counts-only
-    // run_campaign overload).
-    PPK_EXPECTS(protocol != nullptr);
-    PPK_EXPECTS(!options.mc.watch_state);
-    PPK_EXPECTS(options.mc.engine == Engine::kAuto ||
-                options.mc.engine == Engine::kAgentArray);
-  } else {
-    PPK_EXPECTS(!(engine == Engine::kBatch && options.mc.watch_state));
-    const bool graph_engine =
-        engine == Engine::kGraph || engine == Engine::kGraphJump;
-    PPK_EXPECTS(graph_engine == static_cast<bool>(options.mc.graph));
-    PPK_EXPECTS(engine != Engine::kGraph || !options.mc.watch_state);
-  }
-
   CampaignResult result;
   Shared s;
   s.options = &options;
+  // The fingerprint resolves the engine through pp::trial_engine(), which
+  // checks every engine, watch, topology and fairness precondition.
   s.fingerprint = campaign_fingerprint(initial, options);
   s.trials.resize(options.mc.trials);
   s.done.assign(options.mc.trials, 0);
@@ -908,15 +718,10 @@ CampaignResult run_campaign_impl(const pp::Protocol* protocol,
 
   const auto body = [&](std::size_t idx) {
     if (s.done[idx] != 0) return;  // set only before the pool starts
-    run_trial(s, protocol, table, initial, make_oracle, engine, n,
+    run_trial(s, protocol, table, initial, make_oracle,
               static_cast<std::uint32_t>(idx));
   };
-  if (options.mc.threads == 1 || options.mc.trials == 1) {
-    for (std::size_t t = 0; t < options.mc.trials; ++t) body(t);
-  } else {
-    ThreadPool pool(options.mc.threads);
-    pool.parallel_for_index(options.mc.trials, body);
-  }
+  pp::for_each_trial(options.mc.trials, options.mc.threads, body);
 
   const std::lock_guard<std::mutex> lock(s.mutex);
   if (!options.checkpoint_path.empty()) write_checkpoint_locked(s);

@@ -17,14 +17,18 @@
 //    backoff, and graceful degradation past a global deadline with
 //    completed/retried/failed/censored accounting.
 //
-// Determinism model: every trial is driven in fixed interaction chunks
-// (run(chunk), resume(chunk), ...), so an interrupted trial restored from
-// its snapshot sees exactly the grant sequence the uninterrupted trial
-// would have seen -- the engines' snapshot contract then guarantees a
-// bit-identical trajectory for every engine, including the jump and batch
-// engines whose sampling depends on grant boundaries.  Wall-clock
-// supervision (deadlines, stop flag) only decides *whether* a trial keeps
-// running; it never alters the trajectory of a trial that completes.
+// Determinism model: a campaign trial is the Monte-Carlo trial.  Both
+// runners build the engine through pp::with_engine() and drive it through
+// pp::drive_trial() (pp/trial.hpp); the campaign passes its fixed chunk
+// size and a boundary callback that captures in-flight state and checks
+// the halt conditions.  The grant sequence depends only on (budget, chunk,
+// interactions consumed at restore), so an interrupted trial restored from
+// its snapshot sees exactly the grants the uninterrupted trial would have
+// seen -- the engines' snapshot contract then guarantees a bit-identical
+// trajectory for every engine, including the jump and batch engines whose
+// sampling depends on grant boundaries.  Wall-clock supervision
+// (deadlines, stop flag) only decides *whether* a trial keeps running; it
+// never alters the trajectory of a trial that completes.
 
 #pragma once
 
@@ -39,16 +43,18 @@
 #include "obs/metrics.hpp"
 #include "pp/monte_carlo.hpp"
 #include "pp/snapshot.hpp"
+#include "pp/trial.hpp"
 
 namespace ppk::core {
 
 /// Schema tag of the checkpoint file format.
 inline constexpr std::string_view kCampaignSchema = "ppk-campaign-v1";
 
-/// Default per-grant chunk size: large enough that chunking cost is noise,
-/// small enough that checkpoints and deadline checks stay responsive
-/// (matches the Monte-Carlo runner's wall-clock check cadence).
-inline constexpr std::uint64_t kDefaultChunkInteractions = 1ULL << 22;
+/// Default per-grant chunk size: the Monte-Carlo runner's wall-clock check
+/// cadence, so a campaign with a trial deadline and a Monte-Carlo run with
+/// a wall-clock limit draw the same trials.
+inline constexpr std::uint64_t kDefaultChunkInteractions =
+    pp::kDefaultChunkInteractions;
 
 struct CampaignTrial;
 
@@ -274,10 +280,10 @@ struct CampaignCheckpoint {
 
 /// Full-axis overload: carries the protocol so `options.mc.fairness`
 /// specs that need the agent-level adversarial engine (weak round-robin,
-/// epsilon-fair with epsilon < 1) are routed to it, mirroring the
-/// Monte-Carlo runner.  Adversarial campaigns require engine kAuto or
-/// kAgentArray and no watch state; `mc.graph` composes as the scheduling
-/// topology.
+/// epsilon-fair with epsilon < 1) are routed to it by pp::with_engine(),
+/// as in the Monte-Carlo runner.  Adversarial campaigns require engine
+/// kAuto or kAgentArray and no watch state; `mc.graph` composes as the
+/// scheduling topology.
 [[nodiscard]] CampaignResult run_campaign(const pp::Protocol& protocol,
                                           const pp::TransitionTable& table,
                                           const pp::Counts& initial,

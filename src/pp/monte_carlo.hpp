@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "pp/agent_simulator.hpp"
@@ -49,6 +50,15 @@ enum class Engine {
   kGraphJump,
   kAuto,
 };
+
+/// Stable name of an engine ("agent", "count", "jump", "batch",
+/// "batch-sharded", "graph", "graph-jump", "auto"): the spelling scenario
+/// specs and command-line flags use.
+[[nodiscard]] std::string_view engine_name(Engine engine) noexcept;
+
+/// Inverse of engine_name(); nullopt on unknown names.
+[[nodiscard]] std::optional<Engine> parse_engine(
+    std::string_view name) noexcept;
 
 /// Population size above which kAuto prefers kBatchSharded over kBatch:
 /// the batch engine's log-factorial table stops at 2^20 agents, so past it
@@ -88,12 +98,6 @@ inline constexpr std::uint64_t kJumpCrossover = 512;
 [[nodiscard]] Engine resolve_engine(Engine engine, std::uint64_t n,
                                     bool watch, bool graph = false);
 
-/// Sub-stream (of a trial's stream seed) that seeds randomized topology
-/// generation, keeping it independent of the interaction draws.  Shared
-/// with the campaign runner (core/campaign.hpp) so both drivers derive
-/// identical per-trial topologies from identical seeds.
-inline constexpr std::uint64_t kGraphTopologyStream = 0x6772'6170'68ULL;
-
 /// Default per-trial interaction budget.  The most expensive configuration
 /// in the paper's evaluation (n = 960, k = 8) stabilizes in ~7e8
 /// interactions, so legitimate runs never come near this, yet a
@@ -118,16 +122,19 @@ struct MonteCarloOptions {
   std::size_t engine_threads = 1;
   /// If set, every time the count of this state increases, the current
   /// interaction index is recorded (the paper's NI_i grouping marks).
-  /// Supported by the agent (observer hook), count and jump engines;
-  /// requesting it with Engine::kBatch is a precondition violation (the
-  /// batch engine aggregates draws and has no per-interaction indices --
-  /// failing fast beats silently returning empty marks).  kAuto never
-  /// resolves to batch when a watch is set.
+  /// Supported by the agent (observer hook), count, jump and graph-jump
+  /// engines.  Forcing kBatch, kBatchSharded or kGraph with a watch set is
+  /// a precondition violation (the batch engines aggregate draws and the
+  /// per-draw graph engine has no hook -- failing fast beats silently
+  /// returning empty marks), and so is combining it with a fairness policy
+  /// that needs the adversarial engine.  kAuto never resolves to an engine
+  /// without marks when a watch is set.
   std::optional<StateId> watch_state;
   /// If set, a per-trial wall-clock cap: a trial that exceeds it stops at
-  /// the next check (every ~4M interactions) and reports stabilized =
-  /// false, timed_out = true.  Complements the interaction budget for
-  /// configurations whose per-interaction cost is hard to predict.
+  /// the next check (every kDefaultChunkInteractions, pp/trial.hpp) and
+  /// reports stabilized = false, timed_out = true.  Complements the
+  /// interaction budget for configurations whose per-interaction cost is
+  /// hard to predict.
   std::optional<double> wall_clock_limit_seconds;
   /// Interaction topology for the graph engines (kGraph / kGraphJump, or
   /// kAuto which resolves to kGraphJump when this is set): called once per

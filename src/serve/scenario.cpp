@@ -66,20 +66,6 @@ const char* to_string(ScenarioMode mode) noexcept {
   return "?";
 }
 
-const char* engine_name(pp::Engine engine) noexcept {
-  switch (engine) {
-    case pp::Engine::kAgentArray: return "agent";
-    case pp::Engine::kCountVector: return "count";
-    case pp::Engine::kJump: return "jump";
-    case pp::Engine::kBatch: return "batch";
-    case pp::Engine::kBatchSharded: return "batch-sharded";
-    case pp::Engine::kGraph: return "graph";
-    case pp::Engine::kGraphJump: return "graph-jump";
-    case pp::Engine::kAuto: return "auto";
-  }
-  return "?";
-}
-
 std::optional<ScenarioFamily> family_from_name(std::string_view name) noexcept {
   if (name == "kpartition") return ScenarioFamily::kKPartition;
   if (name == "weak-kpartition") return ScenarioFamily::kWeakKPartition;
@@ -112,18 +98,6 @@ std::optional<ScenarioMode> mode_from_name(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-std::optional<pp::Engine> engine_from_name(std::string_view name) noexcept {
-  if (name == "agent") return pp::Engine::kAgentArray;
-  if (name == "count") return pp::Engine::kCountVector;
-  if (name == "jump") return pp::Engine::kJump;
-  if (name == "batch") return pp::Engine::kBatch;
-  if (name == "batch-sharded") return pp::Engine::kBatchSharded;
-  if (name == "graph") return pp::Engine::kGraph;
-  if (name == "graph-jump") return pp::Engine::kGraphJump;
-  if (name == "auto") return pp::Engine::kAuto;
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
 // Serialization
 
@@ -150,7 +124,7 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
   w.member("kind", to_string(spec.oracle));
   w.member("window", spec.quiescence_window);
   w.end_object();
-  w.member("engine", engine_name(spec.engine));
+  w.member("engine", pp::engine_name(spec.engine));
   w.member("mode", to_string(spec.mode));
   w.member("trials", static_cast<std::uint64_t>(spec.trials));
   w.member("seed", spec.seed);
@@ -599,7 +573,7 @@ std::optional<ScenarioSpec> parse_scenario_value(const io::JsonValue& value,
   }
 
   if (!read_string(value, "engine", &text, err)) return std::nullopt;
-  if (const auto engine = engine_from_name(text)) {
+  if (const auto engine = pp::parse_engine(text)) {
     spec.engine = *engine;
   } else {
     *err = field_error("engine", "unknown engine \"" + text + "\"");

@@ -92,8 +92,6 @@ enum class ScenarioMode : std::uint8_t {
 [[nodiscard]] const char* to_string(ScenarioOracle oracle) noexcept;
 /// Stable serialization name of an execution mode.
 [[nodiscard]] const char* to_string(ScenarioMode mode) noexcept;
-/// Stable serialization name of an engine ("auto", "agent", ...).
-[[nodiscard]] const char* engine_name(pp::Engine engine) noexcept;
 /// Inverse of to_string(ScenarioFamily); nullopt on unknown names.
 [[nodiscard]] std::optional<ScenarioFamily> family_from_name(
     std::string_view name) noexcept;
@@ -105,9 +103,6 @@ enum class ScenarioMode : std::uint8_t {
     std::string_view name) noexcept;
 /// Inverse of to_string(ScenarioMode); nullopt on unknown names.
 [[nodiscard]] std::optional<ScenarioMode> mode_from_name(
-    std::string_view name) noexcept;
-/// Inverse of engine_name; nullopt on unknown names.
-[[nodiscard]] std::optional<pp::Engine> engine_from_name(
     std::string_view name) noexcept;
 
 /// One declarative scenario.  Default-constructed, it is a valid simulate

@@ -13,16 +13,10 @@
 #include "core/weak_kpartition.hpp"
 #include "io/snapshot_io.hpp"
 #include "pp/adversarial.hpp"
-#include "pp/agent_simulator.hpp"
-#include "pp/batch_sharded_simulator.hpp"
-#include "pp/batch_simulator.hpp"
-#include "pp/count_simulator.hpp"
 #include "pp/faults.hpp"
-#include "pp/graph_jump_simulator.hpp"
-#include "pp/graph_simulator.hpp"
 #include "pp/interaction_graph.hpp"
-#include "pp/jump_simulator.hpp"
 #include "pp/stability.hpp"
+#include "pp/trial.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "verify/config_graph.hpp"
@@ -390,108 +384,81 @@ struct TrialRun {
   bool counts_consistent = true;  // engine state == oracle-tracked state
 };
 
-/// Constructs the simulator a conformance row denotes (fresh engine, RNG
-/// stream from `seed`) and invokes `fn` on it.  Shared by the trial driver
-/// and the snapshot net: the latter must rebuild a *new* engine with
-/// constructor arguments identical to the snapshotted one's, and routing
-/// both through one visitor makes that equality structural.
-template <typename Fn>
-void with_engine(ConformanceEngine engine, const CaseContext& ctx,
-                 std::uint64_t seed, Fn&& fn) {
-  const pp::StateId num_states = ctx.true_protocol->num_states();
-  const pp::StateId initial_state = ctx.true_protocol->initial_state();
-  const pp::TransitionTable& table = *ctx.engine_table;
+/// The pp::Engine a conformance row runs, for the rows that denote one.
+std::optional<pp::Engine> plain_engine(ConformanceEngine engine) {
   switch (engine) {
-    case ConformanceEngine::kAgent: {
-      pp::AgentSimulator sim(table,
-                             pp::Population(ctx.n, num_states, initial_state),
-                             seed);
-      fn(sim);
-      return;
-    }
-    case ConformanceEngine::kCount: {
-      pp::CountSimulator sim(table, ctx.initial, seed);
-      fn(sim);
-      return;
-    }
-    case ConformanceEngine::kJump: {
-      pp::JumpSimulator sim(table, ctx.initial, seed);
-      fn(sim);
-      return;
-    }
+    case ConformanceEngine::kAgent: return pp::Engine::kAgentArray;
+    case ConformanceEngine::kCount: return pp::Engine::kCountVector;
+    case ConformanceEngine::kJump: return pp::Engine::kJump;
+    case ConformanceEngine::kBatchSharded: return pp::Engine::kBatchSharded;
     case ConformanceEngine::kBatchAuto:
     case ConformanceEngine::kBatchForced:
-    case ConformanceEngine::kThinForced: {
-      pp::BatchSimulator sim(table, ctx.initial, seed);
-      sim.set_batch_mode(engine == ConformanceEngine::kBatchAuto
-                             ? pp::BatchMode::kAuto
-                             : (engine == ConformanceEngine::kBatchForced
-                                    ? pp::BatchMode::kForceBatch
-                                    : pp::BatchMode::kForceThin));
-      fn(sim);
-      return;
-    }
-    case ConformanceEngine::kBatchSharded: {
-      // Two workers with the parallel grain forced to zero: every batch
-      // takes the pool-dispatched sharded path, so the conformance nets
-      // exercise exactly the machinery whose determinism the engine claims.
-      pp::BatchShardedSimulator sim(table, ctx.initial, seed,
-                                    /*threads=*/2);
-      sim.set_parallel_grain(0);
-      fn(sim);
-      return;
-    }
+    case ConformanceEngine::kThinForced:
+      return pp::Engine::kBatch;
     case ConformanceEngine::kGraphComplete:
     case ConformanceEngine::kGraphRing:
     case ConformanceEngine::kGraphStar:
     case ConformanceEngine::kGraphPath:
-    case ConformanceEngine::kGraphEr: {
-      pp::GraphSimulator sim(table, topology_for(engine, ctx),
-                             pp::Population(ctx.n, num_states, initial_state),
-                             seed);
-      fn(sim);
-      return;
-    }
+    case ConformanceEngine::kGraphEr:
+      return pp::Engine::kGraph;
     case ConformanceEngine::kLiveEdgeComplete:
     case ConformanceEngine::kLiveEdgeRing:
     case ConformanceEngine::kLiveEdgeStar:
     case ConformanceEngine::kLiveEdgePath:
-    case ConformanceEngine::kLiveEdgeEr: {
-      pp::GraphJumpSimulator sim(
-          table, topology_for(engine, ctx),
-          pp::Population(ctx.n, num_states, initial_state), seed);
-      fn(sim);
-      return;
-    }
-    case ConformanceEngine::kAdversarialEps1: {
-      pp::AdversarialSimulator sim(
-          *ctx.engine_protocol, table,
-          pp::Population(ctx.n, num_states, initial_state), 1.0, seed);
-      fn(sim);
-      return;
-    }
-    case ConformanceEngine::kChurnNoFaults: {
-      pp::ChurnSimulator sim(table,
-                             pp::Population(ctx.n, num_states, initial_state),
-                             seed);
-      fn(sim);
-      return;
-    }
-    case ConformanceEngine::kModel:
-      PPK_ASSERT(false);  // not an engine
-      return;
+    case ConformanceEngine::kLiveEdgeEr:
+      return pp::Engine::kGraphJump;
+    default:
+      return std::nullopt;
   }
-  PPK_ASSERT(false);  // unreachable: all enumerators handled above
 }
 
-/// Final configuration, whichever of the two engine surfaces exposes it.
-template <typename Sim>
-[[nodiscard]] pp::Counts final_counts_of(const Sim& sim) {
-  if constexpr (requires { sim.population(); }) {
-    return sim.population().counts();
-  } else {
-    return sim.counts();
+/// Constructs the simulator a conformance row denotes (fresh engine, RNG
+/// stream from `seed`) and invokes `fn` on it.  Shared by the trial driver
+/// and the snapshot net: the latter must rebuild a *new* engine with
+/// constructor arguments identical to the snapshotted one's, and routing
+/// both through one visitor makes that equality structural.  Rows that
+/// denote a pp::Engine are built by pp::with_engine() -- the factory the
+/// Monte-Carlo and campaign runners use -- so the nets test the engines
+/// exactly as the drivers construct them.
+template <typename Fn>
+void with_engine(ConformanceEngine engine, const CaseContext& ctx,
+                 std::uint64_t seed, Fn&& fn) {
+  const pp::TransitionTable& table = *ctx.engine_table;
+  if (const auto plain = plain_engine(engine)) {
+    pp::MonteCarloOptions mc;
+    mc.engine = *plain;
+    // Two workers with the parallel grain forced to zero (below): every
+    // sharded batch takes the pool-dispatched path, so the conformance nets
+    // exercise exactly the machinery whose determinism the engine claims.
+    mc.engine_threads = 2;
+    if (*plain == pp::Engine::kGraph || *plain == pp::Engine::kGraphJump) {
+      mc.graph = [&](std::uint64_t) { return topology_for(engine, ctx); };
+    }
+    const pp::BatchMode mode =
+        engine == ConformanceEngine::kBatchForced ? pp::BatchMode::kForceBatch
+        : engine == ConformanceEngine::kThinForced ? pp::BatchMode::kForceThin
+                                                   : pp::BatchMode::kAuto;
+    pp::with_engine(ctx.engine_protocol, table, ctx.initial, mc, seed,
+                    nullptr, nullptr, [&](auto& sim) {
+                      if constexpr (requires { sim.set_batch_mode(mode); }) {
+                        sim.set_batch_mode(mode);
+                      }
+                      if constexpr (requires { sim.set_parallel_grain(0); }) {
+                        sim.set_parallel_grain(0);
+                      }
+                      fn(sim);
+                    });
+    return;
   }
+  if (engine == ConformanceEngine::kAdversarialEps1) {
+    pp::AdversarialSimulator sim(*ctx.engine_protocol, table,
+                                 pp::Population(ctx.initial), 1.0, seed);
+    fn(sim);
+    return;
+  }
+  PPK_ASSERT(engine == ConformanceEngine::kChurnNoFaults);  // kModel: no engine
+  pp::ChurnSimulator sim(table, pp::Population(ctx.initial), seed);
+  fn(sim);
 }
 
 /// Runs one trial of `engine` with the given seed; chunk = 0 runs the whole
@@ -504,34 +471,17 @@ TrialRun run_engine_trial(ConformanceEngine engine, const CaseContext& ctx,
   auto base_oracle = make_oracle(ctx, oracle_kind);
   CheckingOracle oracle(*base_oracle, ref);
 
-  auto drive = [&](auto& sim) {
-    pp::SimResult total;
-    if (chunk == 0) {
-      total = sim.run(oracle, budget);
-      return total;
-    }
-    bool first = true;
-    while (true) {
-      const std::uint64_t remaining = budget - total.interactions;
-      const std::uint64_t grant = std::min(chunk, remaining);
-      const pp::SimResult r =
-          first ? sim.run(oracle, grant) : sim.resume(oracle, grant);
-      first = false;
-      total.interactions += r.interactions;
-      total.effective += r.effective;
-      total.stabilized = r.stabilized;
-      if (r.stabilized || total.interactions >= budget) return total;
-      // An engine that returns short of its grant without stabilizing has
-      // stalled (zero live edges / silence): granting more budget would
-      // loop forever.
-      if (r.interactions < grant) return total;
-    }
-  };
-
   TrialRun run;
   with_engine(engine, ctx, seed, [&](auto& sim) {
-    run.result = drive(sim);
-    run.final_counts = final_counts_of(sim);
+    pp::TrialResult total;
+    // An engine that returns short of its grant without stabilizing has
+    // stalled (zero live edges / silence): drive_trial() stops there.
+    const pp::TrialEnd end = pp::drive_trial(
+        sim, oracle, {budget, chunk == 0 ? budget : chunk, std::nullopt},
+        &total);
+    run.result = {total.interactions, total.effective,
+                  end == pp::TrialEnd::kStabilized};
+    run.final_counts = pp::engine_counts(sim);
   });
   run.fingerprint = oracle.fingerprint();
   run.violation = oracle.violation();
@@ -718,7 +668,7 @@ void check_snapshot_resume(const ConformanceCase& c, const CaseContext& ctx,
       base_total.effective += r2.effective;
       base_total.stabilized = r2.stabilized;
     }
-    base_counts = final_counts_of(sim);
+    base_counts = pp::engine_counts(sim);
   });
 
   // --- Interrupted run: identical first phase, then snapshot -> bytes ->
@@ -762,7 +712,7 @@ void check_snapshot_resume(const ConformanceCase& c, const CaseContext& ctx,
       total.effective += r2.effective;
       total.stabilized = r2.stabilized;
     }
-    final_counts = final_counts_of(sim);
+    final_counts = pp::engine_counts(sim);
     fingerprint = oracle_b.fingerprint();
   });
 

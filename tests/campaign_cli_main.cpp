@@ -34,18 +34,6 @@ namespace {
 // boundaries and winds down gracefully (checkpointing in-flight trials).
 std::atomic<bool> g_interrupted{false};
 
-bool engine_from_name(const std::string& name, ppk::pp::Engine* out) {
-  if (name == "auto") *out = ppk::pp::Engine::kAuto;
-  else if (name == "agent") *out = ppk::pp::Engine::kAgentArray;
-  else if (name == "count") *out = ppk::pp::Engine::kCountVector;
-  else if (name == "jump") *out = ppk::pp::Engine::kJump;
-  else if (name == "batch") *out = ppk::pp::Engine::kBatch;
-  else if (name == "graph") *out = ppk::pp::Engine::kGraph;
-  else if (name == "graph-jump") *out = ppk::pp::Engine::kGraphJump;
-  else return false;
-  return true;
-}
-
 void write_report(ppk::io::JsonWriter& json,
                   const ppk::core::CampaignResult& result) {
   json.begin_object();
@@ -87,8 +75,8 @@ int main(int argc, char** argv) {
   auto k_flag = cli.flag<int>("k", 3, "number of groups");
   auto engine = cli.flag<std::string>(
       "engine", "auto",
-      "auto|agent|count|jump|batch|graph|graph-jump (graph engines run on "
-      "a ring)");
+      "auto|agent|count|jump|batch|batch-sharded|graph|graph-jump (graph "
+      "engines run on a ring)");
   auto threads = cli.flag<int>("threads", 1,
                                "worker threads (0 = one per core)");
   auto budget = cli.flag<long long>("budget", 2'000'000,
@@ -112,7 +100,9 @@ int main(int argc, char** argv) {
   cli.parse(argc, argv);
 
   ppk::core::CampaignOptions options;
-  if (!engine_from_name(*engine, &options.mc.engine)) {
+  if (const auto parsed = ppk::pp::parse_engine(*engine)) {
+    options.mc.engine = *parsed;
+  } else {
     std::fprintf(stderr, "unknown engine '%s'\n", engine->c_str());
     return 2;
   }

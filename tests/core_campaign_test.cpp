@@ -21,8 +21,11 @@
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "pp/fairness.hpp"
+#include "pp/interaction_graph.hpp"
+#include "pp/monte_carlo.hpp"
 #include "pp/stability.hpp"
 #include "pp/transition_table.hpp"
+#include "pp/trial.hpp"
 
 #include <memory>
 #include <vector>
@@ -83,6 +86,59 @@ class StopAfterOracle final : public ppk::pp::StabilityOracle {
   std::uint64_t limit_;
   std::uint64_t seen_ = 0;
 };
+
+/// Runs the same trials through run_campaign and run_monte_carlo, twice:
+/// the campaign granting the whole budget at once against the unlimited
+/// Monte-Carlo run, and the campaign at the default chunk with a trial
+/// deadline against the Monte-Carlo run with a wall-clock limit (whose
+/// clock checks use the same chunk; the batch rows' trials span several
+/// chunks).  Neither limit is reached, so each pairing must agree trial
+/// for trial -- verdicts, totals, watch marks -- and, every trial
+/// stabilizing, in the merged metrics too.
+void expect_campaign_is_monte_carlo(const ppk::pp::Protocol& protocol,
+                                    const ppk::pp::TransitionTable& table,
+                                    std::uint32_t n,
+                                    const ppk::pp::OracleFactory& make_oracle,
+                                    const ppk::pp::MonteCarloOptions& mc) {
+  for (const bool chunked : {false, true}) {
+    SCOPED_TRACE(chunked ? "default chunk, deadlines" : "one grant");
+    CampaignOptions options;
+    options.mc = mc;
+    ppk::pp::MonteCarloOptions reference_options = mc;
+    if (chunked) {
+      options.chunk_interactions = ppk::core::kDefaultChunkInteractions;
+      options.trial_deadline_seconds = 1e9;
+      reference_options.wall_clock_limit_seconds = 1e9;
+    } else {
+      options.chunk_interactions = mc.max_interactions;
+    }
+    MetricsRegistry reference_metrics;
+    reference_options.metrics = &reference_metrics;
+    const ppk::pp::MonteCarloResult reference = ppk::pp::run_monte_carlo(
+        protocol, table, n, make_oracle, reference_options);
+    const CampaignResult campaign =
+        ppk::core::run_campaign(protocol, table, n, make_oracle, options);
+    ASSERT_TRUE(campaign.complete);
+    ASSERT_EQ(campaign.trials.size(), reference.trials.size());
+    for (std::size_t t = 0; t < campaign.trials.size(); ++t) {
+      const ppk::pp::TrialResult& got = campaign.trials[t].result;
+      const ppk::pp::TrialResult& want = reference.trials[t];
+      EXPECT_EQ(got.interactions, want.interactions) << "trial " << t;
+      EXPECT_EQ(got.effective, want.effective) << "trial " << t;
+      EXPECT_EQ(got.watch_marks, want.watch_marks) << "trial " << t;
+      EXPECT_TRUE(got.stabilized && want.stabilized) << "trial " << t;
+      EXPECT_FALSE(got.timed_out || want.timed_out) << "trial " << t;
+      EXPECT_FALSE(got.stalled || want.stalled) << "trial " << t;
+      EXPECT_EQ(campaign.trials[t].retries, 0u) << "trial " << t;
+      EXPECT_FALSE(campaign.trials[t].failed) << "trial " << t;
+    }
+    if (mc.watch_state) {
+      EXPECT_FALSE(reference.trials.front().watch_marks.empty());
+    }
+    EXPECT_EQ(registry_json(campaign.metrics),
+              registry_json(reference_metrics));
+  }
+}
 
 class CampaignTest : public ::testing::Test {
  protected:
@@ -423,28 +479,16 @@ TEST_F(CampaignTest, AdversarialFairnessRoutesToTheAdversarialEngine) {
   // An epsilon-fair campaign must draw the same trajectories as the
   // Monte-Carlo runner's adversarial route with the same seeds.  (Pre-fix
   // the campaign ignored `mc.fairness` and ran the uniform scheduler, so
-  // the totals disagree.)
-  CampaignOptions options = base_options();
-  options.mc.trials = 4;
-  options.mc.fairness =
+  // the totals disagree.)  The other engines and fairness policies are
+  // rows of CampaignIsMonteCarlo below.
+  ppk::pp::MonteCarloOptions mc;
+  mc.trials = 4;
+  mc.master_seed = 99;
+  mc.fairness =
       ppk::pp::FairnessSpec{ppk::pp::FairnessPolicy::kEpsilonFair, 0.5};
-  const CampaignResult campaign = run(options);
-  ASSERT_TRUE(campaign.complete);
-
-  const ppk::pp::MonteCarloResult reference = ppk::pp::run_monte_carlo(
+  expect_campaign_is_monte_carlo(
       protocol_, table_, kN,
-      [&] { return ppk::core::stable_pattern_oracle(protocol_, kN); },
-      options.mc);
-  ASSERT_EQ(reference.trials.size(), campaign.trials.size());
-  for (std::size_t t = 0; t < campaign.trials.size(); ++t) {
-    EXPECT_EQ(campaign.trials[t].result.interactions,
-              reference.trials[t].interactions)
-        << "trial " << t;
-    EXPECT_EQ(campaign.trials[t].result.effective,
-              reference.trials[t].effective)
-        << "trial " << t;
-    EXPECT_TRUE(campaign.trials[t].result.stabilized) << "trial " << t;
-  }
+      [&] { return ppk::core::stable_pattern_oracle(protocol_, kN); }, mc);
 }
 
 TEST_F(CampaignTest, CountsOnlyOverloadRejectsAdversarialFairness) {
@@ -520,5 +564,89 @@ TEST_F(CampaignTest, StreamsTrialVerdictsAsTheyComplete) {
   EXPECT_EQ(events, options.mc.trials);
   for (const char count : announced) EXPECT_EQ(count, 1);
 }
+
+TEST_F(CampaignTest, WatchOnTheShardedEngineFailsFast) {
+  // The sharded engine aggregates draws and has no watch hook.  Pre-fix the
+  // campaign checked only kBatch, so a forced kBatchSharded campaign with a
+  // watch state returned empty marks where run_monte_carlo fails fast.
+  CampaignOptions options = base_options();
+  options.mc.engine = ppk::pp::Engine::kBatchSharded;
+  options.mc.watch_state = protocol_.g(3);
+  EXPECT_DEATH((void)run(options), "precondition");
+}
+
+/// One row of CampaignIsMonteCarlo.
+struct TrialRow {
+  const char* name;
+  ppk::pp::Engine engine;
+  ppk::pp::Engine runs_on;  // what pp::trial_engine() resolves it to
+  std::uint32_t n;
+  bool topology = false;  // run on the complete graph's topology factory
+  bool watch = false;     // record watch marks (engines with a hook)
+  bool weak_round_robin = false;
+};
+
+void PrintTo(const TrialRow& row, std::ostream* out) { *out << row.name; }
+
+class CampaignIsMonteCarlo : public ::testing::TestWithParam<TrialRow> {};
+
+TEST_P(CampaignIsMonteCarlo, TrialForTrial) {
+  const TrialRow& row = GetParam();
+  const KPartitionProtocol kpartition(3);
+  const ppk::core::WeakKPartitionProtocol weak(3);
+  const ppk::pp::Protocol& protocol =
+      row.weak_round_robin ? static_cast<const ppk::pp::Protocol&>(weak)
+                           : kpartition;
+  const ppk::pp::TransitionTable table(protocol);
+  const std::uint32_t n = row.n;
+  const ppk::pp::OracleFactory make_oracle =
+      [&]() -> std::unique_ptr<ppk::pp::StabilityOracle> {
+    if (row.weak_round_robin) {
+      return std::make_unique<ppk::pp::SilenceOracle>(table);
+    }
+    return ppk::core::stable_pattern_oracle(kpartition, n);
+  };
+  ppk::pp::MonteCarloOptions mc;
+  mc.trials = 4;
+  mc.master_seed = 2024;
+  mc.engine = row.engine;
+  if (row.topology) {
+    mc.graph = [n](std::uint64_t) {
+      return ppk::pp::InteractionGraph::complete(n);
+    };
+  }
+  if (row.watch) mc.watch_state = kpartition.g(3);
+  if (row.weak_round_robin) {
+    mc.fairness.policy = ppk::pp::FairnessPolicy::kWeakRoundRobin;
+  }
+  ppk::pp::Counts initial(protocol.num_states(), 0);
+  initial[protocol.initial_state()] = n;
+  ASSERT_EQ(ppk::pp::trial_engine(initial, mc), row.runs_on);
+  expect_campaign_is_monte_carlo(protocol, table, n, make_oracle, mc);
+}
+
+using ppk::pp::Engine;
+INSTANTIATE_TEST_SUITE_P(
+    Engines, CampaignIsMonteCarlo,
+    ::testing::Values(
+        TrialRow{"agent", Engine::kAgentArray, Engine::kAgentArray, 40, false,
+                 true},
+        TrialRow{"count", Engine::kCountVector, Engine::kCountVector, 40,
+                 false, true},
+        TrialRow{"jump", Engine::kJump, Engine::kJump, 40, false, true},
+        TrialRow{"batch", Engine::kBatch, Engine::kBatch, 4000},
+        TrialRow{"sharded", Engine::kBatchSharded, Engine::kBatchSharded,
+                 4000},
+        TrialRow{"graph", Engine::kGraph, Engine::kGraph, 40, true},
+        TrialRow{"graph_jump", Engine::kGraphJump, Engine::kGraphJump, 40,
+                 true, true},
+        TrialRow{"auto_agent_band", Engine::kAuto, Engine::kAgentArray, 40},
+        TrialRow{"auto_jump_band", Engine::kAuto, Engine::kJump, 600},
+        TrialRow{"auto_batch_band", Engine::kAuto, Engine::kBatch, 4000},
+        TrialRow{"weak_round_robin", Engine::kAuto, Engine::kAgentArray, 40,
+                 false, false, true}),
+    [](const ::testing::TestParamInfo<TrialRow>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 }  // namespace

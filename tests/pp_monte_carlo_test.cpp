@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <utility>
+
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "pp/transition_table.hpp"
@@ -150,6 +153,31 @@ TEST_F(MonteCarloTest, AutoEngineResolutionPolicy) {
             Engine::kCountVector);
   EXPECT_EQ(resolve_engine(Engine::kJump, 100'000, false), Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kBatch, 10, false), Engine::kBatch);
+}
+
+TEST(EngineNames, EveryEnumeratorRoundTripsUnderItsScenarioSpelling) {
+  // The spellings are canonical scenario text -- they feed scenario hashes
+  // and ppkd cache keys -- so they are pinned, not just round-tripped.
+  const std::pair<Engine, std::string_view> pinned[] = {
+      {Engine::kAgentArray, "agent"},
+      {Engine::kCountVector, "count"},
+      {Engine::kJump, "jump"},
+      {Engine::kBatch, "batch"},
+      {Engine::kBatchSharded, "batch-sharded"},
+      {Engine::kGraph, "graph"},
+      {Engine::kGraphJump, "graph-jump"},
+      {Engine::kAuto, "auto"},
+  };
+  for (const auto& [engine, name] : pinned) {
+    EXPECT_EQ(engine_name(engine), name);
+    EXPECT_EQ(parse_engine(name), engine) << name;
+  }
+  for (int e = 0; e <= static_cast<int>(Engine::kAuto); ++e) {
+    const auto engine = static_cast<Engine>(e);
+    EXPECT_EQ(parse_engine(engine_name(engine)), engine) << e;
+  }
+  EXPECT_FALSE(parse_engine("sharded").has_value());
+  EXPECT_FALSE(parse_engine("").has_value());
 }
 
 TEST_F(MonteCarloTest, BatchAndAutoEnginesStabilizeLikeTheOthers) {

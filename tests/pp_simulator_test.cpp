@@ -72,7 +72,7 @@ TEST(AgentSimulator, DifferentSeedsUsuallyDiffer) {
 }
 
 TEST(AgentSimulator, ResumePreservesOracleProgressAcrossChunks) {
-  // Regression: run_bounded used to grant the budget in chunks via run(),
+  // Regression: the Monte-Carlo chunk loop used to grant the budget via run(),
   // and every run() resets the oracle -- a quiescence lull spanning a chunk
   // boundary was discarded, so a window longer than the chunk could never
   // be satisfied.  resume() must continue the oracle where the previous
