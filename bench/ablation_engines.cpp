@@ -1,12 +1,13 @@
-// Ablation: agent-array engine vs count-vector engine.
+// Ablation: the agent-array, jump and batch engines.
 //
-// Both engines sample the identical interaction distribution (see
-// count_simulator.hpp), so their stabilization-time statistics must agree;
-// what differs is the cost model: the agent array is O(1) per interaction
-// with O(n) memory, the count vector is O(|Q|) per interaction with O(|Q|)
-// memory.  This bench reports statistical agreement and wall-clock
-// throughput side by side, which is the data behind the engine choice
-// documented in DESIGN.md.
+// All three sample the identical interaction distribution (see
+// docs/engines.md), so their stabilization-time statistics must agree;
+// what differs is the cost model: the agent array is O(1) per drawn
+// interaction with O(n) memory, the jump engine is O(|Q|) per *effective*
+// interaction and skips null runs, the batch engine aggregates whole
+// collision-free groups.  This bench reports statistical agreement and
+// wall-clock throughput side by side, which is the data behind the engine
+// choice documented in DESIGN.md.
 
 #include <optional>
 
@@ -14,7 +15,7 @@
 
 int main(int argc, char** argv) {
   ppk::Cli cli("ablation_engines",
-               "Agent vs count vs jump vs batch engine: agreement + "
+               "Agent vs jump vs batch engine: agreement + "
                "throughput.");
   ppk::bench::CommonFlags common(cli, /*default_trials=*/40);
   cli.parse(argc, argv);
@@ -38,8 +39,8 @@ int main(int argc, char** argv) {
   for (const Case& c :
        {Case{4, 120}, Case{4, 480}, Case{8, 240}, Case{8, 960}}) {
     for (const auto engine :
-         {ppk::pp::Engine::kAgentArray, ppk::pp::Engine::kCountVector,
-          ppk::pp::Engine::kJump, ppk::pp::Engine::kBatch}) {
+         {ppk::pp::Engine::kAgentArray, ppk::pp::Engine::kJump,
+          ppk::pp::Engine::kBatch}) {
       auto options = common.experiment_options();
       options.engine = engine;
       const auto r = ppk::analysis::measure_kpartition(c.k, c.n, options);
@@ -49,11 +50,8 @@ int main(int argc, char** argv) {
           r.wall_seconds > 0 ? total_interactions / r.wall_seconds : 0.0;
       const char* name = engine == ppk::pp::Engine::kAgentArray
                              ? "agent-array"
-                             : engine == ppk::pp::Engine::kCountVector
-                                   ? "count"
-                                   : engine == ppk::pp::Engine::kJump
-                                         ? "jump"
-                                         : "batch";
+                             : engine == ppk::pp::Engine::kJump ? "jump"
+                                                                : "batch";
       table.row(int{c.k}, c.n, name, r.interactions.mean, r.interactions.ci95,
                 per_second / 1e6);
       if (csv) {
@@ -64,13 +62,12 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::printf(
-      "\nReading: all four engines' mean interaction counts agree within\n"
+      "\nReading: all three engines' mean interaction counts agree within\n"
       "their confidence intervals (same distribution, different RNG\n"
-      "streams).  Throughput: agent-array pays O(1) per drawn pair, count\n"
-      "pays O(log |Q|) per drawn pair, jump pays O(|Q|) per *effective*\n"
-      "pair and skips null runs geometrically, batch aggregates whole\n"
-      "collision-free groups -- amortized o(1) per interaction, which\n"
-      "only dominates at populations far beyond this table's (see\n"
-      "batch_throughput for the at-scale numbers).\n");
+      "streams).  Throughput: agent-array pays O(1) per drawn pair, jump\n"
+      "pays O(|Q|) per *effective* pair and skips null runs geometrically,\n"
+      "batch aggregates whole collision-free groups -- amortized o(1) per\n"
+      "interaction, which only dominates at populations far beyond this\n"
+      "table's (see batch_throughput for the at-scale numbers).\n");
   return 0;
 }

@@ -11,12 +11,12 @@
 // The aggregating engines (jump, batch) typically reach stabilization
 // inside the cap -- their rate is an honest full-trajectory average,
 // including the null-dominated endgame they skip through.  The pairwise
-// engines (agent, count) cannot finish Theta(n^2) interactions at large n
-// inside any reasonable cap; they are clock-capped mid-trajectory, which
-// is still an honest rate for THEM because their per-interaction cost does
-// not depend on the phase.  Comparing the two is exactly the comparison a
-// user cares about: wall time per simulated interaction, over the
-// trajectory each engine would actually execute.
+// engine (agent) cannot finish Theta(n^2) interactions at large n inside
+// any reasonable cap; it is clock-capped mid-trajectory, which is still an
+// honest rate for IT because its per-interaction cost does not depend on
+// the phase.  Comparing the two is exactly the comparison a user cares
+// about: wall time per simulated interaction, over the trajectory each
+// engine would actually execute.
 //
 // Calibration.  Shared machines drift in effective CPU frequency under
 // sustained load (tens of percent, on timescales from milliseconds to
@@ -43,6 +43,8 @@
 // report adds "auto_crossover": agent vs jump timed to stabilization over
 // 32 fixed-seed trials per (family, k, n) point below the batch band,
 // with the engine kAuto picks there -- the gate behind pp::kJumpCrossover.
+// The v4 report's grid engine set is agent, jump, batch and sharded
+// (v1-v3 also carried a count-vector engine, since deleted).
 
 #include <algorithm>
 #include <cstdio>
@@ -60,7 +62,6 @@
 #include "pp/agent_simulator.hpp"
 #include "pp/batch_sharded_simulator.hpp"
 #include "pp/batch_simulator.hpp"
-#include "pp/count_simulator.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/monte_carlo.hpp"
 #include "pp/stability.hpp"
@@ -194,10 +195,6 @@ Measurement measure_engine(ppk::pp::Engine engine,
                                            seed);
           },
           protocol, n, wall_cap_seconds);
-    case ppk::pp::Engine::kCountVector:
-      return measure_repeated<ppk::pp::CountSimulator>(
-          [&] { return ppk::pp::CountSimulator(table, initial, seed); },
-          protocol, n, wall_cap_seconds);
     case ppk::pp::Engine::kJump:
       return measure_repeated<ppk::pp::JumpSimulator>(
           [&] { return ppk::pp::JumpSimulator(table, initial, seed); },
@@ -219,7 +216,6 @@ Measurement measure_engine(ppk::pp::Engine engine,
 const char* report_engine_name(ppk::pp::Engine e) {
   switch (e) {
     case ppk::pp::Engine::kAgentArray: return "agent";
-    case ppk::pp::Engine::kCountVector: return "count";
     case ppk::pp::Engine::kJump: return "jump";
     case ppk::pp::Engine::kBatchSharded: return "sharded";
     default: return "batch";
@@ -467,9 +463,8 @@ int main(int argc, char** argv) {
              Case{8, 100'000}, Case{3, 1'000'000}};
   }
   const std::vector<ppk::pp::Engine> engines = {
-      ppk::pp::Engine::kAgentArray, ppk::pp::Engine::kCountVector,
-      ppk::pp::Engine::kJump, ppk::pp::Engine::kBatch,
-      ppk::pp::Engine::kBatchSharded};
+      ppk::pp::Engine::kAgentArray, ppk::pp::Engine::kJump,
+      ppk::pp::Engine::kBatch, ppk::pp::Engine::kBatchSharded};
 
   ppk::analysis::Table table({"k", "n", "engine", "interactions", "seconds",
                               "stabilized", "M interactions/s"});
@@ -533,7 +528,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::printf(
-      "\nReading: agent/count pay per drawn pair, so they are clock-capped\n"
+      "\nReading: agent pays per drawn pair, so it is clock-capped\n"
       "mid-trajectory at large n; jump skips null runs; batch additionally\n"
       "aggregates the dense phase in collision-free groups; sharded is the\n"
       "SoA/SIMD rebuild of batch.  Rates are honest per-engine averages over\n"
@@ -721,7 +716,7 @@ int main(int argc, char** argv) {
     ppk::io::AtomicFileWriter file(*common.json);
     ppk::io::JsonWriter json(file.stream());
     json.begin_object();
-    json.member("schema", "ppk-bench-engines-v3");
+    json.member("schema", "ppk-bench-engines-v4");
     json.member("bench", "batch_throughput");
     json.member("git_rev", *git_rev);
     json.member("smoke", *smoke);

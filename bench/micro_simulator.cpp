@@ -1,16 +1,15 @@
 // google-benchmark microbenchmarks of the substrate itself: raw interaction
-// throughput of both engines across (n, k), transition-table construction,
-// and the incremental stability oracle's overhead.  These numbers justify
-// the engineering choices in DESIGN.md and guard against performance
-// regressions (a 10x slowdown here turns the Figure 6 sweep from seconds
-// into minutes).
+// throughput of the agent and jump engines across (n, k), transition-table
+// construction, and the incremental stability oracle's overhead.  These
+// numbers justify the engineering choices in DESIGN.md and guard against
+// performance regressions (a 10x slowdown here turns the Figure 6 sweep
+// from seconds into minutes).
 
 #include <benchmark/benchmark.h>
 
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "pp/agent_simulator.hpp"
-#include "pp/count_simulator.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/transition_table.hpp"
 
@@ -33,26 +32,6 @@ void BM_AgentEngineSteps(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AgentEngineSteps)
-    ->Args({4, 120})
-    ->Args({4, 960})
-    ->Args({8, 960})
-    ->Args({16, 960});
-
-void BM_CountEngineSteps(benchmark::State& state) {
-  const auto k = static_cast<ppk::pp::GroupId>(state.range(0));
-  const auto n = static_cast<std::uint32_t>(state.range(1));
-  const KPartitionProtocol protocol(k);
-  const ppk::pp::TransitionTable table(protocol);
-  ppk::pp::Counts initial(protocol.num_states(), 0);
-  initial[protocol.initial_state()] = n;
-  ppk::pp::CountSimulator sim(table, initial, 99);
-  ppk::pp::NeverStableOracle oracle;
-  for (auto _ : state) {
-    sim.step(oracle);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CountEngineSteps)
     ->Args({4, 120})
     ->Args({4, 960})
     ->Args({8, 960})

@@ -1,7 +1,7 @@
 // Observability end to end: one k-partition run under a fully wired
 // metrics stack, printing where the protocol spends its interactions.
 //
-// The run uses the count engine with an ObsSink bound to a MetricsRegistry
+// The run uses the jump engine with an ObsSink bound to a MetricsRegistry
 // and a ConvergenceTimeline, plus the watch-mark instrumentation on g_k
 // (the paper's NI'_i accounting: grouping i is complete when the count of
 // the final member state g_k reaches i).  The console output shows
@@ -35,7 +35,7 @@
 #include "obs/profile.hpp"
 #include "obs/sink.hpp"
 #include "obs/timeline.hpp"
-#include "pp/count_simulator.hpp"
+#include "pp/jump_simulator.hpp"
 #include "pp/transition_table.hpp"
 #include "util/cli.hpp"
 
@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
   ppk::obs::ObsSink sink(registry, &timeline);
   timeline.seed(initial);
 
-  ppk::pp::CountSimulator sim(table, initial,
-                              static_cast<std::uint64_t>(*seed));
+  ppk::pp::JumpSimulator sim(table, initial,
+                             static_cast<std::uint64_t>(*seed));
   std::vector<std::uint64_t> marks;  // i-th entry: grouping i+1 completed
   sim.set_watch(protocol.g(k), &marks);
   sim.set_obs_sink(&sink);
@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
     json.member("k", static_cast<std::uint64_t>(k));
     json.member("seed", static_cast<std::int64_t>(*seed));
     json.member("stride", stride);
-    json.member("engine", "count");
+    json.member("engine", "jump");
     json.end_object();
     json.key("result");
     json.begin_object();

@@ -3,12 +3,13 @@
 
 Dispatches on the new report's schema:
 
- - ppk-bench-engines-v1/-v2/-v3 (bench/batch_throughput): engine-
+ - ppk-bench-engines-v1/-v2/-v3/-v4 (bench/batch_throughput): engine-
    throughput gates, baseline BENCH_ENGINES.json -- see below.  v2 adds
    the "sharded" engine to the grid plus the "sampler_setup" and
-   "sharded_scale" blocks; v3 adds the "auto_crossover" block; older
-   reports (baselines) are still accepted, skipping the gates of the
-   blocks they lack.
+   "sharded_scale" blocks; v3 adds the "auto_crossover" block; v4 drops
+   the deleted count engine from the grid (engine set agent, jump,
+   batch, sharded).  Older reports (baselines) are still accepted,
+   skipping the gates of the blocks they lack.
  - ppk-bench-topology-v1 (bench/topology_sensitivity): topology gates,
    baseline BENCH_TOPOLOGY.json -- see check_topology().
  - ppk-bench-fairness-v1 (bench/fairness_matrix): the three-families
@@ -28,11 +29,12 @@ against the committed baseline:
  1. Schema: required top-level keys, well-formed result rows, the
     schema's full engine set present for every (k, n) point.
  2. Claim: the batch engine sustains at least MIN_BATCH_SPEEDUP x the
-    count engine's interactions/second at every measured point with
-    k == 3 and n >= 1e5 (the headline o(1)-amortized claim; generous
-    against the ~1000x actually measured).  Larger k is not gated: at
-    k = 8 the |Q|^2 per-batch sampling cost has not amortized yet at
-    n = 1e5 and the engines are merely comparable there.
+    agent engine's interactions/second at every measured point with
+    k == 3 and n >= 1e5 (the headline o(1)-amortized claim against the
+    fastest pairwise engine; generous against the ~640x actually
+    measured).  Larger k is not gated: at k = 8 the |Q|^2 per-batch
+    sampling cost has not amortized yet at n = 1e5 and the engines are
+    merely comparable there.
  3. Regression: per (k, n), the batch engine did not drop more than
     MAX_REGRESSION below the baseline.  Rows that stabilized inside the
     wall cap in both reports compare drawn interactions/second (same
@@ -47,8 +49,8 @@ against the committed baseline:
  4. Observability overhead: when the new report declares that the
     observability hooks were compiled in with no sink attached
     (observability.compiled true, sink_attached false) AND the report
-    came from the same machine as the baseline, the count and batch
-    engines must be within MAX_OBS_OVERHEAD of the baseline at every
+    came from the same machine as the baseline, the agent and batch
+    engines (the hot pairwise and hot batch paths) must be within MAX_OBS_OVERHEAD of the baseline at every
     overlapping point where both reports stabilized inside the wall
     cap.  Only those rows are gated this tightly: stabilized rows
     repeat bit-identical work, so their timing floors are comparable,
@@ -117,11 +119,14 @@ from pathlib import Path
 SCHEMA_V1 = "ppk-bench-engines-v1"
 SCHEMA_V2 = "ppk-bench-engines-v2"
 SCHEMA_V3 = "ppk-bench-engines-v3"
-ENGINE_SCHEMAS = (SCHEMA_V1, SCHEMA_V2, SCHEMA_V3)
-SHARDED_SCHEMAS = (SCHEMA_V2, SCHEMA_V3)  # carry the v2 sharded blocks
+SCHEMA_V4 = "ppk-bench-engines-v4"
+ENGINE_SCHEMAS = (SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4)
+SHARDED_SCHEMAS = (SCHEMA_V2, SCHEMA_V3, SCHEMA_V4)  # the v2 sharded blocks
+CROSSOVER_SCHEMAS = (SCHEMA_V3, SCHEMA_V4)  # the v3 auto_crossover block
 TOPOLOGY_SCHEMA = "ppk-bench-topology-v1"
 ENGINES_V1 = {"agent", "count", "jump", "batch"}
 ENGINES_V2 = ENGINES_V1 | {"sharded"}
+ENGINES_V4 = ENGINES_V2 - {"count"}
 REQUIRED_TOP = {"schema", "bench", "git_rev", "smoke", "wall_cap_seconds",
                 "seed", "machine", "results"}
 REQUIRED_TOP_V2 = REQUIRED_TOP | {"sampler_setup", "sharded_scale"}
@@ -131,12 +136,12 @@ REQUIRED_ROW = {"engine", "k", "n", "interactions", "effective", "seconds",
 REQUIRED_SCALE_ROW = {"engine", "threads", "interactions", "effective",
                       "seconds", "interactions_per_second",
                       "calibration_rate", "rep_spread", "fingerprint"}
-MIN_BATCH_SPEEDUP = 5.0       # vs count engine, at k == SPEEDUP_K, n >= ...
+MIN_BATCH_SPEEDUP = 5.0       # vs agent engine, at k == SPEEDUP_K, n >= ...
 SPEEDUP_K = 3
 SPEEDUP_MIN_N = 100_000
 MAX_REGRESSION = 0.20         # fractional drop vs baseline batch throughput
 MAX_OBS_OVERHEAD = 0.02       # dormant observability hooks: <= 2% drop
-OBS_GATED_ENGINES = ("count", "batch")  # hot pairwise path + hot batch path
+OBS_GATED_ENGINES = ("agent", "batch")  # hot pairwise path + hot batch path
 MACHINE_KEYS = ("hardware_threads", "compiler", "assertions_disabled",
                 "os", "arch")
 
@@ -223,7 +228,10 @@ def load(path):
 
 
 def engine_set(doc):
-    return ENGINES_V2 if doc.get("schema") in SHARDED_SCHEMAS else ENGINES_V1
+    schema = doc.get("schema")
+    if schema == SCHEMA_V4:
+        return ENGINES_V4
+    return ENGINES_V2 if schema in SHARDED_SCHEMAS else ENGINES_V1
 
 
 def validate_schema(doc, path):
@@ -231,7 +239,8 @@ def validate_schema(doc, path):
         fail(f"{path}: schema {doc.get('schema')!r}, expected one of "
              f"{list(ENGINE_SCHEMAS)}")
     required = {SCHEMA_V1: REQUIRED_TOP, SCHEMA_V2: REQUIRED_TOP_V2,
-                SCHEMA_V3: REQUIRED_TOP_V3}[doc["schema"]]
+                SCHEMA_V3: REQUIRED_TOP_V3,
+                SCHEMA_V4: REQUIRED_TOP_V3}[doc["schema"]]
     missing = required - doc.keys()
     if missing:
         fail(f"{path}: missing top-level keys {sorted(missing)}")
@@ -254,7 +263,7 @@ def validate_schema(doc, path):
                  f"expected all of {sorted(engines)}")
     if doc["schema"] in SHARDED_SCHEMAS:
         validate_sharded_scale(doc, path)
-    if doc["schema"] == SCHEMA_V3:
+    if doc["schema"] in CROSSOVER_SCHEMAS:
         validate_auto_crossover(doc, path)
     return points
 
@@ -329,7 +338,7 @@ def check_auto_crossover(new_doc, new_path):
     """Gate 7: kAuto's agent/jump pick is within MAX_AUTO_PICK_RATIO of
     the faster engine wherever it picks jump, and agent still wins some
     point at the grid n just below the crossover."""
-    if new_doc["schema"] != SCHEMA_V3:
+    if new_doc["schema"] not in CROSSOVER_SCHEMAS:
         print("skip: auto-crossover gate (report predates the block)")
         return
     points = validate_auto_crossover(new_doc, new_path)
@@ -966,13 +975,13 @@ def check_engines(new_doc, base_doc, new_path, base_path):
         if k != SPEEDUP_K or n < SPEEDUP_MIN_N:
             continue
         batch = rows["batch"]["interactions_per_second"]
-        count = rows["count"]["interactions_per_second"]
-        speedup = batch / count
+        agent = rows["agent"]["interactions_per_second"]
+        speedup = batch / agent
         if speedup < MIN_BATCH_SPEEDUP:
-            fail(f"(k={k}, n={n}): batch is only {speedup:.2f}x the count "
-                 f"engine ({batch:.3g} vs {count:.3g} int/s); the gate "
+            fail(f"(k={k}, n={n}): batch is only {speedup:.2f}x the agent "
+                 f"engine ({batch:.3g} vs {agent:.3g} int/s); the gate "
                  f"requires >= {MIN_BATCH_SPEEDUP}x")
-        print(f"ok: (k={k}, n={n}) batch/count speedup {speedup:.1f}x")
+        print(f"ok: (k={k}, n={n}) batch/agent speedup {speedup:.1f}x")
 
     # Both the batch engine and (when both reports carry it) its sharded
     # rebuild are regression-gated against the baseline grid.

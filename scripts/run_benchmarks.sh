@@ -2,13 +2,13 @@
 # Runs the gated benchmarks and writes their machine-readable reports at
 # the repo root:
 #
-#   BENCH_ENGINES.json   (bench/batch_throughput,     ppk-bench-engines-v3)
+#   BENCH_ENGINES.json   (bench/batch_throughput,     ppk-bench-engines-v4)
 #   BENCH_TOPOLOGY.json  (bench/topology_sensitivity, ppk-bench-topology-v1)
 #   BENCH_FAIRNESS.json  (bench/fairness_matrix,      ppk-bench-fairness-v1)
 #   BENCH_EXACT.json     (bench/exact_vs_monte_carlo, ppk-bench-exact-v1)
 #
-# The engines report covers the {n, k} throughput grid for all five
-# engines (agent/count/jump/batch/sharded), the sampler-setup
+# The engines report covers the {n, k} throughput grid for all four
+# engines (agent/jump/batch/sharded), the sampler-setup
 # amortization numbers, and the sharded_scale deep-trial block (n = 1e8
 # full, 4e6 smoke) whose verdict fingerprints pin the sharded engine's
 # bit-determinism across worker counts 1/2/4/8, and the auto_crossover

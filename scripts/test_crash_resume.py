@@ -9,6 +9,10 @@ byte-identical reports:
   3. Killed with SIGKILL at randomized points and resumed from its
      checkpoint until it exits complete -- at both thread counts.
 
+It first checks that an unknown engine name (including "count", the
+spelling of the deleted count-vector engine) is rejected with a clean
+non-zero exit, never an abort and never an alias for another engine.
+
 SIGKILL cannot be caught, so this exercises the real crash contract: the
 atomic checkpoint (write-temp-then-rename) is either the old state or the
 new state, never a torn file, and no completed trial is ever lost or
@@ -17,6 +21,7 @@ failures reproduce with --seed.
 
 Usage:
   scripts/test_crash_resume.py --cli build/tests/campaign_cli [--quick]
+                               [--engine agent|jump|...]
 """
 
 import argparse
@@ -59,6 +64,19 @@ def run_campaign(cli, workdir, tag, threads, config, kill_after=None):
     return proc.returncode, True
 
 
+def expect_unknown_engine(cli, name):
+    """campaign_cli must refuse an unknown engine name cleanly."""
+    proc = subprocess.run([str(cli), "--engine", name, "--trials", "1"],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, check=False)
+    if proc.returncode <= 0 or "unknown engine" not in proc.stderr:
+        raise SystemExit(
+            f"FAIL: --engine {name} exited {proc.returncode} with stderr "
+            f"{proc.stderr.strip()!r}; expected a non-zero exit naming an "
+            f"unknown engine")
+    print(f"--engine {name}: rejected as an unknown engine")
+
+
 def report_bytes(workdir, tag):
     return (workdir / f"report-{tag}.json").read_bytes()
 
@@ -91,13 +109,15 @@ def main():
                         help="kill-schedule RNG seed")
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized configuration (~seconds)")
-    parser.add_argument("--engine", default="count",
-                        help="engine to drive (default: count)")
+    parser.add_argument("--engine", default="agent",
+                        help="engine to drive (default: agent)")
     args = parser.parse_args()
 
     cli = pathlib.Path(args.cli)
     if not cli.exists():
         raise SystemExit(f"no such binary: {cli}")
+    for name in ("warp-drive", "count"):
+        expect_unknown_engine(cli, name)
 
     # Sized so the single-threaded reference takes on the order of a
     # second: long enough that the randomized kills reliably land

@@ -554,12 +554,14 @@ std::string campaign_fingerprint(const pp::Counts& initial,
                                  const CampaignOptions& options) {
   // The resolved engine, not the requested one: a kAuto checkpoint written
   // under another resolve_engine() mapping holds snapshots of a different
-  // engine and must be refused, not restored into the wrong one.
+  // engine and must be refused, not restored into the wrong one.  It is
+  // recorded by its stable name, which survives a change to the Engine
+  // enumerators' values.
   std::ostringstream out;
   out << kCampaignSchema << " trials=" << options.mc.trials
       << " seed=" << options.mc.master_seed
       << " budget=" << options.mc.max_interactions
-      << " engine=" << static_cast<int>(pp::trial_engine(initial, options.mc))
+      << " engine=" << pp::engine_name(pp::trial_engine(initial, options.mc))
       << " topology="
       << (options.topology_tag.empty()
               ? (options.mc.graph ? "unnamed" : "complete")

@@ -12,7 +12,7 @@
 // Disablement is layered:
 //  - Runtime: no sink attached (the default).  PPK_OBS_HOOK is a single
 //    always-false, branch-predictable null test; measured overhead on the
-//    batch and count engines is within noise (the <= 2% CI gate in
+//    agent and batch engines is within noise (the <= 2% CI gate in
 //    scripts/check_bench_regression.py).
 //  - Compile time: building with PPK_OBS_ENABLED=0 (CMake option
 //    PPK_OBSERVABILITY=OFF) compiles every hook out entirely; the sink

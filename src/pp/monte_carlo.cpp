@@ -41,7 +41,6 @@ namespace {
 /// canonical scenario text, so renaming one changes scenario hashes.
 constexpr std::pair<Engine, std::string_view> kEngineNames[] = {
     {Engine::kAgentArray, "agent"},
-    {Engine::kCountVector, "count"},
     {Engine::kJump, "jump"},
     {Engine::kBatch, "batch"},
     {Engine::kBatchSharded, "batch-sharded"},
@@ -101,22 +100,18 @@ Engine resolve_engine(Engine engine, std::uint64_t n, bool watch,
   // exhaustion.  kGraph remains an explicit choice for per-draw
   // observability.
   if (graph) return Engine::kGraphJump;
-  if (watch) {
-    // Exact marks require pairwise draws; past cache-friendly populations
-    // the count engine's O(log |Q|) steps beat chasing n agent slots.
-    return n < 4096 ? Engine::kAgentArray : Engine::kCountVector;
-  }
   // Below kJumpCrossover effective pairs are common and the agent array's
   // O(1) steps win; from there null pairs dominate and the jump engine's
   // O(1) skip over each null run wins (measured to stabilization by the
-  // auto_crossover block of bench/batch_throughput).  Past 1024 batching
+  // auto_crossover block of bench/batch_throughput).  Watched runs stop at
+  // jump, the fastest engine that records exact marks.  Past 1024 batching
   // overhead (O(|Q|^2) RNG work per ~sqrt(n) interactions) is amortized
   // and the batch engine takes over.  Past the log-factorial table bound
   // the plain batch engine degrades to live lgamma per hypergeometric
   // probe; the sharded SoA engine keeps the shared table + Stirling tail
   // and takes over (docs/engines.md).
   if (n < kJumpCrossover) return Engine::kAgentArray;
-  if (n < 1024) return Engine::kJump;
+  if (watch || n < 1024) return Engine::kJump;
   return n > kShardedCrossover ? Engine::kBatchSharded : Engine::kBatch;
 }
 

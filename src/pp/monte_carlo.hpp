@@ -19,7 +19,6 @@
 #include "pp/batch_simulator.hpp"
 #include "pp/fairness.hpp"
 #include "pp/batch_sharded_simulator.hpp"
-#include "pp/count_simulator.hpp"
 #include "pp/graph_jump_simulator.hpp"
 #include "pp/graph_simulator.hpp"
 #include "pp/interaction_graph.hpp"
@@ -42,7 +41,6 @@ namespace ppk::pp {
 /// skip-ahead; docs/topologies.md) require MonteCarloOptions::graph.
 enum class Engine {
   kAgentArray,
-  kCountVector,
   kJump,
   kBatch,
   kBatchSharded,
@@ -51,9 +49,9 @@ enum class Engine {
   kAuto,
 };
 
-/// Stable name of an engine ("agent", "count", "jump", "batch",
-/// "batch-sharded", "graph", "graph-jump", "auto"): the spelling scenario
-/// specs and command-line flags use.
+/// Stable name of an engine ("agent", "jump", "batch", "batch-sharded",
+/// "graph", "graph-jump", "auto"): the spelling scenario specs and
+/// command-line flags use.
 [[nodiscard]] std::string_view engine_name(Engine engine) noexcept;
 
 /// Inverse of engine_name(); nullopt on unknown names.
@@ -66,13 +64,12 @@ enum class Engine {
 /// shared-table + Stirling sampler keeps amortizing (docs/engines.md).
 inline constexpr std::uint64_t kShardedCrossover = 1ULL << 20;
 
-/// Population size from which kAuto prefers kJump over kAgentArray for
-/// unwatched complete-graph runs (up to the batch engine's n >= 1024).
-/// At these sizes almost every drawn pair is null, and the jump engine
-/// skips null runs in O(1) where the agent engine pays a full draw per
-/// pair; the auto_crossover block of bench/batch_throughput measures both
-/// engines to stabilization on either side of the constant and gates it
-/// (docs/engines.md).
+/// Population size from which kAuto prefers kJump over kAgentArray on the
+/// complete graph.  At these sizes almost every drawn pair is null, and the
+/// jump engine skips null runs in O(1) where the agent engine pays a full
+/// draw per pair; the auto_crossover block of bench/batch_throughput
+/// measures both engines to stabilization on either side of the constant
+/// and gates it (docs/engines.md).
 inline constexpr std::uint64_t kJumpCrossover = 512;
 
 /// The engine kAuto resolves to for a population of n agents with (or
@@ -81,16 +78,14 @@ inline constexpr std::uint64_t kJumpCrossover = 512;
 ///    exact watch marks and detects wedged configurations, so it strictly
 ///    dominates kGraph for unattended sweeps (pick kGraph explicitly for
 ///    per-drawn-pair observability).
-///  - watch marks requested: agent for small n (per-agent state is cheap
-///    and the observer is free), count above -- both record exact marks;
-///    the batch engine cannot (aggregated draws have no per-interaction
-///    indices) and is never chosen here.
-///  - otherwise: agent for small populations (n < kJumpCrossover, where
+///  - otherwise agent for small populations (n < kJumpCrossover, where
 ///    effective pairs are common enough that O(1) array steps beat the
-///    jump engine's O(|Q|) per effective pair), jump from kJumpCrossover
-///    up to n < 1024 (null pairs dominate and the jump engine skips them),
-///    batch above (batching overhead beats per-pair engines only past
-///    that), and the sharded SoA batch engine past kShardedCrossover
+///    jump engine's O(|Q|) per effective pair), then jump (null pairs
+///    dominate and the jump engine skips them).  Watched runs stay on jump
+///    at every larger n: the batch engines cannot record marks (aggregated
+///    draws have no per-interaction indices).  Unwatched runs move on to
+///    batch from n = 1024 (batching overhead beats per-pair engines only
+///    past that) and to the sharded SoA batch engine past kShardedCrossover
 ///    (where the plain batch engine falls off its log-factorial table).
 ///    Protocols that keep a large share of draws effective (approximate
 ///    majority: ~26%, where agent is 1.5-1.8x faster at n = 512-1000)
@@ -122,13 +117,14 @@ struct MonteCarloOptions {
   std::size_t engine_threads = 1;
   /// If set, every time the count of this state increases, the current
   /// interaction index is recorded (the paper's NI_i grouping marks).
-  /// Supported by the agent (observer hook), count, jump and graph-jump
-  /// engines.  Forcing kBatch, kBatchSharded or kGraph with a watch set is
-  /// a precondition violation (the batch engines aggregate draws and the
+  /// Supported by the agent (observer hook), jump and graph-jump engines.
+  /// Forcing kBatch, kBatchSharded or kGraph with a watch set is a
+  /// precondition violation (the batch engines aggregate draws and the
   /// per-draw graph engine has no hook -- failing fast beats silently
   /// returning empty marks), and so is combining it with a fairness policy
   /// that needs the adversarial engine.  kAuto never resolves to an engine
-  /// without marks when a watch is set.
+  /// without marks when a watch is set: it picks agent below
+  /// kJumpCrossover and jump from there up.
   std::optional<StateId> watch_state;
   /// If set, a per-trial wall-clock cap: a trial that exceeds it stops at
   /// the next check (every kDefaultChunkInteractions, pp/trial.hpp) and
@@ -153,7 +149,7 @@ struct MonteCarloOptions {
   /// scenario.  The adversarial scheduler needs the protocol's group map
   /// (to probe for non-progressing pairs), so a non-default policy
   /// requires the run_monte_carlo overload that takes a Protocol; it also
-  /// excludes watch_state and forced count/batch engines (precondition
+  /// excludes watch_state and forced non-agent engines (precondition
   /// violations -- those engines cannot realize the policy).
   FairnessSpec fairness{};
   /// If non-null, every trial runs with an observability sink writing into

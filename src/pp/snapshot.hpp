@@ -35,7 +35,7 @@
 
 namespace ppk::pp {
 
-/// A serializable engine state: an engine tag ("agent", "count", ...) plus
+/// A serializable engine state: an engine tag ("agent", "jump", ...) plus
 /// the engine-defined word payload.
 struct Snapshot {
   std::string engine;

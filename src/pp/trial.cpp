@@ -29,8 +29,7 @@ Engine trial_engine(const Counts& initial, const MonteCarloOptions& options) {
   // returning none would corrupt downstream statistics.  kAuto never picks
   // them with a watch set, so reaching this means the caller forced one.
   PPK_EXPECTS(!watch || engine == Engine::kAgentArray ||
-              engine == Engine::kCountVector || engine == Engine::kJump ||
-              engine == Engine::kGraphJump);
+              engine == Engine::kJump || engine == Engine::kGraphJump);
   return engine;
 }
 

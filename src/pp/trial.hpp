@@ -118,10 +118,6 @@ auto with_engine(const Protocol* protocol, const TransitionTable& table,
     return visit(sim);
   }
   switch (engine) {
-    case Engine::kCountVector: {
-      CountSimulator sim(table, initial, seed);
-      return visit(sim);
-    }
     case Engine::kJump: {
       JumpSimulator sim(table, initial, seed);
       return visit(sim);

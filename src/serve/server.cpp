@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -556,8 +557,23 @@ int run_socket_server(const std::string& socket_path, ScenarioService& service,
 
   std::atomic<bool> local_stop{false};
   std::atomic<bool>* effective_stop = stop != nullptr ? stop : &local_stop;
-  std::vector<std::thread> connections;
+  struct Connection {
+    std::thread thread;
+    std::unique_ptr<std::atomic<bool>> done;
+  };
+  std::vector<Connection> connections;
   while (!effective_stop->load(std::memory_order_relaxed)) {
+    // Join the connections that have hung up: an exited thread keeps its
+    // stack mapped until it is joined, so without this the daemon's memory
+    // would grow with every connection it has ever served.
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (it->done->load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = connections.erase(it);
+      } else {
+        ++it;
+      }
+    }
     struct pollfd pfd{listen_fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 200);
     if (ready < 0) {
@@ -567,17 +583,24 @@ int run_socket_server(const std::string& socket_path, ScenarioService& service,
     if (ready == 0) continue;
     const int client = ::accept(listen_fd, nullptr, nullptr);
     if (client < 0) continue;
-    connections.emplace_back([client, &service, effective_stop] {
-      if (serve_connection(client, service, effective_stop)) {
-        effective_stop->store(true, std::memory_order_relaxed);
-      }
-    });
+    // The entry exists before its thread does, so no running thread is
+    // ever left outside the vector that joins it.
+    Connection& connection = connections.emplace_back(
+        Connection{{}, std::make_unique<std::atomic<bool>>(false)});
+    std::atomic<bool>* finished = connection.done.get();
+    connection.thread =
+        std::thread([client, &service, effective_stop, finished] {
+          if (serve_connection(client, service, effective_stop)) {
+            effective_stop->store(true, std::memory_order_relaxed);
+          }
+          finished->store(true, std::memory_order_release);
+        });
   }
   // Winding down: flip every running job's stop flag so in-flight submits
   // checkpoint and return, then collect the connection threads (they watch
   // the same stop flag).
   service.cancel_all();
-  for (std::thread& t : connections) t.join();
+  for (Connection& connection : connections) connection.thread.join();
   ::close(listen_fd);
   ::unlink(socket_path.c_str());
   return 0;

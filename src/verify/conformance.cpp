@@ -37,7 +37,6 @@ struct EngineName {
 
 constexpr EngineName kEngineNames[] = {
     {ConformanceEngine::kAgent, "agent"},
-    {ConformanceEngine::kCount, "count"},
     {ConformanceEngine::kJump, "jump"},
     {ConformanceEngine::kBatchAuto, "batch-auto"},
     {ConformanceEngine::kBatchForced, "batch-forced"},
@@ -353,7 +352,6 @@ std::unique_ptr<pp::StabilityOracle> make_oracle(const CaseContext& ctx,
 bool is_pairwise(ConformanceEngine engine) {
   switch (engine) {
     case ConformanceEngine::kAgent:
-    case ConformanceEngine::kCount:
     case ConformanceEngine::kGraphComplete:
     case ConformanceEngine::kAdversarialEps1:
     case ConformanceEngine::kChurnNoFaults:
@@ -388,7 +386,6 @@ struct TrialRun {
 std::optional<pp::Engine> plain_engine(ConformanceEngine engine) {
   switch (engine) {
     case ConformanceEngine::kAgent: return pp::Engine::kAgentArray;
-    case ConformanceEngine::kCount: return pp::Engine::kCountVector;
     case ConformanceEngine::kJump: return pp::Engine::kJump;
     case ConformanceEngine::kBatchSharded: return pp::Engine::kBatchSharded;
     case ConformanceEngine::kBatchAuto:
@@ -837,11 +834,10 @@ std::optional<ConformanceEngine> conformance_engine_from_name(
 
 const std::vector<ConformanceEngine>& all_conformance_engines() {
   static const std::vector<ConformanceEngine> kAll = {
-      ConformanceEngine::kAgent,          ConformanceEngine::kCount,
-      ConformanceEngine::kJump,           ConformanceEngine::kBatchAuto,
-      ConformanceEngine::kBatchForced,    ConformanceEngine::kThinForced,
-      ConformanceEngine::kBatchSharded,   ConformanceEngine::kGraphComplete,
-      ConformanceEngine::kAdversarialEps1,
+      ConformanceEngine::kAgent,          ConformanceEngine::kJump,
+      ConformanceEngine::kBatchAuto,      ConformanceEngine::kBatchForced,
+      ConformanceEngine::kThinForced,     ConformanceEngine::kBatchSharded,
+      ConformanceEngine::kGraphComplete,  ConformanceEngine::kAdversarialEps1,
       ConformanceEngine::kChurnNoFaults,  ConformanceEngine::kGraphRing,
       ConformanceEngine::kGraphStar,      ConformanceEngine::kGraphPath,
       ConformanceEngine::kGraphEr,        ConformanceEngine::kLiveEdgeComplete,

@@ -3,11 +3,11 @@
 // auto-shrinking, replayable repro files.
 //
 // The repo carries many realizations of the *same* stochastic process (the
-// uniform-random pairwise scheduler): the agent array, the count vector,
-// the jump and batch aggregators, the restricted-scheduler simulators
-// specialized to unrestricted parameters (GraphSimulator on the complete
-// graph, AdversarialSimulator with epsilon = 1, ChurnSimulator with an
-// empty fault schedule).  Any future sharding or parallelism PR adds more.
+// uniform-random pairwise scheduler): the agent array, the jump and batch
+// aggregators, the restricted-scheduler simulators specialized to
+// unrestricted parameters (GraphSimulator on the complete graph,
+// AdversarialSimulator with epsilon = 1, ChurnSimulator with an empty fault
+// schedule).  Any future sharding or parallelism PR adds more.
 // Sparse topologies are covered too: the per-draw GraphSimulator and the
 // live-edge GraphJumpSimulator each run on the ring, star, path and a
 // seeded G(n, 0.5), and every live-edge row is pinned against its per-draw
@@ -78,8 +78,10 @@ namespace ppk::verify {
 /// property (e.g. the Theorem 1 verdict fails on a mutated table).
 enum class ConformanceEngine : std::uint8_t {
   kAgent,
-  kCount,
-  kJump,
+  // Per-row RNG streams derive from the enumerator value, so the values
+  // are pinned (1 is unused) to keep every row's stream, and with it every
+  // committed repro's replay, fixed.
+  kJump = 2,
   kBatchAuto,
   kBatchForced,
   kThinForced,

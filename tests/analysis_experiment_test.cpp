@@ -40,9 +40,10 @@ TEST(MeasureKPartition, SeedChangesResults) {
 }
 
 TEST(MeasureKPartition, CountEngineWorksToo) {
+  // The jump engine: a count-vector engine (no agent array).
   ExperimentOptions options;
   options.trials = 10;
-  options.engine = pp::Engine::kCountVector;
+  options.engine = pp::Engine::kJump;
   const auto result = measure_kpartition(5, 15, options);
   EXPECT_EQ(result.stabilized, 10u);
 }

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   auto k_flag = cli.flag<int>("k", 3, "number of groups");
   auto engine = cli.flag<std::string>(
       "engine", "auto",
-      "auto|agent|count|jump|batch|batch-sharded|graph|graph-jump (graph "
+      "auto|agent|jump|batch|batch-sharded|graph|graph-jump (graph "
       "engines run on a ring)");
   auto threads = cli.flag<int>("threads", 1,
                                "worker threads (0 = one per core)");

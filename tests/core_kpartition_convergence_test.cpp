@@ -9,7 +9,7 @@
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "pp/agent_simulator.hpp"
-#include "pp/count_simulator.hpp"
+#include "pp/jump_simulator.hpp"
 #include "pp/transition_table.hpp"
 
 namespace ppk::core {
@@ -40,12 +40,14 @@ TEST_P(Convergence, ReachesTheStablePatternAndUniformPartition) {
 }
 
 TEST_P(Convergence, CountEngineReachesTheSamePattern) {
+  // The jump engine: a count-vector engine that skips null runs, so every
+  // residue class also exercises its exact pair weights.
   const auto [k, n] = GetParam();
   const KPartitionProtocol protocol(k);
   const pp::TransitionTable table(protocol);
   pp::Counts initial(protocol.num_states(), 0);
   initial[protocol.initial_state()] = n;
-  pp::CountSimulator sim(table, initial, 0xFEDCBA);
+  pp::JumpSimulator sim(table, initial, 0xFEDCBA);
   auto oracle = stable_pattern_oracle(protocol, n);
   const pp::SimResult result = sim.run(*oracle, 500'000'000ULL);
   ASSERT_TRUE(result.stabilized);

@@ -20,7 +20,6 @@
 #include "pp/adversarial.hpp"
 #include "pp/agent_simulator.hpp"
 #include "pp/batch_simulator.hpp"
-#include "pp/count_simulator.hpp"
 #include "pp/graph_jump_simulator.hpp"
 #include "pp/graph_simulator.hpp"
 #include "pp/interaction_graph.hpp"
@@ -170,14 +169,6 @@ TEST(ObsMetrics, SinkCountersMatchEngineTotals) {
       "agent");
   check(
       [&](ObsSink& sink) {
-        ppk::pp::CountSimulator sim(table, initial, 11);
-        sim.set_obs_sink(&sink);
-        auto oracle = ppk::core::stable_pattern_oracle(protocol, n);
-        return sim.run(*oracle);
-      },
-      "count");
-  check(
-      [&](ObsSink& sink) {
         ppk::pp::JumpSimulator sim(table, initial, 11);
         sim.set_obs_sink(&sink);
         auto oracle = ppk::core::stable_pattern_oracle(protocol, n);
@@ -282,7 +273,7 @@ TEST(ObsMetrics, MonteCarloAggregateIsThreadCountInvariant) {
     ppk::pp::MonteCarloOptions options;
     options.trials = 12;
     options.master_seed = 0xFEED;
-    options.engine = ppk::pp::Engine::kCountVector;
+    options.engine = ppk::pp::Engine::kJump;
     options.threads = threads;
     MetricsRegistry registry;
     options.metrics = &registry;

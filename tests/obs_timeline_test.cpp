@@ -17,8 +17,8 @@
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/timeline.hpp"
+#include "pp/agent_simulator.hpp"
 #include "pp/batch_simulator.hpp"
-#include "pp/count_simulator.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/transition_table.hpp"
 
@@ -118,13 +118,14 @@ TEST(ObsTimeline, PairwiseEngineSamplesAreExact) {
   MetricsRegistry registry;
   ConvergenceTimeline timeline(protocol, 50);
   ObsSink sink(registry, &timeline);
-  ppk::pp::CountSimulator sim(table, initial, 21);
+  ppk::pp::AgentSimulator sim(table, ppk::pp::Population(initial), 21);
   sim.set_obs_sink(&sink);
   timeline.seed(initial);
   auto oracle = ppk::core::stable_pattern_oracle(protocol, n);
   const auto result = sim.run(*oracle);
   ASSERT_TRUE(result.stabilized);
-  timeline.finish(sim.interactions(), sim.counts(), result.effective);
+  timeline.finish(sim.interactions(), sim.population().counts(),
+                  result.effective);
 
   expect_complete_boundaries(timeline, 50, result.interactions);
   for (const auto& sample : timeline.samples()) {

@@ -18,7 +18,7 @@
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "pp/adversarial.hpp"
-#include "pp/count_simulator.hpp"
+#include "pp/agent_simulator.hpp"
 #include "pp/graph_simulator.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/jump_simulator.hpp"
@@ -69,16 +69,18 @@ namespace {
 
 using ppk::core::KPartitionProtocol;
 
-TEST(ObsZeroAlloc, CountEngineSteadyStateAllocatesNothingWithoutSink) {
+TEST(ObsZeroAlloc, AgentEngineSteadyStateAllocatesNothingWithoutSink) {
+  // The agent array is the hot pairwise path the paper's sweeps run.
   const KPartitionProtocol protocol(4);
   const ppk::pp::TransitionTable table(protocol);
   const std::uint32_t n = 200;
-  ppk::pp::Counts initial(protocol.num_states(), 0);
-  initial[protocol.initial_state()] = n;
 
-  ppk::pp::CountSimulator sim(table, initial, 123);
+  ppk::pp::AgentSimulator sim(
+      table,
+      ppk::pp::Population(n, protocol.num_states(), protocol.initial_state()),
+      123);
   auto oracle = ppk::core::stable_pattern_oracle(protocol, n);
-  oracle->reset(sim.counts());
+  oracle->reset(sim.population().counts());
   for (int i = 0; i < 256; ++i) sim.step(*oracle);  // warm-up
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);

@@ -214,8 +214,7 @@ TEST(ResolveEngine, AutoHandsLargePopulationsToTheShardedEngine) {
   EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000'000, false),
             Engine::kBatchSharded);
   // A watch request never resolves to an aggregated engine.
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000'000, true),
-            Engine::kCountVector);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000'000, true), Engine::kJump);
   // Explicit choices pass through untouched.
   EXPECT_EQ(resolve_engine(Engine::kBatchSharded, 100, false),
             Engine::kBatchSharded);

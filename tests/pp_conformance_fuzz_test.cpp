@@ -292,11 +292,10 @@ TEST(Conformance, ExactNetPassesBeyondTheDenseSolverCeiling) {
   c.trials = 10;
   c.budget = 60'000;
   c.engines = {
-      ConformanceEngine::kAgent,        ConformanceEngine::kCount,
-      ConformanceEngine::kJump,         ConformanceEngine::kBatchAuto,
-      ConformanceEngine::kBatchForced,  ConformanceEngine::kThinForced,
-      ConformanceEngine::kBatchSharded, ConformanceEngine::kGraphComplete,
-      ConformanceEngine::kAdversarialEps1,
+      ConformanceEngine::kAgent,        ConformanceEngine::kJump,
+      ConformanceEngine::kBatchAuto,    ConformanceEngine::kBatchForced,
+      ConformanceEngine::kThinForced,   ConformanceEngine::kBatchSharded,
+      ConformanceEngine::kGraphComplete, ConformanceEngine::kAdversarialEps1,
       ConformanceEngine::kChurnNoFaults,
       ConformanceEngine::kLiveEdgeComplete};
   ConformanceOptions options = fast_options();
@@ -354,11 +353,17 @@ TEST(ConformanceRepro, ParserRejectsMalformedInput) {
                   &error)
           .has_value());
   EXPECT_EQ(error, "missing protocol line");
-  EXPECT_FALSE(parse_repro("ppk-conformance-repro-v1\n"
-                           "protocol kpartition 3\n"
-                           "engine warp-drive\ncheck lemma1\n",
-                           &error)
-                   .has_value());
+  // "count" named the deleted count-vector engine: an unknown engine now,
+  // never an alias for another one.
+  for (const char* engine : {"warp-drive", "count"}) {
+    EXPECT_FALSE(parse_repro(std::string("ppk-conformance-repro-v1\n"
+                                         "protocol kpartition 3\n"
+                                         "engine ") +
+                                 engine + "\ncheck lemma1\n",
+                             &error)
+                     .has_value());
+    EXPECT_EQ(error, std::string("unknown engine '") + engine + "'");
+  }
 }
 
 TEST(ConformanceRepro, NewFamilyHeadersRoundTrip) {

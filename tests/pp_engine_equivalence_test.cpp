@@ -28,7 +28,6 @@
 #include "pp/agent_simulator.hpp"
 #include "pp/batch_sharded_simulator.hpp"
 #include "pp/batch_simulator.hpp"
-#include "pp/count_simulator.hpp"
 #include "pp/graph_jump_simulator.hpp"
 #include "pp/graph_simulator.hpp"
 #include "pp/interaction_graph.hpp"
@@ -76,8 +75,9 @@ double ks_threshold(std::size_t m, std::size_t n) {
 
 enum class EngineUnderTest {
   kAgent,
-  kCount,
-  kJump,
+  // Each row's RNG stream id derives from its enumerator value, so the
+  // values are pinned (1 is unused) to keep every row's stream fixed.
+  kJump = 2,
   kBatchAuto,
   kBatchForced,
   kThinForced,
@@ -101,7 +101,6 @@ enum class EngineUnderTest {
 const char* engine_name(EngineUnderTest e) {
   switch (e) {
     case EngineUnderTest::kAgent: return "agent";
-    case EngineUnderTest::kCount: return "count";
     case EngineUnderTest::kJump: return "jump";
     case EngineUnderTest::kBatchAuto: return "batch-auto";
     case EngineUnderTest::kBatchForced: return "batch-forced";
@@ -134,11 +133,6 @@ double one_trial(EngineUnderTest engine, const Protocol& protocol,
       AgentSimulator sim(
           table, Population(n, protocol.num_states(), protocol.initial_state()),
           seed);
-      result = sim.run(*oracle);
-      break;
-    }
-    case EngineUnderTest::kCount: {
-      CountSimulator sim(table, all_initial(protocol, n), seed);
       result = sim.run(*oracle);
       break;
     }
@@ -218,11 +212,10 @@ void expect_engines_match_agent(const Protocol& protocol,
   const std::vector<double> agent = sample_engine(
       EngineUnderTest::kAgent, protocol, table, n, make_oracle, trials);
   for (const EngineUnderTest engine :
-       {EngineUnderTest::kCount, EngineUnderTest::kJump,
-        EngineUnderTest::kBatchAuto, EngineUnderTest::kBatchForced,
-        EngineUnderTest::kThinForced, EngineUnderTest::kSharded,
-        EngineUnderTest::kShardedThreads4, EngineUnderTest::kGraphComplete,
-        EngineUnderTest::kAdversarialEps1,
+       {EngineUnderTest::kJump, EngineUnderTest::kBatchAuto,
+        EngineUnderTest::kBatchForced, EngineUnderTest::kThinForced,
+        EngineUnderTest::kSharded, EngineUnderTest::kShardedThreads4,
+        EngineUnderTest::kGraphComplete, EngineUnderTest::kAdversarialEps1,
         EngineUnderTest::kLiveEdgeComplete}) {
     const std::vector<double> xs =
         sample_engine(engine, protocol, table, n, make_oracle, trials);
@@ -372,11 +365,11 @@ TEST(EngineEquivalence, EveryEngineIsBitReproducible) {
   const TransitionTable table(protocol);
   const std::uint32_t n = 101;
   for (const EngineUnderTest engine :
-       {EngineUnderTest::kAgent, EngineUnderTest::kCount,
-        EngineUnderTest::kJump, EngineUnderTest::kBatchAuto,
-        EngineUnderTest::kBatchForced, EngineUnderTest::kThinForced,
-        EngineUnderTest::kSharded, EngineUnderTest::kShardedThreads4,
-        EngineUnderTest::kGraphComplete, EngineUnderTest::kAdversarialEps1,
+       {EngineUnderTest::kAgent, EngineUnderTest::kJump,
+        EngineUnderTest::kBatchAuto, EngineUnderTest::kBatchForced,
+        EngineUnderTest::kThinForced, EngineUnderTest::kSharded,
+        EngineUnderTest::kShardedThreads4, EngineUnderTest::kGraphComplete,
+        EngineUnderTest::kAdversarialEps1,
         EngineUnderTest::kLiveEdgeComplete}) {
     const auto factory = [&] {
       return core::stable_pattern_oracle(protocol, n);

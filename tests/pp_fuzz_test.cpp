@@ -11,8 +11,8 @@
 #include "core/kpartition.hpp"
 #include "core/recovery.hpp"
 #include "pp/agent_simulator.hpp"
-#include "pp/count_simulator.hpp"
 #include "pp/faults.hpp"
+#include "pp/jump_simulator.hpp"
 #include "pp/transition_table.hpp"
 #include "util/rng.hpp"
 
@@ -86,7 +86,7 @@ TEST_P(FuzzedProtocols, EnginesVisitTheSameStateDistribution) {
   constexpr std::uint64_t kHorizon = 200;
 
   std::vector<double> agent_mean(protocol.num_states(), 0.0);
-  std::vector<double> count_mean(protocol.num_states(), 0.0);
+  std::vector<double> jump_mean(protocol.num_states(), 0.0);
   for (int trial = 0; trial < kTrials; ++trial) {
     {
       Population population(n, protocol.num_states(),
@@ -103,24 +103,25 @@ TEST_P(FuzzedProtocols, EnginesVisitTheSameStateDistribution) {
     {
       Counts initial(protocol.num_states(), 0);
       initial[protocol.initial_state()] = n;
-      CountSimulator sim(
+      JumpSimulator sim(
           table, initial,
           derive_stream_seed(GetParam() + 1, static_cast<std::uint64_t>(trial)));
       NeverStableOracle oracle;
       sim.run(oracle, kHorizon);
       for (StateId s = 0; s < protocol.num_states(); ++s) {
-        count_mean[s] += sim.counts()[s];
+        jump_mean[s] += sim.counts()[s];
       }
     }
   }
   for (StateId s = 0; s < protocol.num_states(); ++s) {
     agent_mean[s] /= kTrials;
-    count_mean[s] /= kTrials;
+    jump_mean[s] /= kTrials;
     // Mean state occupancies out of n = 12 agents.  Sampling stderr at
     // 300 trials is ~0.35 agents; 1.5 is >4 sigma (no flakes across the
-    // seed grid) yet tight enough to catch an off-by-one in the pair
-    // sampler, which shifts occupancies by O(1).
-    EXPECT_NEAR(agent_mean[s], count_mean[s], 1.5)
+    // seed grid) yet tight enough to catch an off-by-one in the jump
+    // engine's pair weights or null-run clamping at the horizon, which
+    // shifts occupancies by O(1).
+    EXPECT_NEAR(agent_mean[s], jump_mean[s], 1.5)
         << "state " << int{s} << " seed " << GetParam();
   }
 }

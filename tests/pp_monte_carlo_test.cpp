@@ -71,7 +71,7 @@ TEST_F(MonteCarloTest, ThreadCountDoesNotChangeResults) {
 TEST_F(MonteCarloTest, EnginesAgreeOnStabilization) {
   MonteCarloOptions options;
   options.trials = 8;
-  options.engine = Engine::kCountVector;
+  options.engine = Engine::kJump;
   const auto result =
       run_monte_carlo(protocol_, table_, 16, oracle_factory(16), options);
   EXPECT_EQ(result.stabilized_count(), 8u);
@@ -97,12 +97,12 @@ TEST_F(MonteCarloTest, WatchMarksCountGkEntries) {
   }
 }
 
-TEST_F(MonteCarloTest, WatchMarksWorkOnCountAndJumpEngines) {
+TEST_F(MonteCarloTest, WatchMarksWorkOnAgentAndJumpEngines) {
   // Regression: requesting watch_state on a non-agent engine used to
-  // silently return empty marks.  Count and jump now record them; all
-  // three agent-faithful engines must agree on the mark structure.
-  for (const Engine engine :
-       {Engine::kAgentArray, Engine::kCountVector, Engine::kJump}) {
+  // silently return empty marks.  Jump records them; both complete-graph
+  // engines that kAuto picks for watched runs must agree on the mark
+  // structure.
+  for (const Engine engine : {Engine::kAgentArray, Engine::kJump}) {
     MonteCarloOptions options;
     options.trials = 10;
     options.engine = engine;
@@ -146,11 +146,14 @@ TEST_F(MonteCarloTest, AutoEngineResolutionPolicy) {
   EXPECT_EQ(resolve_engine(Engine::kAuto, 1023, false), Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kAuto, 1024, false), Engine::kBatch);
   EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000, false), Engine::kBatch);
+  // Watched runs take the same agent -> jump ladder, capped at jump (the
+  // fastest engine that records exact marks).
   EXPECT_EQ(resolve_engine(Engine::kAuto, 100, true), Engine::kAgentArray);
-  // Watched runs keep the agent engine through the jump band.
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 600, true), Engine::kAgentArray);
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000, true),
-            Engine::kCountVector);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 511, true), Engine::kAgentArray);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 512, true), Engine::kJump);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 600, true), Engine::kJump);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 4096, true), Engine::kJump);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000, true), Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kJump, 100'000, false), Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kBatch, 10, false), Engine::kBatch);
 }
@@ -160,7 +163,6 @@ TEST(EngineNames, EveryEnumeratorRoundTripsUnderItsScenarioSpelling) {
   // and ppkd cache keys -- so they are pinned, not just round-tripped.
   const std::pair<Engine, std::string_view> pinned[] = {
       {Engine::kAgentArray, "agent"},
-      {Engine::kCountVector, "count"},
       {Engine::kJump, "jump"},
       {Engine::kBatch, "batch"},
       {Engine::kBatchSharded, "batch-sharded"},
@@ -177,6 +179,8 @@ TEST(EngineNames, EveryEnumeratorRoundTripsUnderItsScenarioSpelling) {
     EXPECT_EQ(parse_engine(engine_name(engine)), engine) << e;
   }
   EXPECT_FALSE(parse_engine("sharded").has_value());
+  // The deleted count-vector engine's spelling: unknown, never an alias.
+  EXPECT_FALSE(parse_engine("count").has_value());
   EXPECT_FALSE(parse_engine("").has_value());
 }
 

@@ -2,12 +2,11 @@
 
 #include <cmath>
 #include <memory>
-#include <numeric>
 
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "pp/agent_simulator.hpp"
-#include "pp/count_simulator.hpp"
+#include "pp/jump_simulator.hpp"
 #include "pp/trace.hpp"
 #include "pp/transition_table.hpp"
 #include "protocols/leader_election.hpp"
@@ -242,30 +241,6 @@ TEST(AgentSimulator, ReplayAppliesScheduleDeterministically) {
                                            sim.population().counts()));
 }
 
-TEST(CountSimulator, PreservesPopulationSize) {
-  const core::KPartitionProtocol protocol(5);
-  const TransitionTable table(protocol);
-  Counts initial(protocol.num_states(), 0);
-  initial[protocol.initial_state()] = 20;
-  CountSimulator sim(table, initial, 11);
-  NeverStableOracle oracle;
-  sim.run(oracle, 5000);
-  const auto& counts = sim.counts();
-  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0u), 20u);
-}
-
-TEST(CountSimulator, ConvergesToStablePattern) {
-  const core::KPartitionProtocol protocol(4);
-  const TransitionTable table(protocol);
-  Counts initial(protocol.num_states(), 0);
-  initial[protocol.initial_state()] = 17;
-  CountSimulator sim(table, initial, 5);
-  auto oracle = core::stable_pattern_oracle(protocol, 17);
-  const SimResult result = sim.run(*oracle);
-  EXPECT_TRUE(result.stabilized);
-  EXPECT_TRUE(core::matches_stable_pattern(protocol, 17, sim.counts()));
-}
-
 TEST(EngineAgreement, MeanInteractionsMatchAcrossEngines) {
   // Both engines sample the same pair distribution, so their mean
   // stabilization times must agree statistically.
@@ -275,7 +250,7 @@ TEST(EngineAgreement, MeanInteractionsMatchAcrossEngines) {
   constexpr int kTrials = 60;
 
   double agent_mean = 0.0;
-  double count_mean = 0.0;
+  double jump_mean = 0.0;
   for (int trial = 0; trial < kTrials; ++trial) {
     {
       Population population(n, protocol.num_states(), protocol.initial_state());
@@ -287,18 +262,18 @@ TEST(EngineAgreement, MeanInteractionsMatchAcrossEngines) {
     {
       Counts initial(protocol.num_states(), 0);
       initial[protocol.initial_state()] = n;
-      CountSimulator sim(table, initial,
-                         derive_stream_seed(2, static_cast<std::uint64_t>(trial)));
+      JumpSimulator sim(table, initial,
+                        derive_stream_seed(2, static_cast<std::uint64_t>(trial)));
       auto oracle = core::stable_pattern_oracle(protocol, n);
-      count_mean += static_cast<double>(sim.run(*oracle).interactions);
+      jump_mean += static_cast<double>(sim.run(*oracle).interactions);
     }
   }
   agent_mean /= kTrials;
-  count_mean /= kTrials;
+  jump_mean /= kTrials;
   // Means are a few hundred; allow a generous 35% relative gap to keep the
   // test deterministic-flake-free while still catching distribution bugs.
-  EXPECT_LT(std::abs(agent_mean - count_mean) / agent_mean, 0.35)
-      << "agent=" << agent_mean << " count=" << count_mean;
+  EXPECT_LT(std::abs(agent_mean - jump_mean) / agent_mean, 0.35)
+      << "agent=" << agent_mean << " jump=" << jump_mean;
 }
 
 TEST(TraceRecorder, RecordsHumanReadableEvents) {

@@ -26,7 +26,6 @@
 #include "pp/agent_simulator.hpp"
 #include "pp/batch_sharded_simulator.hpp"
 #include "pp/batch_simulator.hpp"
-#include "pp/count_simulator.hpp"
 #include "pp/faults.hpp"
 #include "pp/graph_jump_simulator.hpp"
 #include "pp/graph_simulator.hpp"
@@ -122,11 +121,6 @@ class SnapshotTest : public ::testing::Test {
 TEST_F(SnapshotTest, AgentSimulatorRoundTrips) {
   expect_roundtrip(
       [&] { return ppk::pp::AgentSimulator(table_, population(30), kSeed); });
-}
-
-TEST_F(SnapshotTest, CountSimulatorRoundTrips) {
-  expect_roundtrip(
-      [&] { return ppk::pp::CountSimulator(table_, initial(30), kSeed); });
 }
 
 TEST_F(SnapshotTest, JumpSimulatorRoundTrips) {
@@ -281,7 +275,7 @@ TEST_F(SnapshotTest, SerializationRejectsMalformedText) {
 }
 
 TEST_F(SnapshotTest, RestoreRejectsTheWrongEngineTag) {
-  ppk::pp::CountSimulator sim(table_, initial(20), kSeed);
+  ppk::pp::JumpSimulator sim(table_, initial(20), kSeed);
   NeverStable oracle;
   (void)sim.run(oracle, 100);
   Snapshot snap = sim.snapshot();

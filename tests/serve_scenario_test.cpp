@@ -95,10 +95,9 @@ ScenarioSpec random_valid_spec(SplitMix64& rng) {
                                       : pp::Engine::kAgentArray;
   } else if (spec.topology == ScenarioTopology::kComplete) {
     const pp::Engine engines[] = {pp::Engine::kAuto, pp::Engine::kAgentArray,
-                                  pp::Engine::kCountVector, pp::Engine::kJump,
-                                  pp::Engine::kBatch,
+                                  pp::Engine::kJump, pp::Engine::kBatch,
                                   pp::Engine::kBatchSharded};
-    spec.engine = engines[rng.next() % 6];
+    spec.engine = engines[rng.next() % 5];
   } else {
     const pp::Engine engines[] = {pp::Engine::kAuto, pp::Engine::kGraph,
                                   pp::Engine::kGraphJump};
@@ -215,6 +214,15 @@ TEST(ServeScenario, DiagnosticsNameTheOffendingField) {
                                       "\"mode\": \"dream\""))
                 .find("mode"),
             std::string::npos);
+  // "count" named the deleted count-vector engine; aliasing it to another
+  // engine would run a different trajectory under the same cache key.
+  for (const char* engine : {"\"warp\"", "\"count\""}) {
+    const std::string why = diagnose(
+        with_replacement(good, "\"engine\": \"auto\"",
+                         std::string("\"engine\": ") + engine));
+    EXPECT_NE(why.find("engine"), std::string::npos) << engine;
+    EXPECT_NE(why.find("unknown engine"), std::string::npos) << engine;
+  }
   // Unknown members fail loudly instead of silently running a default.
   EXPECT_NE(diagnose(with_replacement(good, "\"seed\": 1",
                                       "\"sede\": 1"))
@@ -247,7 +255,7 @@ TEST(ServeScenario, ValidationCrossChecksTheAxes) {
 
   spec = ScenarioSpec{};
   spec.fairness = pp::FairnessSpec::weak_round_robin();
-  spec.engine = pp::Engine::kCountVector;
+  spec.engine = pp::Engine::kJump;
   EXPECT_NE(validate_scenario(spec).find("engine"), std::string::npos);
 
   spec = ScenarioSpec{};

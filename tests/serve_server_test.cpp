@@ -2,14 +2,20 @@
 // Submit/streaming/caching semantics, byte-identical cache replay,
 // seed-independent exact-mode entries, stop-flag cancellation with a
 // retained checkpoint, and crash-resume equivalence of the result frame.
+// One socket test drives run_socket_server in-process: finished connection
+// threads must be reaped, not kept until shutdown.
 
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -122,11 +128,21 @@ TEST(ServeServer, InvalidScenariosGetErrorFrames) {
   EXPECT_TRUE(service.handle_line(submit_line("j2", faulted), log.emit()));
   EXPECT_TRUE(service.handle_line("{\"op\": \"submit\", \"id\": \"j3\"}",
                                   log.emit()));
+  // The deleted count-vector engine's spelling is an unknown engine.
+  std::string count_engine = submit_line("j4", ScenarioSpec{});
+  const std::string auto_engine = "\"engine\": \"auto\"";
+  const std::size_t at = count_engine.find(auto_engine);
+  ASSERT_NE(at, std::string::npos);
+  count_engine.replace(at, auto_engine.size(), "\"engine\": \"count\"");
+  EXPECT_TRUE(service.handle_line(count_engine, log.emit()));
   const std::vector<std::string> frames = log.take();
-  ASSERT_EQ(frames.size(), 3u);
+  ASSERT_EQ(frames.size(), 4u);
   EXPECT_NE(frames[0].find("oracle.kind"), std::string::npos);
   EXPECT_NE(frames[1].find("not yet schedulable"), std::string::npos);
   EXPECT_NE(frames[2].find("'scenario'"), std::string::npos);
+  EXPECT_NE(frames[3].find("\"error\""), std::string::npos);
+  EXPECT_NE(frames[3].find("unknown engine"), std::string::npos);
+  EXPECT_NE(frames[3].find("engine:"), std::string::npos);
 }
 
 TEST(ServeServer, SimulateStreamsTrialsAndReplaysFromTheCache) {
@@ -509,6 +525,83 @@ TEST(ServeServer, CancelCheckpointsAndResumeCompletesIdentically) {
       EXPECT_FALSE(file_exists(checkpoint));  // consumed on completion
     }
   }
+}
+
+/// The process's virtual size in KiB (VmSize in /proc/self/status).
+std::uint64_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+/// Stack size of a std::thread in KiB, as the running thread reports it.
+std::uint64_t thread_stack_kib() {
+  std::size_t bytes = 0;
+  std::thread([&bytes] {
+    pthread_attr_t attr;
+    if (::pthread_getattr_np(::pthread_self(), &attr) == 0) {
+      ::pthread_attr_getstacksize(&attr, &bytes);
+      ::pthread_attr_destroy(&attr);
+    }
+  }).join();
+  return bytes / 1024;
+}
+
+/// One client session: connect (retrying while the server starts), one
+/// ping round trip so the server is serving the connection, hang up.
+void ping_and_hang_up(const std::string& socket_path) {
+  struct sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(socket_path.size(), sizeof addr.sun_path);
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  int fd = -1;
+  for (int attempt = 0; attempt < 500 && fd < 0; ++attempt) {
+    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                  sizeof addr) != 0) {
+      ::close(fd);
+      fd = -1;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_GE(fd, 0) << "server never accepted on " << socket_path;
+  const std::string ping = "{\"op\": \"ping\"}\n";
+  ASSERT_EQ(::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL),
+            static_cast<::ssize_t>(ping.size()));
+  char reply[256];
+  EXPECT_GT(::recv(fd, reply, sizeof reply, 0), 0);
+  ::close(fd);
+}
+
+TEST(ServeSocket, FinishedConnectionThreadsAreReaped) {
+  // Every connection runs on its own thread.  A thread that has returned
+  // but was never joined keeps its stack mapped, so a server that joins
+  // only at shutdown grows by one stack per connection it has served.
+  const std::string socket_path = temp_dir("reap") + "/ppkd.sock";
+  ScenarioService service(ServiceOptions{});
+  std::atomic<bool> stop{false};
+  std::thread server(
+      [&] { EXPECT_EQ(run_socket_server(socket_path, service, &stop), 0); });
+  ping_and_hang_up(socket_path);  // warm-up: the first thread's stack
+  const std::uint64_t before = vm_size_kib();
+  constexpr int kConnections = 64;
+  for (int i = 0; i < kConnections; ++i) ping_and_hang_up(socket_path);
+  const std::uint64_t after = vm_size_kib();
+  stop.store(true);
+  server.join();
+
+  const std::uint64_t stack = thread_stack_kib();
+  ASSERT_GT(stack, 0u);
+  const std::uint64_t growth = after > before ? after - before : 0;
+  // A few sessions may still await their join when `after` is read; a
+  // quarter of the sessions' stacks is far from the leak's 64.
+  EXPECT_LT(growth, kConnections / 4 * stack)
+      << "VmSize grew " << growth << " KiB over " << kConnections
+      << " sequential connections (thread stack " << stack << " KiB)";
 }
 
 TEST(ServeServer, CancelReportsWhetherTheJobExisted) {

@@ -56,8 +56,8 @@ TEST(MonteCarloEdgeCases, JumpEngineIsSelectable) {
 }
 
 TEST(MonteCarloEdgeCases, WatchStateForcesAgentEngine) {
-  // watch_state needs the per-agent observer, so the jump/count engines
-  // fall back to the agent engine -- marks must still be produced.
+  // A watch on a forced jump engine: the engine records the marks itself
+  // (no fallback to the agent observer) and must still produce all of them.
   const core::KPartitionProtocol protocol(3);
   const pp::TransitionTable table(protocol);
   pp::MonteCarloOptions options;
