@@ -24,7 +24,8 @@ src/core/campaign.hpp, the fairness axis (src/pp/fairness.hpp,
 src/pp/adversarial.hpp), the two protocol families it carries
 (src/core/weak_kpartition.hpp, src/core/graph_bipartition.hpp), and the
 per-agent verifier behind them (src/verify/agent_graph.hpp,
-src/verify/weak_fairness.hpp), and the scenario-server surface
+src/verify/weak_fairness.hpp), the SCC condensation every verify-layer
+graph shares (src/verify/scc.hpp), and the scenario-server surface
 (src/serve/scenario.hpp, src/serve/cache.hpp, src/serve/server.hpp).
 Exits non-zero listing every undocumented symbol.  Stdlib only.
 """
@@ -46,6 +47,8 @@ DEFAULT_TARGETS = sorted((REPO / "src" / "obs").glob("*.hpp")) + [
     REPO / "src" / "core" / "graph_bipartition.hpp",
     REPO / "src" / "verify" / "agent_graph.hpp",
     REPO / "src" / "verify" / "weak_fairness.hpp",
+    # The one SCC condensation the verify layer's graphs share.
+    REPO / "src" / "verify" / "scc.hpp",
     # The exact-analysis back end (docs/exact.md).
     REPO / "src" / "pp" / "symmetry.hpp",
     REPO / "src" / "util" / "csr.hpp",

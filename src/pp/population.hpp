@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +19,18 @@ namespace ppk::pp {
 
 /// State-count vector: counts[s] = number of agents currently in state s.
 using Counts = std::vector<std::uint32_t>;
+
+/// FNV-1a over the raw count words, for hash maps keyed by Counts.
+struct CountsHash {
+  std::size_t operator()(const Counts& counts) const noexcept {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint32_t c : counts) {
+      h ^= c;
+      h *= 0x100000001b3ULL;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
 
 class Population {
  public:

@@ -37,7 +37,12 @@ AgentConfigGraph::AgentConfigGraph(const pp::Protocol& protocol,
   keys_.push_back(initial_key);
   index_.emplace(initial_key, 0);
   explore(table, options);
-  if (complete_) compute_sccs();
+  if (complete_) {
+    sccs_ = condense(static_cast<std::uint32_t>(keys_.size()),
+                     [&](std::uint32_t u) -> const std::vector<std::uint32_t>& {
+                       return succ_[u];
+                     });
+  }
 }
 
 std::vector<pp::StateId> AgentConfigGraph::config(std::size_t index) const {
@@ -109,88 +114,8 @@ void AgentConfigGraph::explore(const pp::TransitionTable& table,
     }
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
-    if (succ_.size() <= current) succ_.resize(current + 1);
-    succ_[current] = std::move(out);
+    succ_.push_back(std::move(out));  // configs leave the FIFO in index order
   }
-  succ_.resize(keys_.size());
-}
-
-void AgentConfigGraph::compute_sccs() {
-  // Iterative Tarjan, identical in shape to ConfigGraph::compute_sccs();
-  // component ids come out in reverse topological order.
-  const auto n = static_cast<std::uint32_t>(keys_.size());
-  constexpr std::uint32_t kUnvisited = UINT32_MAX;
-
-  std::vector<std::uint32_t> disc(n, kUnvisited);
-  std::vector<std::uint32_t> low(n, 0);
-  std::vector<char> on_stack(n, 0);
-  std::vector<std::uint32_t> stack;
-  scc_of_.assign(n, kUnvisited);
-  std::uint32_t timer = 0;
-  num_sccs_ = 0;
-
-  struct Frame {
-    std::uint32_t node;
-    std::uint32_t edge_index;
-  };
-  std::vector<Frame> call_stack;
-
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (disc[root] != kUnvisited) continue;
-    call_stack.push_back(Frame{root, 0});
-    while (!call_stack.empty()) {
-      Frame& frame = call_stack.back();
-      const std::uint32_t u = frame.node;
-      if (frame.edge_index == 0) {
-        disc[u] = low[u] = timer++;
-        stack.push_back(u);
-        on_stack[u] = 1;
-      }
-      bool descended = false;
-      while (frame.edge_index < succ_[u].size()) {
-        const std::uint32_t v = succ_[u][frame.edge_index];
-        ++frame.edge_index;
-        if (disc[v] == kUnvisited) {
-          call_stack.push_back(Frame{v, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[v]) low[u] = std::min(low[u], disc[v]);
-      }
-      if (descended) continue;
-      if (low[u] == disc[u]) {
-        for (;;) {
-          const std::uint32_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = 0;
-          scc_of_[w] = num_sccs_;
-          if (w == u) break;
-        }
-        ++num_sccs_;
-      }
-      call_stack.pop_back();
-      if (!call_stack.empty()) {
-        const std::uint32_t parent = call_stack.back().node;
-        low[parent] = std::min(low[parent], low[u]);
-      }
-    }
-  }
-
-  bottom_.assign(num_sccs_, 1);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (const std::uint32_t v : succ_[u]) {
-      if (scc_of_[v] != scc_of_[u]) bottom_[scc_of_[u]] = 0;
-    }
-  }
-}
-
-std::vector<std::uint32_t> AgentConfigGraph::members_of_scc(
-    std::uint32_t scc) const {
-  std::vector<std::uint32_t> members;
-  for (std::uint32_t c = 0; c < keys_.size(); ++c) {
-    if (scc_of_[c] == scc) members.push_back(c);
-  }
-  return members;
 }
 
 }  // namespace ppk::verify

@@ -19,10 +19,9 @@
 // key (n * ceil(log2 |Q|) <= 64, checked), which keeps exploration at
 // hash-map speed.
 //
-// SCCs come out of the same iterative Tarjan as config_graph, in reverse
-// topological order; bottom SCCs decide global fairness on the given
-// topology (verify/weak_fairness.hpp), and *maximal* SCCs plus a per-pair
-// closure test decide weak fairness.
+// SCCs come from the shared condensation in verify/scc.hpp; bottom SCCs
+// decide global fairness on the given topology (verify/weak_fairness.hpp),
+// and *maximal* SCCs plus a per-pair closure test decide weak fairness.
 
 #pragma once
 
@@ -33,6 +32,7 @@
 #include "pp/interaction_graph.hpp"
 #include "pp/protocol.hpp"
 #include "pp/transition_table.hpp"
+#include "verify/scc.hpp"
 
 namespace ppk::verify {
 
@@ -94,27 +94,13 @@ class AgentConfigGraph {
   [[nodiscard]] std::uint32_t apply(std::size_t config, std::uint32_t i,
                                     std::uint32_t j) const;
 
-  /// Component ids in reverse topological order (every edge goes from a
-  /// higher-or-equal id to a lower-or-equal one).
-  [[nodiscard]] std::uint32_t scc_of(std::size_t config) const {
-    return scc_of_[config];
-  }
-  /// Number of strongly connected components of the reachable graph.
-  [[nodiscard]] std::uint32_t num_sccs() const noexcept { return num_sccs_; }
-
-  /// True iff no edge leaves the component -- where globally fair
-  /// executions on this topology are eventually trapped.
-  [[nodiscard]] bool is_bottom_scc(std::uint32_t scc) const {
-    return bottom_[scc];
-  }
-
-  /// Configuration indices belonging to a component.
-  [[nodiscard]] std::vector<std::uint32_t> members_of_scc(
-      std::uint32_t scc) const;
+  /// The SCC condensation (verify/scc.hpp).  Bottom SCCs are where
+  /// globally fair executions on this topology are eventually trapped.
+  /// Empty unless complete().
+  [[nodiscard]] const Condensation& sccs() const noexcept { return sccs_; }
 
  private:
   void explore(const pp::TransitionTable& table, const Options& options);
-  void compute_sccs();
 
   std::uint32_t n_;
   std::uint32_t bits_;      // bits per agent in the packed key
@@ -124,9 +110,7 @@ class AgentConfigGraph {
   std::vector<std::uint64_t> keys_;  // packed tuple per config index
   std::unordered_map<std::uint64_t, std::uint32_t> index_;
   std::vector<std::vector<std::uint32_t>> succ_;  // deduped successors
-  std::vector<std::uint32_t> scc_of_;
-  std::vector<char> bottom_;
-  std::uint32_t num_sccs_ = 0;
+  Condensation sccs_;
   bool complete_ = true;
 };
 

@@ -1,38 +1,26 @@
 #include "verify/config_graph.hpp"
 
-#include <algorithm>
 #include <deque>
 
 #include "util/assert.hpp"
 
 namespace ppk::verify {
 
-namespace {
-
-struct CountsHash {
-  std::size_t operator()(const pp::Counts& counts) const noexcept {
-    // FNV-1a over the raw words.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::uint32_t c : counts) {
-      h ^= c;
-      h *= 0x100000001b3ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-}  // namespace
-
 ConfigGraph::ConfigGraph(const pp::TransitionTable& table,
                          const pp::Counts& initial, Options options) {
   PPK_EXPECTS(initial.size() == table.num_states());
   explore(table, initial, options);
-  if (complete_) compute_sccs();
+  if (complete_) {
+    sccs_ = condense(
+        static_cast<std::uint32_t>(configs_.size()),
+        [&](std::uint32_t u) -> const std::vector<Edge>& { return edges_[u]; },
+        &Edge::target);
+  }
 }
 
 void ConfigGraph::explore(const pp::TransitionTable& table,
                           const pp::Counts& initial, const Options& options) {
-  std::unordered_map<pp::Counts, std::uint32_t, CountsHash> index;
+  std::unordered_map<pp::Counts, std::uint32_t, pp::CountsHash> index;
   std::deque<std::uint32_t> frontier;
 
   auto intern = [&](const pp::Counts& config) -> std::uint32_t {
@@ -77,84 +65,6 @@ void ConfigGraph::explore(const pp::TransitionTable& table,
     }
     edges_[current] = std::move(out);
   }
-}
-
-void ConfigGraph::compute_sccs() {
-  // Iterative Tarjan.  Component ids come out in reverse topological order:
-  // every edge (u -> v) has scc_of[u] >= scc_of[v].
-  const std::uint32_t n = static_cast<std::uint32_t>(configs_.size());
-  constexpr std::uint32_t kUnvisited = UINT32_MAX;
-
-  std::vector<std::uint32_t> disc(n, kUnvisited);
-  std::vector<std::uint32_t> low(n, 0);
-  std::vector<char> on_stack(n, 0);
-  std::vector<std::uint32_t> stack;
-  scc_of_.assign(n, kUnvisited);
-  std::uint32_t timer = 0;
-  num_sccs_ = 0;
-
-  struct Frame {
-    std::uint32_t node;
-    std::uint32_t edge_index;
-  };
-  std::vector<Frame> call_stack;
-
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (disc[root] != kUnvisited) continue;
-    call_stack.push_back(Frame{root, 0});
-    while (!call_stack.empty()) {
-      Frame& frame = call_stack.back();
-      const std::uint32_t u = frame.node;
-      if (frame.edge_index == 0) {
-        disc[u] = low[u] = timer++;
-        stack.push_back(u);
-        on_stack[u] = 1;
-      }
-      bool descended = false;
-      while (frame.edge_index < edges_[u].size()) {
-        const std::uint32_t v = edges_[u][frame.edge_index].target;
-        ++frame.edge_index;
-        if (disc[v] == kUnvisited) {
-          call_stack.push_back(Frame{v, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[v]) low[u] = std::min(low[u], disc[v]);
-      }
-      if (descended) continue;
-      if (low[u] == disc[u]) {
-        for (;;) {
-          const std::uint32_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = 0;
-          scc_of_[w] = num_sccs_;
-          if (w == u) break;
-        }
-        ++num_sccs_;
-      }
-      call_stack.pop_back();
-      if (!call_stack.empty()) {
-        const std::uint32_t parent = call_stack.back().node;
-        low[parent] = std::min(low[parent], low[u]);
-      }
-    }
-  }
-
-  bottom_.assign(num_sccs_, 1);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (const Edge& e : edges_[u]) {
-      if (scc_of_[e.target] != scc_of_[u]) bottom_[scc_of_[u]] = 0;
-    }
-  }
-}
-
-std::vector<std::uint32_t> ConfigGraph::members_of_scc(
-    std::uint32_t scc) const {
-  std::vector<std::uint32_t> members;
-  for (std::uint32_t c = 0; c < configs_.size(); ++c) {
-    if (scc_of_[c] == scc) members.push_back(c);
-  }
-  return members;
 }
 
 }  // namespace ppk::verify

@@ -8,7 +8,8 @@
 //
 // Intended for small (n, k): the space is at most C(n+|Q|-1, |Q|-1) but the
 // *reachable* subset is far smaller; exploration aborts cleanly at
-// max_configs rather than exhausting memory.
+// max_configs rather than exhausting memory.  SCCs come from the shared
+// condensation in verify/scc.hpp.
 
 #pragma once
 
@@ -18,6 +19,7 @@
 
 #include "pp/population.hpp"
 #include "pp/transition_table.hpp"
+#include "verify/scc.hpp"
 
 namespace ppk::verify {
 
@@ -56,37 +58,18 @@ class ConfigGraph {
     return edges_[index];
   }
 
-  /// Strongly connected components in *reverse topological order* (Tarjan:
-  /// component 0 has no successors outside itself... more precisely, every
-  /// edge goes from a higher-or-equal component id to a lower-or-equal one).
-  /// scc_of()[c] is the component id of configuration c.
-  [[nodiscard]] const std::vector<std::uint32_t>& scc_of() const noexcept {
-    return scc_of_;
-  }
-
-  [[nodiscard]] std::uint32_t num_sccs() const noexcept { return num_sccs_; }
-
-  /// True iff no edge leaves the component (a "bottom" / terminal SCC --
-  /// exactly the sets in which globally fair executions are eventually
-  /// trapped).
-  [[nodiscard]] bool is_bottom_scc(std::uint32_t scc) const {
-    return bottom_[scc];
-  }
-
-  /// Configuration indices belonging to a component.
-  [[nodiscard]] std::vector<std::uint32_t> members_of_scc(
-      std::uint32_t scc) const;
+  /// The SCC condensation (verify/scc.hpp).  Its bottom SCCs are exactly
+  /// the sets in which globally fair executions are eventually trapped.
+  /// Empty unless complete().
+  [[nodiscard]] const Condensation& sccs() const noexcept { return sccs_; }
 
  private:
   void explore(const pp::TransitionTable& table, const pp::Counts& initial,
                const Options& options);
-  void compute_sccs();
 
   std::vector<pp::Counts> configs_;
   std::vector<std::vector<Edge>> edges_;
-  std::vector<std::uint32_t> scc_of_;
-  std::vector<char> bottom_;
-  std::uint32_t num_sccs_ = 0;
+  Condensation sccs_;
   bool complete_ = true;
 };
 

@@ -48,14 +48,14 @@ Verdict verify_stabilization(const pp::Protocol& protocol,
     verdict.failure = "exploration exceeded max_configs; verdict unknown";
     return verdict;
   }
-  verdict.num_sccs = graph.num_sccs();
+  const Condensation& sccs = graph.sccs();
+  verdict.num_sccs = sccs.size();
 
-  for (std::uint32_t scc = 0; scc < graph.num_sccs(); ++scc) {
-    if (!graph.is_bottom_scc(scc)) continue;
+  for (std::uint32_t scc = 0; scc < sccs.size(); ++scc) {
+    if (!sccs.bottom[scc]) continue;
     ++verdict.bottom_sccs;
 
-    const auto members = graph.members_of_scc(scc);
-    PPK_ASSERT(!members.empty());
+    const auto members = sccs.members(scc);
 
     // (i) Output preservation: every transition enabled anywhere in the SCC
     // must keep both participants' groups.  (All such transitions stay in

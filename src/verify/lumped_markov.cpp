@@ -15,18 +15,6 @@ namespace ppk::verify {
 
 namespace {
 
-struct CountsHash {
-  std::size_t operator()(const pp::Counts& counts) const noexcept {
-    // FNV-1a over the raw words.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::uint32_t c : counts) {
-      h ^= c;
-      h *= 0x100000001b3ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 /// Lex-min image of `counts` under the (identity-first) group.
 pp::Counts canonicalize(const std::vector<std::vector<pp::StateId>>& group,
                         const pp::Counts& counts) {
@@ -126,7 +114,7 @@ std::optional<LumpedMarkovAnalysis> LumpedMarkovAnalysis::try_build(
   out.group_ = std::move(group);
   out.solver_ = options.solver;
 
-  std::unordered_map<pp::Counts, std::uint32_t, CountsHash> index;
+  std::unordered_map<pp::Counts, std::uint32_t, pp::CountsHash> index;
   std::deque<std::uint32_t> frontier;
   auto intern = [&](pp::Counts canonical) -> std::uint32_t {
     auto [it, inserted] = index.try_emplace(
@@ -188,78 +176,11 @@ std::optional<LumpedMarkovAnalysis> LumpedMarkovAnalysis::try_build(
     out.raw_config_count_ += images.size();
   }
 
-  out.compute_sccs();
+  out.sccs_ = condense(
+      static_cast<std::uint32_t>(out.rows_.size()),
+      [&](std::uint32_t u) -> const auto& { return out.rows_[u].rates; },
+      [](const auto& rate) { return rate.first; });
   return out;
-}
-
-void LumpedMarkovAnalysis::compute_sccs() {
-  // Iterative Tarjan over the orbit graph (self-loops ignored).  Component
-  // ids come out in reverse topological order, matching ConfigGraph.
-  const auto n = static_cast<std::uint32_t>(reps_.size());
-  constexpr std::uint32_t kUnvisited = UINT32_MAX;
-
-  std::vector<std::uint32_t> disc(n, kUnvisited);
-  std::vector<std::uint32_t> low(n, 0);
-  std::vector<char> on_stack(n, 0);
-  std::vector<std::uint32_t> stack;
-  scc_of_.assign(n, kUnvisited);
-  std::uint32_t timer = 0;
-  num_sccs_ = 0;
-
-  struct Frame {
-    std::uint32_t node;
-    std::size_t edge_index;
-  };
-  std::vector<Frame> call_stack;
-
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (disc[root] != kUnvisited) continue;
-    call_stack.push_back(Frame{root, 0});
-    while (!call_stack.empty()) {
-      Frame& frame = call_stack.back();
-      const std::uint32_t u = frame.node;
-      if (frame.edge_index == 0) {
-        disc[u] = low[u] = timer++;
-        stack.push_back(u);
-        on_stack[u] = 1;
-      }
-      bool descended = false;
-      while (frame.edge_index < rows_[u].rates.size()) {
-        const std::uint32_t v = rows_[u].rates[frame.edge_index].first;
-        ++frame.edge_index;
-        if (v == u) continue;
-        if (disc[v] == kUnvisited) {
-          call_stack.push_back(Frame{v, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[v]) low[u] = std::min(low[u], disc[v]);
-      }
-      if (descended) continue;
-      if (low[u] == disc[u]) {
-        for (;;) {
-          const std::uint32_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = 0;
-          scc_of_[w] = num_sccs_;
-          if (w == u) break;
-        }
-        ++num_sccs_;
-      }
-      call_stack.pop_back();
-      if (!call_stack.empty()) {
-        const std::uint32_t parent = call_stack.back().node;
-        low[parent] = std::min(low[parent], low[u]);
-      }
-    }
-  }
-
-  bottom_.assign(num_sccs_, 1);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (const auto& [v, numerator] : rows_[u].rates) {
-      if (scc_of_[v] != scc_of_[u]) bottom_[scc_of_[u]] = 0;
-    }
-  }
 }
 
 std::vector<char> LumpedMarkovAnalysis::target_orbits(
@@ -294,30 +215,26 @@ std::optional<double> LumpedMarkovAnalysis::expected_hitting_time(
 
   // Hit with probability 1 iff every bottom SCC contains a target orbit
   // (lumping preserves bottom SCCs: orbits of raw bottom SCCs).
-  std::vector<char> scc_has_target(num_sccs_, 0);
+  std::vector<char> scc_has_target(sccs_.size(), 0);
   for (std::size_t orbit = 0; orbit < reps_.size(); ++orbit) {
-    if (is_target[orbit]) scc_has_target[scc_of_[orbit]] = 1;
+    if (is_target[orbit]) scc_has_target[sccs_.of[orbit]] = 1;
   }
-  for (std::uint32_t scc = 0; scc < num_sccs_; ++scc) {
-    if (bottom_[scc] && !scc_has_target[scc]) return std::nullopt;
+  for (std::uint32_t scc = 0; scc < sccs_.size(); ++scc) {
+    if (sccs_.bottom[scc] && !scc_has_target[scc]) return std::nullopt;
   }
 
-  // Unknowns: non-target orbits, ordered by ascending SCC id.  SCC ids are
-  // reverse topological, so an orbit's row references only its own SCC
-  // and SCCs earlier in the order: the matrix is block-lower-triangular,
-  // and solve_sparse solves it one SCC block at a time, absorbing side
-  // first, each block with everything downstream of it already final.
+  // Unknowns: non-target orbits in SCC member order (ascending SCC id,
+  // ascending orbit within an SCC).  SCC ids are reverse topological, so
+  // an orbit's row references only its own SCC and SCCs earlier in the
+  // order: the matrix is block-lower-triangular, and solve_sparse solves
+  // it one SCC block at a time, absorbing side first, each block with
+  // everything downstream of it already final.
   std::vector<std::uint32_t> unknown_index(reps_.size(), UINT32_MAX);
   std::vector<std::uint32_t> unknown_orbits;
-  for (std::uint32_t orbit = 0; orbit < reps_.size(); ++orbit) {
-    if (!is_target[orbit]) unknown_orbits.push_back(orbit);
-  }
-  std::stable_sort(unknown_orbits.begin(), unknown_orbits.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return scc_of_[a] < scc_of_[b];
-                   });
-  for (std::uint32_t row = 0; row < unknown_orbits.size(); ++row) {
-    unknown_index[unknown_orbits[row]] = row;
+  for (const std::uint32_t orbit : sccs_.nodes) {
+    if (is_target[orbit]) continue;
+    unknown_index[orbit] = static_cast<std::uint32_t>(unknown_orbits.size());
+    unknown_orbits.push_back(orbit);
   }
   const auto m = static_cast<std::uint32_t>(unknown_orbits.size());
   if (m == 0) return 0.0;
@@ -353,16 +270,11 @@ std::optional<double> LumpedMarkovAnalysis::expected_hitting_time(
 
 std::vector<LumpedMarkovAnalysis::Absorption>
 LumpedMarkovAnalysis::absorption_probabilities() const {
-  // First orbit per bottom SCC names the absorption outcome.
-  std::vector<std::uint32_t> first_orbit(num_sccs_, UINT32_MAX);
-  std::vector<std::uint32_t> bottoms;
-  for (std::uint32_t orbit = 0; orbit < reps_.size(); ++orbit) {
-    const std::uint32_t scc = scc_of_[orbit];
-    if (bottom_[scc] && first_orbit[scc] == UINT32_MAX) {
-      first_orbit[scc] = orbit;
-      bottoms.push_back(scc);
-    }
-  }
+  // The first orbit of each bottom SCC names the absorption outcome.
+  const std::vector<std::uint32_t> bottoms = sccs_.bottoms();
+  const auto first_rep = [&](std::uint32_t scc) -> const pp::Counts& {
+    return reps_[sccs_.members(scc).front()];
+  };
 
   // A finite chain ends in some bottom SCC with probability 1, so a lone
   // one takes all the mass -- exactly, with no solve.  (This covers an
@@ -370,24 +282,18 @@ LumpedMarkovAnalysis::absorption_probabilities() const {
   // it, so its SCC is the only one.)
   std::vector<Absorption> result;
   if (bottoms.size() == 1) {
-    result.push_back(
-        Absorption{bottoms[0], reps_[first_orbit[bottoms[0]]], 1.0});
+    result.push_back(Absorption{bottoms[0], first_rep(bottoms[0]), 1.0});
     return result;
   }
 
-  // Transient = not in a bottom SCC; same reverse-topological ordering as
+  // Transient = not in a bottom SCC; same SCC member order as
   // expected_hitting_time.
   std::vector<std::uint32_t> unknown_index(reps_.size(), UINT32_MAX);
   std::vector<std::uint32_t> unknown_orbits;
-  for (std::uint32_t orbit = 0; orbit < reps_.size(); ++orbit) {
-    if (!bottom_[scc_of_[orbit]]) unknown_orbits.push_back(orbit);
-  }
-  std::stable_sort(unknown_orbits.begin(), unknown_orbits.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return scc_of_[a] < scc_of_[b];
-                   });
-  for (std::uint32_t row = 0; row < unknown_orbits.size(); ++row) {
-    unknown_index[unknown_orbits[row]] = row;
+  for (const std::uint32_t orbit : sccs_.nodes) {
+    if (sccs_.bottom[sccs_.of[orbit]]) continue;
+    unknown_index[orbit] = static_cast<std::uint32_t>(unknown_orbits.size());
+    unknown_orbits.push_back(orbit);
   }
   const auto m = static_cast<std::uint32_t>(unknown_orbits.size());
 
@@ -417,7 +323,7 @@ LumpedMarkovAnalysis::absorption_probabilities() const {
       const std::uint32_t orbit = unknown_orbits[row];
       for (const auto& [target_orbit, numerator] : rows_[orbit].rates) {
         if (unknown_index[target_orbit] == UINT32_MAX &&
-            scc_of_[target_orbit] == scc) {
+            sccs_.of[target_orbit] == scc) {
           b[row] += static_cast<double>(numerator) /
                     static_cast<double>(leaves[row]);
         }
@@ -428,8 +334,7 @@ LumpedMarkovAnalysis::absorption_probabilities() const {
     if (!cert.converged) {
       throw_uncertified(cert, " for SCC " + std::to_string(scc));
     }
-    result.push_back(
-        Absorption{scc, reps_[first_orbit[scc]], x[unknown_index[0]]});
+    result.push_back(Absorption{scc, first_rep(scc), x[unknown_index[0]]});
   }
   return result;
 }

@@ -15,7 +15,8 @@
 // lumpability programmatically (an exact per-orbit-pair rate-sum check
 // against every group element, not a trust-the-declaration shortcut), and
 // solves the resulting linear systems with the residual-certified sparse
-// Gauss-Seidel of util/csr.hpp instead of dense elimination.
+// Gauss-Seidel of util/csr.hpp instead of dense elimination.  The orbit
+// graph's SCCs (verify/scc.hpp) order every solve's unknowns block by block.
 //
 // The win is twofold: the orbit quotient shrinks the state space by up to
 // the group order, and the sparse solver removes the few-thousand-unknown
@@ -35,6 +36,7 @@
 #include "pp/protocol.hpp"
 #include "pp/transition_table.hpp"
 #include "util/csr.hpp"
+#include "verify/scc.hpp"
 
 namespace ppk::verify {
 
@@ -160,17 +162,13 @@ class LumpedMarkovAnalysis {
   /// Total self-loop numerator of an orbit (nulls + within-orbit rates).
   [[nodiscard]] std::uint64_t self_numerator(std::size_t orbit) const;
 
-  void compute_sccs();
-
   std::uint64_t n_ = 0;
   std::uint64_t denom_ = 0;  // n * (n - 1), the common rate denominator
   std::vector<std::vector<pp::StateId>> group_;
   std::vector<pp::Counts> reps_;
   std::vector<std::uint64_t> sizes_;
   std::vector<OrbitRow> rows_;
-  std::vector<std::uint32_t> scc_of_;
-  std::vector<char> bottom_;
-  std::uint32_t num_sccs_ = 0;
+  Condensation sccs_;  // of the orbit graph (verify/scc.hpp)
   std::uint64_t raw_config_count_ = 0;
   util::SolveOptions solver_;
 };

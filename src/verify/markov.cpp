@@ -198,12 +198,13 @@ std::optional<double> MarkovAnalysis::expected_hitting_time(
   // The target is hit with probability 1 iff every bottom SCC contains a
   // target configuration (fair executions are absorbed into bottom SCCs
   // and then visit all of their configurations).
-  std::vector<char> scc_has_target(graph.num_sccs(), 0);
+  const Condensation& sccs = graph.sccs();
+  std::vector<char> scc_has_target(sccs.size(), 0);
   for (std::size_t c = 0; c < num_configs; ++c) {
-    if (is_target[c]) scc_has_target[graph.scc_of()[c]] = 1;
+    if (is_target[c]) scc_has_target[sccs.of[c]] = 1;
   }
-  for (std::uint32_t scc = 0; scc < graph.num_sccs(); ++scc) {
-    if (graph.is_bottom_scc(scc) && !scc_has_target[scc]) {
+  for (std::uint32_t scc = 0; scc < sccs.size(); ++scc) {
+    if (sccs.bottom[scc] && !scc_has_target[scc]) {
       return std::nullopt;  // positive probability of never hitting
     }
   }
@@ -256,31 +257,26 @@ MarkovAnalysis::absorption_probabilities() const {
   const std::size_t num_configs = graph.num_configs();
   const std::uint64_t denom = n_ * (n_ - 1);
 
-  // Representative config per bottom SCC.
-  std::vector<std::uint32_t> representative(graph.num_sccs(), UINT32_MAX);
-  std::vector<std::uint32_t> bottoms;
-  for (std::uint32_t c = 0; c < num_configs; ++c) {
-    const std::uint32_t scc = graph.scc_of()[c];
-    if (graph.is_bottom_scc(scc) && representative[scc] == UINT32_MAX) {
-      representative[scc] = c;
-      bottoms.push_back(scc);
-    }
-  }
+  // Each bottom SCC is represented by its smallest member.
+  const Condensation& sccs = graph.sccs();
+  const std::vector<std::uint32_t> bottoms = sccs.bottoms();
+  const auto representative = [&](std::uint32_t scc) {
+    return graph.config(sccs.members(scc).front());
+  };
 
   // A finite chain ends in some bottom SCC with probability 1, so a lone
   // one takes all the mass -- exactly, with no elimination.  (This covers
   // an initial configuration that is already bottom: every configuration
   // is reachable from it, so its SCC is the only one.)
   if (bottoms.size() == 1) {
-    return {Absorption{bottoms[0], graph.config(representative[bottoms[0]]),
-                       1.0}};
+    return {Absorption{bottoms[0], representative(bottoms[0]), 1.0}};
   }
 
   // Transient = not in a bottom SCC.
   std::vector<std::uint32_t> unknown_index(num_configs, UINT32_MAX);
   std::vector<std::uint32_t> unknown_configs;
   for (std::uint32_t c = 0; c < num_configs; ++c) {
-    if (!graph.is_bottom_scc(graph.scc_of()[c])) {
+    if (!sccs.bottom[sccs.of[c]]) {
       unknown_index[c] = static_cast<std::uint32_t>(unknown_configs.size());
       unknown_configs.push_back(c);
     }
@@ -301,15 +297,15 @@ MarkovAnalysis::absorption_probabilities() const {
         if (unknown_index[target_config] != UINT32_MAX) {
           a[row][unknown_index[target_config]] -=
               static_cast<double>(numerator) / d;
-        } else if (graph.scc_of()[target_config] == scc) {
+        } else if (sccs.of[target_config] == scc) {
           b[row] += static_cast<double>(numerator) / d;
         }
       }
     }
     const auto x = solve_dense(a, b);
     if (!x.has_value()) throw_singular();
-    result.push_back(Absorption{scc, graph.config(representative[scc]),
-                                (*x)[unknown_index[0]]});
+    result.push_back(
+        Absorption{scc, representative(scc), (*x)[unknown_index[0]]});
   }
   return result;
 }

@@ -1,8 +1,9 @@
 #include "verify/weak_fairness.hpp"
 
-#include <algorithm>
+#include <span>
 #include <sstream>
 
+#include "pp/population.hpp"
 #include "util/assert.hpp"
 
 namespace ppk::verify {
@@ -17,11 +18,6 @@ std::vector<std::uint32_t> group_sizes_of(const pp::Protocol& protocol,
     ++sizes[protocol.group(graph.state_of(config, a))];
   }
   return sizes;
-}
-
-bool uniform(const std::vector<std::uint32_t>& sizes) {
-  const auto [lo, hi] = std::minmax_element(sizes.begin(), sizes.end());
-  return *hi - *lo <= 1;
 }
 
 std::string describe_config(const pp::Protocol& protocol,
@@ -40,7 +36,7 @@ std::string describe_config(const pp::Protocol& protocol,
 /// Outputs constant across `members` and uniform?  On failure, fills
 /// `failure` with a witness description prefixed by `context`.
 bool scc_good(const pp::Protocol& protocol, const AgentConfigGraph& graph,
-              const std::vector<std::uint32_t>& members,
+              std::span<const std::uint32_t> members,
               const std::string& context, std::string* failure) {
   const std::uint32_t first = members.front();
   for (const std::uint32_t c : members) {
@@ -58,7 +54,7 @@ bool scc_good(const pp::Protocol& protocol, const AgentConfigGraph& graph,
     }
   }
   const auto sizes = group_sizes_of(protocol, graph, first);
-  if (!uniform(sizes)) {
+  if (!pp::is_uniform_partition(sizes)) {
     std::ostringstream out;
     out << context << ": stabilizes to non-uniform group sizes (";
     for (std::size_t g = 0; g < sizes.size(); ++g) {
@@ -75,13 +71,12 @@ bool scc_good(const pp::Protocol& protocol, const AgentConfigGraph& graph,
 /// Can a weakly fair adversary trap an execution in this SCC?  True iff for
 /// every scheduled pair some member admits an orientation whose application
 /// stays in the SCC (null interactions stay by definition).
-bool weakly_closable(const AgentConfigGraph& graph, std::uint32_t scc,
-                     const std::vector<std::uint32_t>& members) {
+bool weakly_closable(const AgentConfigGraph& graph, std::uint32_t scc) {
+  const std::vector<std::uint32_t>& of = graph.sccs().of;
   for (const auto& [a, b] : graph.pairs()) {
     bool pair_ok = false;
-    for (const std::uint32_t c : members) {
-      if (graph.scc_of(graph.apply(c, a, b)) == scc ||
-          graph.scc_of(graph.apply(c, b, a)) == scc) {
+    for (const std::uint32_t c : graph.sccs().members(scc)) {
+      if (of[graph.apply(c, a, b)] == scc || of[graph.apply(c, b, a)] == scc) {
         pair_ok = true;
         break;
       }
@@ -113,10 +108,11 @@ Verdict verify_weak_uniform_partition(const pp::Protocol& protocol,
   Verdict verdict;
   verdict.solves = true;
   verdict.reachable_configs = graph.num_configs();
-  verdict.num_sccs = graph.num_sccs();
-  for (std::uint32_t scc = 0; scc < graph.num_sccs(); ++scc) {
-    const auto members = graph.members_of_scc(scc);
-    if (!weakly_closable(graph, scc, members)) continue;
+  const Condensation& sccs = graph.sccs();
+  verdict.num_sccs = sccs.size();
+  for (std::uint32_t scc = 0; scc < sccs.size(); ++scc) {
+    if (!weakly_closable(graph, scc)) continue;
+    const auto members = sccs.members(scc);
     ++verdict.bottom_sccs;  // = weakly closable SCCs (see header)
     std::ostringstream context;
     context << "weakly closable SCC #" << scc << " (" << members.size()
@@ -141,11 +137,12 @@ Verdict verify_graph_uniform_partition(const pp::Protocol& protocol,
   Verdict verdict;
   verdict.solves = true;
   verdict.reachable_configs = graph.num_configs();
-  verdict.num_sccs = graph.num_sccs();
-  for (std::uint32_t scc = 0; scc < graph.num_sccs(); ++scc) {
-    if (!graph.is_bottom_scc(scc)) continue;
+  const Condensation& sccs = graph.sccs();
+  verdict.num_sccs = sccs.size();
+  for (std::uint32_t scc = 0; scc < sccs.size(); ++scc) {
+    if (!sccs.bottom[scc]) continue;
     ++verdict.bottom_sccs;
-    const auto members = graph.members_of_scc(scc);
+    const auto members = sccs.members(scc);
     std::ostringstream context;
     context << "bottom SCC #" << scc << " (" << members.size() << " configs)";
     std::string failure;

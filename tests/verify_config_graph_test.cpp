@@ -46,10 +46,10 @@ TEST(ConfigGraph, LeaderElectionSccsAreSingletonsWithOneBottom) {
   const pp::TransitionTable table(protocol);
   const ConfigGraph graph(table, initial_counts(protocol, 6));
   ASSERT_TRUE(graph.complete());
-  EXPECT_EQ(graph.num_sccs(), graph.num_configs());  // acyclic: all singleton
+  EXPECT_EQ(graph.sccs().size(), graph.num_configs());  // acyclic
   std::size_t bottoms = 0;
-  for (std::uint32_t scc = 0; scc < graph.num_sccs(); ++scc) {
-    if (graph.is_bottom_scc(scc)) ++bottoms;
+  for (std::uint32_t scc = 0; scc < graph.sccs().size(); ++scc) {
+    if (graph.sccs().bottom[scc]) ++bottoms;
   }
   EXPECT_EQ(bottoms, 1u);
 }
@@ -81,19 +81,19 @@ TEST(ConfigGraph, BipartitionHasFlippingBottomSccs) {
   {
     const ConfigGraph graph(table, initial_counts(protocol, 4));
     ASSERT_TRUE(graph.complete());
-    for (std::uint32_t scc = 0; scc < graph.num_sccs(); ++scc) {
-      if (!graph.is_bottom_scc(scc)) continue;
-      EXPECT_EQ(graph.members_of_scc(scc).size(), 1u);
+    for (std::uint32_t scc = 0; scc < graph.sccs().size(); ++scc) {
+      if (!graph.sccs().bottom[scc]) continue;
+      EXPECT_EQ(graph.sccs().members(scc).size(), 1u);
     }
   }
   {
     const ConfigGraph graph(table, initial_counts(protocol, 5));
     ASSERT_TRUE(graph.complete());
     std::size_t bottoms = 0;
-    for (std::uint32_t scc = 0; scc < graph.num_sccs(); ++scc) {
-      if (!graph.is_bottom_scc(scc)) continue;
+    for (std::uint32_t scc = 0; scc < graph.sccs().size(); ++scc) {
+      if (!graph.sccs().bottom[scc]) continue;
       ++bottoms;
-      const auto members = graph.members_of_scc(scc);
+      const auto members = graph.sccs().members(scc);
       EXPECT_EQ(members.size(), 2u);  // free agent toggling initial/initial'
       for (auto c : members) {
         EXPECT_EQ(graph.config(c)[core::BipartitionProtocol::kG1], 2u);
@@ -110,8 +110,7 @@ TEST(ConfigGraph, SccIdsAreReverseTopological) {
   const ConfigGraph graph(table, initial_counts(protocol, 5));
   for (std::size_t c = 0; c < graph.num_configs(); ++c) {
     for (const Edge& e : graph.edges(c)) {
-      EXPECT_GE(graph.scc_of()[static_cast<std::uint32_t>(c)],
-                graph.scc_of()[e.target]);
+      EXPECT_GE(graph.sccs().of[c], graph.sccs().of[e.target]);
     }
   }
 }
@@ -131,8 +130,8 @@ TEST(ConfigGraph, MembersOfSccPartitionTheConfigs) {
   const ConfigGraph graph(table, initial_counts(protocol, 6));
   ASSERT_TRUE(graph.complete());
   std::set<std::uint32_t> seen;
-  for (std::uint32_t scc = 0; scc < graph.num_sccs(); ++scc) {
-    for (auto c : graph.members_of_scc(scc)) {
+  for (std::uint32_t scc = 0; scc < graph.sccs().size(); ++scc) {
+    for (auto c : graph.sccs().members(scc)) {
       EXPECT_TRUE(seen.insert(c).second) << "config in two SCCs";
     }
   }

@@ -250,7 +250,7 @@ TEST(LumpedMarkov, SeveralBottomSccsAgreeWithDense) {
   std::map<pp::Counts, double> dense_by_config;
   const auto dense_absorption = dense.absorption_probabilities();
   for (const auto& a : dense_absorption) {
-    for (const std::uint32_t c : dense.graph().members_of_scc(a.scc)) {
+    for (const std::uint32_t c : dense.graph().sccs().members(a.scc)) {
       dense_by_config[dense.graph().config(c)] = a.probability;
     }
   }
