@@ -653,8 +653,9 @@ int main(int argc, char** argv) {
   const std::uint32_t crossover_trials = 32;
   {
     const std::vector<std::uint32_t> ns =
-        *smoke ? std::vector<std::uint32_t>{256, 512, 1000}
-               : std::vector<std::uint32_t>{128, 256, 384, 512, 768, 1000};
+        *smoke ? std::vector<std::uint32_t>{256, 320, 512, 1000}
+               : std::vector<std::uint32_t>{128, 256, 320, 384, 512, 768,
+                                            1000};
     const std::vector<ppk::pp::GroupId> kpartition_ks =
         *smoke ? std::vector<ppk::pp::GroupId>{2, 8, 16}
                : std::vector<ppk::pp::GroupId>{2, 3, 4, 6, 8, 16};

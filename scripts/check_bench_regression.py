@@ -83,8 +83,9 @@ against the committed baseline:
     kAuto picks agent, and the block must show why the n-only constant
     cannot move down: at the largest grid n below the crossover, agent
     is still the faster engine at some point (k = 16 on the paper's
-    protocol, 1.25-1.5x on a 4-vCPU host), so picking jump there would
-    pick the slower engine.  Smaller |Q| favours jump further down (the
+    protocol at n = 256, 1.1-1.2x best-of-3 on a 4-vCPU host, with
+    kJumpCrossover = 320), so picking jump there would pick the slower
+    engine.  Smaller |Q| favours jump further down (the
     report's pick_ratio column shows by how much); choosing by |Q| too
     is the open ROADMAP item.  Both checks compare two engines of one
     run, so they need no baseline and no calibration.

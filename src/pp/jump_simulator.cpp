@@ -1,5 +1,6 @@
 #include "pp/jump_simulator.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "obs/sink.hpp"
@@ -14,63 +15,59 @@ JumpSimulator::JumpSimulator(const TransitionTable& table, Counts initial,
   for (auto c : counts_) n_ += c;
   PPK_EXPECTS(n_ >= 2);
 
-  const StateId num_states = table.num_states();
-  rows_of_column_.resize(num_states);
-  columns_of_row_.resize(num_states);
+  const std::size_t num_states = table.num_states();
+  eff_by_row_.assign(num_states * num_states, 0);
+  eff_by_col_.assign(num_states * num_states, 0);
+  row_begin_.assign(num_states + 1, 0);
   for (StateId p = 0; p < num_states; ++p) {
     for (StateId q = 0; q < num_states; ++q) {
       if (!table.effective(p, q)) continue;
-      columns_of_row_[p].push_back(q);
-      rows_of_column_[q].push_back(p);
+      eff_by_row_[p * num_states + q] = -1;
+      eff_by_col_[q * num_states + p] = -1;
+      columns_of_row_.push_back(q);
     }
+    row_begin_[p + 1] = static_cast<std::uint32_t>(columns_of_row_.size());
   }
   rebuild_weights();
 }
 
 void JumpSimulator::rebuild_weights() {
-  const StateId num_states = table_->num_states();
+  const std::size_t num_states = counts_.size();
   row_sum_.assign(num_states, 0);
-  row_weight_.assign(num_states, 0);
+  col_sum_.assign(num_states, 0);
   total_weight_ = 0;
   for (StateId p = 0; p < num_states; ++p) {
-    // Signed sum: the diagonal term c_p - 1 is -1 when c_p == 0; the
-    // incremental updates in apply_count_change() track exactly this
-    // signed quantity, and the row weight clamps it via the c_p factor.
-    std::int64_t signed_sum = 0;
-    for (StateId q : columns_of_row_[p]) {
-      signed_sum += static_cast<std::int64_t>(counts_[q]) - (p == q ? 1 : 0);
+    const std::int64_t c_p = counts_[p];
+    for (std::uint32_t i = row_begin_[p]; i < row_begin_[p + 1]; ++i) {
+      const StateId q = columns_of_row_[i];
+      row_sum_[p] += static_cast<std::int64_t>(counts_[q]) - (p == q ? 1 : 0);
+      col_sum_[q] += c_p;
     }
-    row_sum_[p] = signed_sum;
-    row_weight_[p] =
-        counts_[p] == 0
-            ? 0
-            : counts_[p] * static_cast<std::uint64_t>(row_sum_[p]);
-    total_weight_ += row_weight_[p];
+    // c_p * row_sum_p is 0 whenever c_p is, even at row_sum_p = -1.
+    total_weight_ += static_cast<std::uint64_t>(c_p * row_sum_[p]);
   }
 }
 
 void JumpSimulator::apply_count_change(StateId state, std::int64_t delta) {
+  // W = sum_{p,q} eff(p,q) c_p c_q - sum_p eff(p,p) c_p, so moving c_u by
+  // delta changes it by delta * (col_sum_u + row_sum_u) + delta^2 eff(u,u)
+  // (row_sum_u already carries the -eff(u,u) of the linear term).
+  const std::size_t num_states = counts_.size();
+  const std::int64_t* const col = &eff_by_col_[state * num_states];
+  const std::int64_t* const row = &eff_by_row_[state * num_states];
+  total_weight_ += static_cast<std::uint64_t>(
+      delta * (col_sum_[state] + row_sum_[state]) +
+      ((delta * delta) & row[state]));
+  // Column `state` feeds row_sum_ of every row p with eff(p, state); row
+  // `state` feeds col_sum_ of every column q with eff(state, q).  The masks
+  // are all-ones or zero, so both updates are one branch-free pass.
+  std::int64_t* const row_sum = row_sum_.data();
+  std::int64_t* const col_sum = col_sum_.data();
+  for (std::size_t i = 0; i < num_states; ++i) row_sum[i] += delta & col[i];
+  for (std::size_t i = 0; i < num_states; ++i) col_sum[i] += delta & row[i];
   counts_[state] =
       static_cast<std::uint32_t>(static_cast<std::int64_t>(counts_[state]) +
                                  delta);
-  // Column `state` contributes to every row p with eff(p, state); keep
-  // row_weight_ and the total in sync as the sums move.
-  for (StateId p : rows_of_column_[state]) {
-    row_sum_[p] += delta;
-    const std::uint64_t old_weight = row_weight_[p];
-    row_weight_[p] =
-        counts_[p] == 0
-            ? 0
-            : counts_[p] * static_cast<std::uint64_t>(row_sum_[p]);
-    total_weight_ += row_weight_[p] - old_weight;
-  }
-  // The c_p factor of row `state` itself changed as well.
-  const std::uint64_t old_weight = row_weight_[state];
-  row_weight_[state] =
-      counts_[state] == 0
-          ? 0
-          : counts_[state] * static_cast<std::uint64_t>(row_sum_[state]);
-  total_weight_ += row_weight_[state] - old_weight;
 }
 
 bool JumpSimulator::step(StabilityOracle& oracle) {
@@ -105,19 +102,25 @@ bool JumpSimulator::step_within(StabilityOracle& oracle, std::uint64_t budget) {
                                obs::AdvanceKind::kJump));
   }
 
-  // Sample the effective ordered pair with exact integer weights.
+  // Sample the effective ordered pair with exact integer weights: the
+  // initiator by w_p = c_p * row_sum_p (0 for an empty row, whatever its
+  // signed sum), then the responder within row p.
   std::uint64_t u = rng_.below(total_weight_);
   StateId p = 0;
   for (;; ++p) {
-    if (u < row_weight_[p]) break;
-    u -= row_weight_[p];
+    const std::uint64_t w =
+        counts_[p] * static_cast<std::uint64_t>(row_sum_[p]);
+    if (u < w) break;
+    u -= w;
   }
   // u is uniform on [0, c_p * row_sum_p); reduce to a uniform responder
-  // draw (row_weight is an exact multiple of row_sum, so % is unbiased).
+  // draw (the row weight is an exact multiple of row_sum, so % is
+  // unbiased).  c_p >= 1 here, so the diagonal weight c_p - 1 is >= 0.
   std::uint64_t v = u % static_cast<std::uint64_t>(row_sum_[p]);
   StateId q = 0;
-  for (StateId candidate : columns_of_row_[p]) {
-    const std::uint64_t w = column_weight(p, candidate);
+  for (std::uint32_t i = row_begin_[p]; i < row_begin_[p + 1]; ++i) {
+    const StateId candidate = columns_of_row_[i];
+    const std::uint64_t w = counts_[candidate] - (candidate == p ? 1u : 0u);
     if (v < w) {
       q = candidate;
       break;
@@ -125,11 +128,24 @@ bool JumpSimulator::step_within(StabilityOracle& oracle, std::uint64_t budget) {
     v -= w;
   }
 
+  // Apply the net count change once per distinct state: a rule that moves
+  // one agent, such as the paper's flips (g_i, x) -> (g_i, x'), touches two
+  // states instead of four, and (x, x) -> (y, y) moves two by 2 each.
   const Transition& t = table_->apply(p, q);
-  apply_count_change(p, -1);
-  apply_count_change(q, -1);
-  apply_count_change(t.initiator, +1);
-  apply_count_change(t.responder, +1);
+  std::array<StateId, 4> states = {p, q, t.initiator, t.responder};
+  std::array<std::int64_t, 4> deltas = {-1, -1, +1, +1};
+  for (std::size_t i = 1; i < states.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (states[j] == states[i]) {
+        deltas[j] += deltas[i];
+        deltas[i] = 0;
+        break;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    if (deltas[i] != 0) apply_count_change(states[i], deltas[i]);
+  }
 
   if (watch_marks_ != nullptr) {
     const int delta = (t.initiator == watch_state_ ? 1 : 0) +

@@ -15,36 +15,47 @@
 //   initiator state  p  with weight  w_p = c_p * sum_q eff(p,q) (c_q - [p==q])
 //   responder state  q  with weight  eff(p,q) * (c_q - [p==q])
 //
-// The row weights w_p are maintained incrementally: an effective
-// transition changes at most four state counts, and each unit count change
-// touches every row's column term once -- O(|Q|) per effective
-// interaction, independent of how many nulls were skipped.
+// The bookkeeping is dense and incremental.  Beside the row sums
+// row_sum_p = sum_q eff(p,q) (c_q - [p==q]) the engine keeps column sums
+// col_sum_q = sum_p eff(p,q) c_p, and the total W = sum_p c_p row_sum_p.
+// An effective transition is applied as one net count change per distinct
+// state (two states for a rule that moves one agent, at most four); a
+// change of delta at state u moves W by
+//
+//   delta (col_sum_u + row_sum_u) + delta^2 eff(u,u)
+//
+// in O(1), and the sums by one branch-free, vectorizable pass each over
+// dense |Q|-wide mask rows.  The initiator scan computes c_p row_sum_p on
+// the fly; the responder scan walks row p's effective columns.  So an
+// effective interaction costs O(|Q|) with small constants, independent of
+// how many nulls were skipped.
 //
 // Exactness: pair selection uses exact integer weights; only the geometric
 // skip length uses floating point (p_eff as a double), whose rounding is
 // ~1 ulp -- negligible against Monte-Carlo noise, and validated against
 // the exact engines in the test suite.
 //
-// When it wins: the cost per *effective* interaction is O(|Q|) (the free
-// states' columns are dense for the paper's protocol), versus the agent
-// engine's O(1) per *drawn* interaction, so the speedup is roughly
-// (null ratio) / |Q| x (agent step cost).  The null ratio grows with n,
-// so the win does too.  Measured to stabilization (the auto_crossover
-// block of bench/batch_throughput): at n >= 512 this engine beats the
-// agent engine at every point -- the paper's protocol by ~1.2x (k = 16,
-// |Q| = 46) to ~8x (k = 2), the weak-fairness family under the silence
-// oracle by 38-110x, graph bipartition by 4-8x -- which is why kAuto picks
-// it for 512 <= n < 1024 (pp::kJumpCrossover).  Below 512 the small-|Q|
-// protocols still favour it, while at k = 16 the agent engine wins (2x at
-// n = 128).  Protocols that keep a large share of draws effective lose:
-// approximate majority (~26% effective) runs 1.5-1.8x faster on the agent
-// engine at n = 512-1000.  For protocols that approach silence (rare
-// effective pairs, e.g. the endgame of leader election on huge n) the
-// ratio, and the win, is unbounded.
+// When it wins: the cost per *effective* interaction is O(|Q|) -- about
+// 190-220 ns for the paper's protocol at k = 16 (|Q| = 46) on a 4-vCPU
+// Xeon -- versus the agent engine's O(1) per *drawn* interaction, so the
+// speedup is roughly (null ratio) / |Q| x (agent step cost).  The null
+// ratio grows with n, so the win does too.  Measured to stabilization (the
+// auto_crossover block of bench/batch_throughput): at n >= 320 this engine
+// beats the agent engine at every point -- the paper's protocol by
+// ~1.4x (k = 16) to ~10x (k = 2), the weak-fairness family under the
+// silence oracle by 17-91x, graph bipartition by 4-10x -- which is why
+// kAuto picks it for 320 <= n < 1024 (pp::kJumpCrossover).  Below 320 the
+// small-|Q| protocols still favour it, while at k = 16 the agent engine
+// wins (1.2-1.3x at n = 128-256).  Protocols that keep a large share of
+// draws effective lose: approximate majority (~26% effective) runs
+// 1.4-1.8x faster on the agent engine at n = 320-1000.  For protocols that
+// approach silence (rare effective pairs, e.g. the endgame of leader
+// election on huge n) the ratio, and the win, is unbounded.
 
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "pp/population.hpp"
 #include "pp/sim_result.hpp"
@@ -134,17 +145,9 @@ class JumpSimulator {
   }
 
  private:
-  /// Column weight of state q against initiator row p (clamped to 0 for
-  /// the empty-diagonal case; only used on rows with counts_[p] >= 1,
-  /// where it matches the signed row_sum_ terms exactly).
-  [[nodiscard]] std::uint64_t column_weight(StateId p, StateId q) const {
-    if (!table_->effective(p, q)) return 0;
-    const std::uint32_t c = counts_[q];
-    if (p == q) return c == 0 ? 0 : c - 1;
-    return c;
-  }
-
   void rebuild_weights();
+  /// Moves counts_[state] by `delta` (the net change of one transition at
+  /// that state) and updates row_sum_, col_sum_ and the total in O(|Q|).
   void apply_count_change(StateId state, std::int64_t delta);
 
   /// One bounded advance: skips nulls and applies the next effective pair,
@@ -154,12 +157,16 @@ class JumpSimulator {
   /// Returns false iff the configuration is silent (nothing advanced).
   bool step_within(StabilityOracle& oracle, std::uint64_t budget);
 
-  /// Rows p with eff(p, u), per column u -- the protocol's effective-pair
-  /// structure is sparse (for the paper's protocol each state reacts with
-  /// only a handful of others), so count updates touch few rows.
-  std::vector<std::vector<StateId>> rows_of_column_;
-  /// Columns q with eff(p, q), per row p (responder scan support).
-  std::vector<std::vector<StateId>> columns_of_row_;
+  /// Dense effective masks, all-ones (-1) where eff(p, q) and 0 elsewhere:
+  /// eff_by_row_[p * |Q| + q] and its transpose eff_by_col_[q * |Q| + p].
+  /// A count change at u reads row u of each, so both sum updates are
+  /// contiguous branch-free loops the compiler vectorizes.
+  std::vector<std::int64_t> eff_by_row_;
+  std::vector<std::int64_t> eff_by_col_;
+  /// Columns q with eff(p, q), per row p, as CSR (responder scan):
+  /// columns_of_row_[row_begin_[p] .. row_begin_[p + 1]).
+  std::vector<StateId> columns_of_row_;
+  std::vector<std::uint32_t> row_begin_;
 
   const TransitionTable* table_;
   Counts counts_;
@@ -167,11 +174,13 @@ class JumpSimulator {
   std::uint64_t n_ = 0;
   std::uint64_t interactions_ = 0;
   std::uint64_t effective_ = 0;
-  /// row_weight_[p] = c_p * sum_q eff(p,q) * (c_q - [p==q]).
-  std::vector<std::uint64_t> row_weight_;
   /// row_sum_[p] = sum_q eff(p,q) * (c_q - [p==q]); signed because the
-  /// diagonal term is -1 while c_p == 0 (the weight clamps it to 0).
+  /// diagonal term is -1 while c_p == 0 (the row weight c_p * row_sum_p
+  /// is 0 there regardless).
   std::vector<std::int64_t> row_sum_;
+  /// col_sum_[q] = sum_p eff(p,q) * c_p.
+  std::vector<std::int64_t> col_sum_;
+  /// sum_p c_p * row_sum_p, kept in O(1) per count change.
   std::uint64_t total_weight_ = 0;
   StateId watch_state_ = 0;
   std::vector<std::uint64_t>* watch_marks_ = nullptr;

@@ -69,8 +69,10 @@ inline constexpr std::uint64_t kShardedCrossover = 1ULL << 20;
 /// jump engine skips null runs in O(1) where the agent engine pays a full
 /// draw per pair; the auto_crossover block of bench/batch_throughput
 /// measures both engines to stabilization on either side of the constant
-/// and gates it (docs/engines.md).
-inline constexpr std::uint64_t kJumpCrossover = 512;
+/// and gates it (docs/engines.md).  320 is the lowest grid n at which jump
+/// is the faster engine at every point; at n = 256 Algorithm 1 with k = 16
+/// (|Q| = 46) still runs faster on agent.
+inline constexpr std::uint64_t kJumpCrossover = 320;
 
 /// The engine kAuto resolves to for a population of n agents with (or
 /// without) watch-mark instrumentation:
@@ -80,15 +82,17 @@ inline constexpr std::uint64_t kJumpCrossover = 512;
 ///    per-drawn-pair observability).
 ///  - otherwise agent for small populations (n < kJumpCrossover, where
 ///    effective pairs are common enough that O(1) array steps beat the
-///    jump engine's O(|Q|) per effective pair), then jump (null pairs
-///    dominate and the jump engine skips them).  Watched runs stay on jump
-///    at every larger n: the batch engines cannot record marks (aggregated
-///    draws have no per-interaction indices).  Unwatched runs move on to
-///    batch from n = 1024 (batching overhead beats per-pair engines only
-///    past that) and to the sharded SoA batch engine past kShardedCrossover
-///    (where the plain batch engine falls off its log-factorial table).
+///    jump engine's O(|Q|) per effective pair at large |Q|), then jump
+///    (null pairs dominate and the jump engine skips them).  The rule sees
+///    n only; below the constant the small-|Q| protocols would already be
+///    faster on jump.  Watched runs stay on jump at every larger n: the
+///    batch engines cannot record marks (aggregated draws have no
+///    per-interaction indices).  Unwatched runs move on to batch from
+///    n = 1024 (batching overhead beats per-pair engines only past that)
+///    and to the sharded SoA batch engine past kShardedCrossover (where
+///    the plain batch engine falls off its log-factorial table).
 ///    Protocols that keep a large share of draws effective (approximate
-///    majority: ~26%, where agent is 1.5-1.8x faster at n = 512-1000)
+///    majority: ~26%, where agent is 1.4-1.8x faster at n = 320-1000)
 ///    should pick kAgentArray explicitly.
 [[nodiscard]] Engine resolve_engine(Engine engine, std::uint64_t n,
                                     bool watch, bool graph = false);

@@ -36,11 +36,12 @@ inline constexpr std::string_view kExactResultSchema = "ppkd-exact-v3";
 
 /// Schema tag every simulate and conformance result frame must carry (as
 /// member "sim_schema") to be served from the cache.  Bump it whenever the
-/// trajectories behind a (spec, seed) change -- v2 came with kAuto's jump
-/// band (512 <= n < 1024 runs the jump engine, so such specs draw other
-/// trials than before); v1 frames carried no tag and are recognized (and
-/// invalidated) by its absence, like pre-v2 exact frames.
-inline constexpr std::string_view kSimResultSchema = "ppkd-sim-v2";
+/// trajectories behind a (spec, seed) change -- v3 came with the jump band
+/// moving down to pp::kJumpCrossover = 320 (320 <= n < 512 left the agent
+/// engine); v2 with kAuto's first jump band (512 <= n < 1024, so such
+/// specs draw other trials than before); v1 frames carried no tag and are
+/// recognized (and invalidated) by its absence, like pre-v2 exact frames.
+inline constexpr std::string_view kSimResultSchema = "ppkd-sim-v3";
 
 /// The (scenario-hash, seed) result cache.  Thread-compatible: the daemon
 /// serializes access through its job lock.

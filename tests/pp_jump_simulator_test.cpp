@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
+#include "core/weak_kpartition.hpp"
 #include "pp/agent_simulator.hpp"
 #include "pp/transition_table.hpp"
 #include "protocols/leader_election.hpp"
@@ -113,31 +116,79 @@ TEST(JumpSimulator, AgreesWithAgentEngineOnKPartition) {
       << "jump=" << jump_mean << " agent=" << agent_mean;
 }
 
-TEST(JumpSimulator, EffectiveWeightTracksConfiguration) {
-  // From all-initial, every ordered pair is effective (rule 1), so the
-  // weight starts at n(n-1); it must stay consistent with a from-scratch
-  // rebuild after arbitrary steps.
-  const core::KPartitionProtocol protocol(5);
-  const TransitionTable table(protocol);
-  const std::uint32_t n = 12;
-  JumpSimulator sim(table, all_initial(protocol, n), 9);
-  EXPECT_EQ(sim.effective_weight(), static_cast<std::uint64_t>(n) * (n - 1));
+/// sum_{p,q} eff(p,q) * c_p * (c_q - [p==q]), recomputed from scratch.
+std::uint64_t recomputed_weight(const TransitionTable& table,
+                                const Counts& counts) {
+  std::int64_t weight = 0;
+  for (StateId p = 0; p < table.num_states(); ++p) {
+    for (StateId q = 0; q < table.num_states(); ++q) {
+      if (!table.effective(p, q)) continue;
+      weight += static_cast<std::int64_t>(counts[p]) *
+                (static_cast<std::int64_t>(counts[q]) - (p == q ? 1 : 0));
+    }
+  }
+  return static_cast<std::uint64_t>(weight);
+}
 
-  NeverStableOracle oracle;
-  for (int i = 0; i < 200; ++i) {
-    if (!sim.step(oracle)) break;
-    // Recompute the weight from the counts and compare.
-    std::uint64_t expected = 0;
-    const auto& counts = sim.counts();
-    for (StateId p = 0; p < protocol.num_states(); ++p) {
-      for (StateId q = 0; q < protocol.num_states(); ++q) {
-        if (!table.effective(p, q) || counts[p] == 0) continue;
-        const std::uint64_t cq = counts[q] - (p == q ? 1u : 0u);
-        if (counts[q] == 0 || (p == q && counts[q] == 1)) continue;
-        expected += static_cast<std::uint64_t>(counts[p]) * cq;
+/// Never stable; mirrors the configuration from the reported transitions,
+/// so a count update that disagrees with the applied rule shows up.
+class MirrorOracle final : public StabilityOracle {
+ public:
+  void reset(const Counts& counts) override { mirror = counts; }
+  void on_transition(StateId p, StateId q, StateId p_next,
+                     StateId q_next) override {
+    --mirror[p];
+    --mirror[q];
+    ++mirror[p_next];
+    ++mirror[q_next];
+  }
+  [[nodiscard]] bool stable() const override { return false; }
+  Counts mirror;
+};
+
+TEST(JumpSimulator, EffectiveWeightTracksConfiguration) {
+  // The engine keeps the total effective weight in O(1) per net count
+  // change (with a delta^2 term for diagonal rules); after every step and
+  // every restore it must equal the from-scratch sum, and the counts must
+  // match the rule the oracle was told about.  From all-initial, every
+  // ordered pair of Algorithm 1 is effective (rule 1): weight n(n-1).
+  {
+    const core::KPartitionProtocol protocol(5);
+    const TransitionTable table(protocol);
+    const JumpSimulator sim(table, all_initial(protocol, 12), 9);
+    EXPECT_EQ(sim.effective_weight(), 12u * 11u);
+  }
+  std::vector<std::shared_ptr<const Protocol>> protocols = {
+      std::make_shared<const core::KPartitionProtocol>(2),
+      std::make_shared<const core::KPartitionProtocol>(3),
+      std::make_shared<const core::KPartitionProtocol>(6),
+      std::make_shared<const core::KPartitionProtocol>(16),
+      std::make_shared<const core::WeakKPartitionProtocol>(4),
+      std::make_shared<const protocols::LeaderElectionProtocol>()};
+  for (const auto& protocol : protocols) {
+    const TransitionTable table(*protocol);
+    for (const std::uint64_t seed : {1ULL, 2ULL}) {
+      JumpSimulator sim(table, all_initial(*protocol, 97), seed);
+      MirrorOracle oracle;
+      oracle.reset(sim.counts());
+      ASSERT_EQ(sim.effective_weight(), recomputed_weight(table, sim.counts()));
+      Snapshot snap = sim.snapshot();
+      for (int i = 0; i < 3000 && sim.step(oracle); ++i) {
+        ASSERT_EQ(sim.counts(), oracle.mirror)
+            << protocol->name() << " seed " << seed << " step " << i;
+        ASSERT_EQ(sim.effective_weight(),
+                  recomputed_weight(table, sim.counts()))
+            << protocol->name() << " seed " << seed << " step " << i;
+        if (i % 500 == 0) snap = sim.snapshot();
+        if (i % 700 == 699) {
+          sim.restore(snap);
+          oracle.reset(sim.counts());
+          ASSERT_EQ(sim.effective_weight(),
+                    recomputed_weight(table, sim.counts()))
+              << protocol->name() << " seed " << seed << " restore at " << i;
+        }
       }
     }
-    ASSERT_EQ(sim.effective_weight(), expected) << "after step " << i;
   }
 }
 

@@ -140,8 +140,9 @@ TEST_F(MonteCarloTest, AutoEngineResolutionPolicy) {
   // requested; explicit choices pass through untouched.
   EXPECT_EQ(resolve_engine(Engine::kAuto, 100, false), Engine::kAgentArray);
   // The jump band [kJumpCrossover, 1024): null-dominated populations.
-  EXPECT_EQ(kJumpCrossover, 512u);
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 511, false), Engine::kAgentArray);
+  EXPECT_EQ(kJumpCrossover, 320u);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 319, false), Engine::kAgentArray);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 320, false), Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kAuto, 512, false), Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kAuto, 1023, false), Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kAuto, 1024, false), Engine::kBatch);
@@ -149,8 +150,8 @@ TEST_F(MonteCarloTest, AutoEngineResolutionPolicy) {
   // Watched runs take the same agent -> jump ladder, capped at jump (the
   // fastest engine that records exact marks).
   EXPECT_EQ(resolve_engine(Engine::kAuto, 100, true), Engine::kAgentArray);
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 511, true), Engine::kAgentArray);
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 512, true), Engine::kJump);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 319, true), Engine::kAgentArray);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 320, true), Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kAuto, 600, true), Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kAuto, 4096, true), Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000, true), Engine::kJump);

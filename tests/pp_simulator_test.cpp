@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
+#include "core/weak_kpartition.hpp"
 #include "pp/agent_simulator.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/trace.hpp"
@@ -274,6 +278,115 @@ TEST(EngineAgreement, MeanInteractionsMatchAcrossEngines) {
   // test deterministic-flake-free while still catching distribution bugs.
   EXPECT_LT(std::abs(agent_mean - jump_mean) / agent_mean, 0.35)
       << "agent=" << agent_mean << " jump=" << jump_mean;
+}
+
+// Golden pin for the jump engine: fixed seeds, fixed protocols, and the
+// exact trajectory summary each produces.  Any change to the engine's
+// weight bookkeeping, scan order or RNG use moves these numbers, so a
+// kernel rewrite that claims bit identity must leave them untouched
+// (including under -mavx2 auto-vectorized builds).
+struct JumpGolden {
+  std::uint64_t interactions;
+  std::uint64_t effective;
+  std::uint64_t counts_hash;  // FNV-1a over the final counts
+};
+
+std::uint64_t fnv1a_counts(const Counts& counts) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint32_t c : counts) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (c >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+void expect_golden(const JumpGolden& got, const JumpGolden& want,
+                   const std::string& where) {
+  EXPECT_EQ(got.interactions, want.interactions) << where;
+  EXPECT_EQ(got.effective, want.effective) << where;
+  EXPECT_EQ(got.counts_hash, want.counts_hash) << where;
+}
+
+TEST(JumpGolden, TrajectoriesArePinned) {
+  struct Case {
+    std::shared_ptr<const Protocol> protocol;
+    std::uint32_t n;
+    bool silence;  // SilenceOracle instead of the stable-pattern oracle
+    std::array<JumpGolden, 3> want;  // seeds 1, 2, 3
+  };
+  const auto kpartition = [](GroupId k) {
+    return std::make_shared<const core::KPartitionProtocol>(k);
+  };
+  const std::vector<Case> cases = {
+      {kpartition(2), 50, false,
+       {{{1269, 310, 0xf1228cc99dab1c55ULL},
+         {3790, 482, 0xf1228cc99dab1c55ULL},
+         {3940, 448, 0xf1228cc99dab1c55ULL}}}},
+      {kpartition(3), 61, false,
+       {{{5779, 476, 0x2672b16d4be5b3f0ULL},
+         {1267, 291, 0x2672b16d4be5b3f0ULL},
+         {598, 160, 0x4846d585bd9a9e60ULL}}}},
+      {kpartition(6), 200, false,
+       {{{175322, 8670, 0xe2c9c3fa3b375c37ULL},
+         {205676, 10533, 0xe2c9c3fa3b375c37ULL},
+         {149880, 7501, 0xe2c9c3fa3b375c37ULL}}}},
+      {kpartition(16), 400, false,
+       {{{42975567, 1281596, 0xf1388782ec8fcf05ULL},
+         {23539421, 767488, 0xf1388782ec8fcf05ULL},
+         {23501834, 1015545, 0xf1388782ec8fcf05ULL}}}},
+      {std::make_shared<const core::WeakKPartitionProtocol>(4), 120, true,
+       {{{37304, 282, 0x256b72687602b577ULL},
+         {21796, 276, 0x256b72687602b577ULL},
+         {26535, 259, 0x256b72687602b577ULL}}}},
+      // (L, L) -> (L, F): an effective diagonal pair, weighted c_L - 1.
+      {std::make_shared<const protocols::LeaderElectionProtocol>(), 300, true,
+       {{{113932, 299, 0x6193997a05da7914ULL},
+         {49232, 299, 0x6193997a05da7914ULL},
+         {131918, 299, 0x6193997a05da7914ULL}}}},
+  };
+  for (const Case& c : cases) {
+    const TransitionTable table(*c.protocol);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      std::unique_ptr<StabilityOracle> oracle;
+      if (c.silence) {
+        oracle = std::make_unique<SilenceOracle>(table);
+      } else {
+        oracle = core::stable_pattern_oracle(
+            static_cast<const core::KPartitionProtocol&>(*c.protocol), c.n);
+      }
+      Counts initial(c.protocol->num_states(), 0);
+      initial[c.protocol->initial_state()] = c.n;
+      JumpSimulator sim(table, std::move(initial), seed);
+      const SimResult result = sim.run(*oracle);
+      const std::string where =
+          c.protocol->name() + " seed " + std::to_string(seed);
+      EXPECT_TRUE(result.stabilized) << where;
+      expect_golden({result.interactions, result.effective,
+                     fnv1a_counts(sim.counts())},
+                    c.want[seed - 1], where);
+    }
+  }
+}
+
+TEST(JumpGolden, BudgetTruncatedChunksArePinned) {
+  // n = 49 = 1 (mod 3) never goes silent, so every grant ends inside a
+  // truncated null run or on an effective pair; the pin covers the
+  // truncation path's RNG use as well.
+  const core::KPartitionProtocol protocol(3);
+  const TransitionTable table(protocol);
+  Counts initial(protocol.num_states(), 0);
+  initial[protocol.initial_state()] = 49;
+  JumpSimulator sim(table, std::move(initial), 5);
+  NeverStableOracle oracle;
+  oracle.reset(sim.counts());
+  std::uint64_t effective = 0;
+  for (const std::uint64_t grant : {1ULL, 7ULL, 250ULL, 3'000ULL, 40'000ULL}) {
+    effective += sim.resume(oracle, grant).effective;
+  }
+  expect_golden({sim.interactions(), effective, fnv1a_counts(sim.counts())},
+                {43258, 2067, 0x483b58570ba818f4ULL}, "chunked");
 }
 
 TEST(TraceRecorder, RecordsHumanReadableEvents) {

@@ -337,12 +337,14 @@ TEST(ServeServer, V2TaggedExactCacheEntryIsAMissAndGetsRetagged) {
       "\"expected_interactions\": 17.5}");
 }
 
-TEST(ServeServer, UntaggedSimCacheEntryIsAMissAndGetsRetagged) {
-  // A simulate entry written before sim_schema existed may hold trials of
-  // another engine (kAuto's mapping moved): it must be recomputed, not
-  // replayed, and the recomputation overwrites it with a tagged frame.
+/// Stores a simulate result, rewrites its cache entry with `stale_tag` in
+/// place of the current sim_schema member (an empty string drops the
+/// member), and checks that the next submission recomputes the frame and
+/// re-tags the entry, so the submission after that hits.
+void expect_stale_sim_entry_is_recomputed(const char* dir_name,
+                                          const std::string& stale_tag) {
   ServiceOptions options;
-  options.state_dir = temp_dir("sim_mig");
+  options.state_dir = temp_dir(dir_name);
   ScenarioService service(options);
   FrameLog log;
 
@@ -360,15 +362,15 @@ TEST(ServeServer, UntaggedSimCacheEntryIsAMissAndGetsRetagged) {
   const std::size_t at = results[0].find(tag);
   ASSERT_NE(at, std::string::npos);
 
-  // The same frame as an untagged (pre-tag) daemon would have stored it.
+  // The same frame as an older daemon would have stored it.
   const std::string entry =
       service.cache().entry_path(scenario_hash_hex(spec), spec.seed);
   ASSERT_TRUE(file_exists(entry));
-  std::string untagged = results[0];
-  untagged.erase(at, tag.size());
+  std::string stale = results[0];
+  stale.replace(at, tag.size(), stale_tag);
   {
     std::ofstream out(entry, std::ios::trunc);
-    out << untagged << "\n";
+    out << stale << "\n";
   }
   EXPECT_TRUE(service.handle_line(submit_line("s2", spec), log.emit()));
   const std::vector<std::string> second = log.take();
@@ -385,6 +387,21 @@ TEST(ServeServer, UntaggedSimCacheEntryIsAMissAndGetsRetagged) {
   ASSERT_EQ(third.size(), 2u);
   EXPECT_NE(third[0].find("\"cached\": true"), std::string::npos);
   EXPECT_EQ(third[1], results[0]);
+}
+
+TEST(ServeServer, UntaggedSimCacheEntryIsAMissAndGetsRetagged) {
+  // A simulate entry written before sim_schema existed may hold trials of
+  // another engine (kAuto's mapping moved): it must be recomputed, not
+  // replayed, and the recomputation overwrites it with a tagged frame.
+  expect_stale_sim_entry_is_recomputed("sim_mig", "");
+}
+
+TEST(ServeServer, V2TaggedSimCacheEntryIsAMissAndGetsRetagged) {
+  // The v2 daemon ran 320 <= n < 512 on the agent engine; kAuto now
+  // sends those sizes to jump, so a v2 frame holds other trials.
+  ASSERT_NE(kSimResultSchema, "ppkd-sim-v2");
+  expect_stale_sim_entry_is_recomputed(
+      "sim_mig_v2", "\"sim_schema\": \"ppkd-sim-v2\",");
 }
 
 TEST(ServeServer, StaleCheckpointIsDiscardedAndTheJobRunsFresh) {
