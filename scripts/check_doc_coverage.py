@@ -40,6 +40,8 @@ DEFAULT_TARGETS = sorted((REPO / "src" / "obs").glob("*.hpp")) + [
     REPO / "src" / "core" / "campaign.hpp",
     # The engine factory and trial loop every driver shares.
     REPO / "src" / "pp" / "trial.hpp",
+    # The run()/resume() loop every engine but the churn engine shares.
+    REPO / "src" / "pp" / "engine_loop.hpp",
     # The fairness-policy axis and the protocol families riding on it.
     REPO / "src" / "pp" / "fairness.hpp",
     REPO / "src" / "pp" / "adversarial.hpp",

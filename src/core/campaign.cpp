@@ -483,11 +483,10 @@ void run_trial(Shared& s, const pp::Protocol* protocol,
     auto oracle = make_oracle();
     PPK_ASSERT(oracle != nullptr);
     const pp::TrialLimits limits{budget, o.chunk_interactions,
-                                 o.trial_deadline_seconds};
+                                 o.mc.wall_clock_limit_seconds};
     const pp::TrialEnd end = pp::with_engine(
-        protocol, table, initial, o.mc, seed,
-        o.collect_metrics ? &trial_metrics : nullptr, &out.result.watch_marks,
-        [&](auto& sim) {
+        protocol, table, initial, o.mc, seed, &trial_metrics,
+        &out.result.watch_marks, [&](auto& sim) {
           std::uint64_t consumed = 0;
           if (start) {
             sim.restore(start->snapshot);
@@ -501,8 +500,7 @@ void run_trial(Shared& s, const pp::Protocol* protocol,
                 return at_boundary(
                     s, InFlightTrial{idx, attempt, at, out.result.interactions,
                                      out.result.effective, sim.snapshot(),
-                                     oracle->save_state(),
-                                     pp::engine_counts(sim),
+                                     oracle->save_state(), sim.counts(),
                                      out.result.watch_marks, trial_metrics});
               });
         });
@@ -541,10 +539,8 @@ void run_trial(Shared& s, const pp::Protocol* protocol,
   if (out.censored) return;  // the in-flight capture stays resumable
   s.done[idx] = 1;
   s.inflight.erase(idx);
-  if (o.collect_metrics) {
-    stamp_outcome(trial_metrics, out);
-    s.merged.merge(trial_metrics);
-  }
+  stamp_outcome(trial_metrics, out);
+  s.merged.merge(trial_metrics);
   maybe_checkpoint_locked(s);
 }
 
@@ -570,8 +566,7 @@ std::string campaign_fingerprint(const pp::Counts& initial,
       << (options.mc.watch_state ? static_cast<int>(*options.mc.watch_state)
                                  : -1)
       << " chunk=" << options.chunk_interactions
-      << " retries=" << options.max_retries
-      << " metrics=" << (options.collect_metrics ? 1 : 0);
+      << " retries=" << options.max_retries;
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%.17g", options.retry_backoff);
   out << " backoff=" << buffer;
@@ -666,7 +661,6 @@ CampaignResult run_campaign_impl(const pp::Protocol* protocol,
                                  const CampaignOptions& options) {
   PPK_EXPECTS(options.mc.trials > 0);
   PPK_EXPECTS(options.mc.metrics == nullptr);
-  PPK_EXPECTS(!options.mc.wall_clock_limit_seconds);
   PPK_EXPECTS(options.chunk_interactions >= 1);
   PPK_EXPECTS(options.checkpoint_every_chunks >= 1);
   PPK_EXPECTS(options.max_retries == 0 || options.retry_backoff >= 1.0);

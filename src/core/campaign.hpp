@@ -62,10 +62,12 @@ struct CampaignTrial;
 /// checkpointing and supervision knobs.
 struct CampaignOptions {
   /// Base trial configuration (trials, seed, budget, engine, threads,
-  /// watch state, topology).  Two fields are owned by the campaign and
-  /// must stay at their defaults: `metrics` (the campaign manages
-  /// per-trial registries; see CampaignResult::metrics) and
-  /// `wall_clock_limit_seconds` (superseded by trial_deadline_seconds).
+  /// watch state, topology).  `metrics` is owned by the campaign and must
+  /// stay null (the campaign manages per-trial registries; see
+  /// CampaignResult::metrics).  `wall_clock_limit_seconds` is the
+  /// per-attempt deadline, read at chunk boundaries: an attempt past it
+  /// stops with a timed_out verdict (no retry: the wall clock, unlike the
+  /// interaction budget, does not back off).
   pp::MonteCarloOptions mc;
 
   /// Checkpoint file path; empty disables checkpointing.  run() resumes
@@ -90,11 +92,6 @@ struct CampaignOptions {
   /// mc.max_interactions * retry_backoff^r, saturating at UINT64_MAX).
   double retry_backoff = 2.0;
 
-  /// Per-attempt wall-clock deadline, checked at chunk boundaries.  An
-  /// attempt past it stops with a timed_out verdict (no retry: the wall
-  /// clock, unlike the interaction budget, does not back off).
-  std::optional<double> trial_deadline_seconds;
-
   /// Campaign-wide wall-clock deadline, checked at chunk boundaries.
   /// Past it, in-flight trials are captured and censored, pending trials
   /// never start, and run() returns with complete = false; the final
@@ -105,10 +102,6 @@ struct CampaignOptions {
   /// becomes true the campaign winds down exactly as if the campaign
   /// deadline had passed.
   const std::atomic<bool>* stop = nullptr;
-
-  /// Collect per-trial observability metrics into CampaignResult::metrics
-  /// (and into checkpoints).  Off, trials run without a sink attached.
-  bool collect_metrics = true;
 
   /// Stable name for the topology behind `mc.graph`, folded into the
   /// configuration fingerprint (e.g. "ring", "erdos-renyi:p=0.1").  The

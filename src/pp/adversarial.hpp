@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "obs/sink.hpp"
+#include "pp/engine_loop.hpp"
 #include "pp/fairness.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/population.hpp"
@@ -54,7 +55,7 @@ namespace ppk::pp {
 
 /// Agent-scheduling engine realizing every FairnessPolicy, optionally
 /// restricted to an interaction topology.
-class AdversarialSimulator {
+class AdversarialSimulator : public EngineLoop<AdversarialSimulator> {
  public:
   /// Full-axis constructor.  `topology` (optional) must outlive the
   /// simulator; nullptr schedules on the complete graph.
@@ -124,29 +125,11 @@ class AdversarialSimulator {
     return true;
   }
 
-  /// Runs until the oracle reports stability or `max_interactions` pairs
-  /// have been drawn.  The oracle is reset from the current configuration.
-  SimResult run(StabilityOracle& oracle,
-                std::uint64_t max_interactions = UINT64_MAX) {
-    oracle.reset(population_.counts());
-    return resume(oracle, max_interactions);
-  }
-
-  /// Like run(), but does NOT reset the oracle: continues a run split into
-  /// budget chunks (e.g. for wall-clock checks) without discarding oracle
-  /// progress such as a QuiescenceOracle lull spanning the chunk boundary.
-  SimResult resume(StabilityOracle& oracle,
-                   std::uint64_t max_interactions = UINT64_MAX) {
-    SimResult result;
-    const std::uint64_t start = interactions_;
-    const std::uint64_t start_effective = effective_;
-    while (!oracle.stable() && interactions_ - start < max_interactions) {
-      step(oracle);
-    }
-    result.interactions = interactions_ - start;
-    result.effective = effective_ - start_effective;
-    result.stabilized = oracle.stable();
-    return result;
+  /// One scheduled pair for the shared run()/resume() loop
+  /// (pp/engine_loop.hpp).  This engine does not detect silence, so it
+  /// always draws.
+  Advance advance(StabilityOracle& oracle, std::uint64_t /*budget*/) {
+    return {1, step(oracle)};
   }
 
   /// Serializable mid-run state: per-agent states, RNG position,
@@ -194,6 +177,11 @@ class AdversarialSimulator {
   /// Current per-agent configuration.
   [[nodiscard]] const Population& population() const noexcept {
     return population_;
+  }
+
+  /// Current state counts (what run() resets the oracle from).
+  [[nodiscard]] const Counts& counts() const noexcept {
+    return population_.counts();
   }
 
   /// The fairness spec the engine was constructed with.
@@ -273,8 +261,6 @@ class AdversarialSimulator {
   std::vector<std::uint32_t> round_;  // unscheduled ordered pairs this round
   Xoshiro256 rng_;
   obs::ObsSink* obs_ = nullptr;
-  std::uint64_t interactions_ = 0;
-  std::uint64_t effective_ = 0;
 };
 
 }  // namespace ppk::pp

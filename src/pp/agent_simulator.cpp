@@ -37,30 +37,6 @@ bool AgentSimulator::step(StabilityOracle& oracle) {
   return effective;
 }
 
-SimResult AgentSimulator::run(StabilityOracle& oracle,
-                              std::uint64_t max_interactions) {
-  oracle.reset(population_.counts());
-  return resume(oracle, max_interactions);
-}
-
-SimResult AgentSimulator::resume(StabilityOracle& oracle,
-                                 std::uint64_t max_interactions) {
-  SimResult result;
-  const std::uint64_t start = interactions_;
-  const std::uint64_t start_effective = effective_;
-  // A null draw makes no oracle callback, so it cannot change the verdict
-  // (StabilityOracle's contract): query once up front and then only after
-  // effective draws.  At the paper's sizes nearly every draw is null.
-  bool stable = oracle.stable();
-  while (!stable && interactions_ - start < max_interactions) {
-    if (step(oracle)) stable = oracle.stable();
-  }
-  result.interactions = interactions_ - start;
-  result.effective = effective_ - start_effective;
-  result.stabilized = stable;
-  return result;
-}
-
 Snapshot AgentSimulator::snapshot() const {
   SnapshotWriter w("agent");
   w.rng(rng_);
@@ -93,5 +69,7 @@ std::uint64_t AgentSimulator::replay(
   }
   return effective_count;
 }
+
+template class EngineLoop<AgentSimulator>;
 
 }  // namespace ppk::pp

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "pp/engine_loop.hpp"
 #include "pp/population.hpp"
 #include "pp/sim_result.hpp"
 #include "pp/snapshot.hpp"
@@ -25,7 +26,7 @@ class ObsSink;
 
 namespace ppk::pp {
 
-class AgentSimulator {
+class AgentSimulator : public EngineLoop<AgentSimulator> {
  public:
   AgentSimulator(const TransitionTable& table, Population population,
                  std::uint64_t seed)
@@ -47,16 +48,11 @@ class AgentSimulator {
   /// Draws one pair and applies the rule.  Returns true iff effective.
   bool step(StabilityOracle& oracle);
 
-  /// Runs until the oracle reports stability or `max_interactions` pairs
-  /// have been drawn.  The oracle is reset from the current configuration.
-  SimResult run(StabilityOracle& oracle,
-                std::uint64_t max_interactions = UINT64_MAX);
-
-  /// Like run(), but does NOT reset the oracle: continues a run split into
-  /// budget chunks (e.g. for wall-clock checks) without discarding oracle
-  /// progress such as a QuiescenceOracle lull spanning the chunk boundary.
-  SimResult resume(StabilityOracle& oracle,
-                   std::uint64_t max_interactions = UINT64_MAX);
+  /// One draw for the shared run()/resume() loop (pp/engine_loop.hpp).
+  /// This engine does not detect silence, so it always draws.
+  Advance advance(StabilityOracle& oracle, std::uint64_t /*budget*/) {
+    return {1, step(oracle)};
+  }
 
   /// Applies an explicit interaction schedule (pairs of agent indices);
   /// used for trace replay and engine cross-validation.  Returns the number
@@ -77,8 +73,9 @@ class AgentSimulator {
     return population_;
   }
 
-  [[nodiscard]] std::uint64_t interactions() const noexcept {
-    return interactions_;
+  /// Current state counts (what run() resets the oracle from).
+  [[nodiscard]] const Counts& counts() const noexcept {
+    return population_.counts();
   }
 
  private:
@@ -90,8 +87,8 @@ class AgentSimulator {
   Xoshiro256 rng_;
   std::function<void(const SimEvent&)> observer_;
   obs::ObsSink* obs_ = nullptr;
-  std::uint64_t interactions_ = 0;
-  std::uint64_t effective_ = 0;
 };
+
+extern template class EngineLoop<AgentSimulator>;
 
 }  // namespace ppk::pp

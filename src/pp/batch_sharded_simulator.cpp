@@ -30,7 +30,6 @@ BatchShardedSimulator::BatchShardedSimulator(const TransitionTable& table,
   n_ = 0;
   for (auto c : counts_) n_ += c;
   PPK_EXPECTS(n_ >= 2);
-  sqrt_n_ = std::sqrt(static_cast<double>(n_));
   log_fact_ = LogFact(n_);
   threads_ = threads == 0 ? std::max<std::size_t>(
                                 1, std::thread::hardware_concurrency())
@@ -93,7 +92,7 @@ std::uint64_t BatchShardedSimulator::effective_weight() const {
 }
 
 bool BatchShardedSimulator::step(StabilityOracle& oracle) {
-  return advance(oracle, UINT64_MAX) > 0;
+  return advance(oracle, UINT64_MAX).interactions > 0;
 }
 
 Snapshot BatchShardedSimulator::snapshot() const {
@@ -122,52 +121,14 @@ void BatchShardedSimulator::restore(const Snapshot& snap) {
   sync_soa_counts();
 }
 
-SimResult BatchShardedSimulator::run(StabilityOracle& oracle,
-                                     std::uint64_t max_interactions) {
-  oracle.reset(counts_);
-  return resume(oracle, max_interactions);
-}
-
-SimResult BatchShardedSimulator::resume(StabilityOracle& oracle,
-                                        std::uint64_t max_interactions) {
-  SimResult result;
-  const std::uint64_t start = interactions_;
-  const std::uint64_t start_effective = effective_;
-  while (!oracle.stable() && interactions_ - start < max_interactions) {
-    const std::uint64_t remaining = max_interactions - (interactions_ - start);
-    if (advance(oracle, remaining) == 0) break;  // silent, oracle unsatisfied
-  }
-  result.interactions = interactions_ - start;
-  result.effective = effective_ - start_effective;
-  result.stabilized = oracle.stable();
-  return result;
-}
-
-std::uint64_t BatchShardedSimulator::advance(StabilityOracle& oracle,
-                                             std::uint64_t budget) {
+Advance BatchShardedSimulator::advance(StabilityOracle& oracle,
+                                       std::uint64_t budget) {
   const std::uint64_t weight = effective_weight();
-  if (weight == 0) return 0;  // silent configuration
-  bool use_batch = false;
-  switch (mode_) {
-    case BatchMode::kForceBatch:
-      use_batch = true;
-      break;
-    case BatchMode::kForceThin:
-      use_batch = false;
-      break;
-    case BatchMode::kAuto: {
-      // Same crossover as the batch engine (see batch_simulator.cpp): one
-      // thin advance outruns a whole batch once p_eff * sqrt(n) drops
-      // below the measured batch/thin cost ratio.
-      constexpr double kThinCrossover = 8.0;
-      use_batch = static_cast<double>(weight) * sqrt_n_ >=
-                  kThinCrossover * static_cast<double>(n_) *
-                      static_cast<double>(n_ - 1);
-      break;
-    }
+  if (weight == 0) return {};  // silent configuration
+  if (use_batch_regime(mode_, weight, n_)) {
+    return {batch_advance(oracle, budget), true};  // one on_batch callback
   }
-  return use_batch ? batch_advance(oracle, budget)
-                   : thin_advance(oracle, budget, weight);
+  return thin_advance(oracle, budget, weight);
 }
 
 void BatchShardedSimulator::apply_pair(StateId p, StateId q) {
@@ -183,9 +144,9 @@ void BatchShardedSimulator::apply_pair(StateId p, StateId q) {
   ++effective_;
 }
 
-std::uint64_t BatchShardedSimulator::thin_advance(StabilityOracle& oracle,
-                                                  std::uint64_t budget,
-                                                  std::uint64_t weight) {
+Advance BatchShardedSimulator::thin_advance(StabilityOracle& oracle,
+                                            std::uint64_t budget,
+                                            std::uint64_t weight) {
   const double p_eff =
       static_cast<double>(weight) /
       (static_cast<double>(n_) * static_cast<double>(n_ - 1));
@@ -194,7 +155,7 @@ std::uint64_t BatchShardedSimulator::thin_advance(StabilityOracle& oracle,
     interactions_ += budget;
     PPK_OBS_HOOK(obs_, on_skip(counts_, interactions_, budget,
                                obs::AdvanceKind::kThin));
-    return budget;
+    return {budget, false};
   }
   interactions_ += nulls + 1;
   if (nulls > 0) {
@@ -216,7 +177,7 @@ std::uint64_t BatchShardedSimulator::thin_advance(StabilityOracle& oracle,
   oracle.on_transition(p, q, t.initiator, t.responder);
   PPK_OBS_HOOK(obs_,
                on_apply(counts_, interactions_, obs::AdvanceKind::kThin));
-  return nulls + 1;
+  return {nulls + 1, true};
 }
 
 std::uint64_t BatchShardedSimulator::sample_run_length() {
@@ -431,5 +392,7 @@ std::uint64_t BatchShardedSimulator::batch_advance(StabilityOracle& oracle,
                                 batch_effective, obs::AdvanceKind::kBatch));
   return advanced;
 }
+
+template class EngineLoop<BatchShardedSimulator>;
 
 }  // namespace ppk::pp

@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "pp/batch_simulator.hpp"
+#include "pp/engine_loop.hpp"
 #include "pp/population.hpp"
 #include "pp/sim_result.hpp"
 #include "pp/snapshot.hpp"
@@ -75,7 +76,7 @@ class ObsSink;
 
 namespace ppk::pp {
 
-class BatchShardedSimulator {
+class BatchShardedSimulator : public EngineLoop<BatchShardedSimulator> {
  public:
   /// Fixed shard count: the matching decomposition always uses this many
   /// responder splits, so trajectories do not depend on the worker-thread
@@ -91,19 +92,14 @@ class BatchShardedSimulator {
   BatchShardedSimulator(const BatchShardedSimulator&) = delete;
   BatchShardedSimulator& operator=(const BatchShardedSimulator&) = delete;
 
-  /// One bounded advance (batch + collision, or one thin draw).  False iff
-  /// the configuration is silent.
+  /// One unbounded advance().  False iff the configuration is silent.
   bool step(StabilityOracle& oracle);
 
-  /// As BatchSimulator::run: oracle reset + resume.
-  SimResult run(StabilityOracle& oracle,
-                std::uint64_t max_interactions = UINT64_MAX);
-
-  /// As BatchSimulator::resume: continues without resetting the oracle;
-  /// budgets are exact (truncated batches condition only on the draws
-  /// actually used).
-  SimResult resume(StabilityOracle& oracle,
-                   std::uint64_t max_interactions = UINT64_MAX);
+  /// As BatchSimulator::advance: one bounded advance (batch + collision,
+  /// or one thin draw) for the shared run()/resume() loop
+  /// (pp/engine_loop.hpp); budgets are exact (truncated batches condition
+  /// only on the draws actually used).  Advances 0 iff silent.
+  Advance advance(StabilityOracle& oracle, std::uint64_t budget);
 
   void set_batch_mode(BatchMode mode) noexcept { mode_ = mode; }
 
@@ -129,9 +125,6 @@ class BatchShardedSimulator {
   [[nodiscard]] BatchMode batch_mode() const noexcept { return mode_; }
   [[nodiscard]] const Counts& counts() const noexcept { return counts_; }
   [[nodiscard]] std::uint64_t population_size() const noexcept { return n_; }
-  [[nodiscard]] std::uint64_t interactions() const noexcept {
-    return interactions_;
-  }
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
   /// Exact total weight of effective ordered pairs; 0 iff silent.
@@ -152,10 +145,9 @@ class BatchShardedSimulator {
     AlignedVector<std::uint32_t> touched;  // touched counts (d_padded)
   };
 
-  std::uint64_t advance(StabilityOracle& oracle, std::uint64_t budget);
   std::uint64_t batch_advance(StabilityOracle& oracle, std::uint64_t budget);
-  std::uint64_t thin_advance(StabilityOracle& oracle, std::uint64_t budget,
-                             std::uint64_t weight);
+  Advance thin_advance(StabilityOracle& oracle, std::uint64_t budget,
+                       std::uint64_t weight);
   std::uint64_t sample_run_length();
   void run_shard(Shard& shard);
   void apply_pair(StateId p, StateId q);
@@ -165,11 +157,8 @@ class BatchShardedSimulator {
   Counts counts_;
   Xoshiro256 rng_;
   std::uint64_t n_ = 0;
-  std::uint64_t interactions_ = 0;
-  std::uint64_t effective_ = 0;
   BatchMode mode_ = BatchMode::kAuto;
   obs::ObsSink* obs_ = nullptr;
-  double sqrt_n_ = 0.0;
   LogFact log_fact_;
 
   std::size_t d_padded_ = 0;  // states + zero sentinel, rounded up to 8
@@ -194,5 +183,7 @@ class BatchShardedSimulator {
   std::uint64_t parallel_grain_ = 1ULL << 14;
   std::unique_ptr<ThreadPool> pool_;  // lazily created on first dispatch
 };
+
+extern template class EngineLoop<BatchShardedSimulator>;
 
 }  // namespace ppk::pp

@@ -15,7 +15,6 @@ BatchSimulator::BatchSimulator(const TransitionTable& table, Counts initial,
   n_ = 0;
   for (auto c : counts_) n_ += c;
   PPK_EXPECTS(n_ >= 2);
-  sqrt_n_ = std::sqrt(static_cast<double>(n_));
 
   const StateId num_states = table.num_states();
   for (StateId p = 0; p < num_states; ++p) {
@@ -42,8 +41,24 @@ std::uint64_t BatchSimulator::effective_weight() const {
   return weight;
 }
 
+bool use_batch_regime(BatchMode mode, std::uint64_t weight,
+                      std::uint64_t n) {
+  switch (mode) {
+    case BatchMode::kForceBatch:
+      return true;
+    case BatchMode::kForceThin:
+      return false;
+    case BatchMode::kAuto:
+      break;
+  }
+  constexpr double kThinCrossover = 8.0;
+  return static_cast<double>(weight) * std::sqrt(static_cast<double>(n)) >=
+         kThinCrossover * static_cast<double>(n) *
+             static_cast<double>(n - 1);
+}
+
 bool BatchSimulator::step(StabilityOracle& oracle) {
-  return advance(oracle, UINT64_MAX) > 0;
+  return advance(oracle, UINT64_MAX).interactions > 0;
 }
 
 Snapshot BatchSimulator::snapshot() const {
@@ -73,53 +88,14 @@ void BatchSimulator::restore(const Snapshot& snap) {
   mode_ = static_cast<BatchMode>(mode);
 }
 
-SimResult BatchSimulator::run(StabilityOracle& oracle,
-                              std::uint64_t max_interactions) {
-  oracle.reset(counts_);
-  return resume(oracle, max_interactions);
-}
-
-SimResult BatchSimulator::resume(StabilityOracle& oracle,
-                                 std::uint64_t max_interactions) {
-  SimResult result;
-  const std::uint64_t start = interactions_;
-  const std::uint64_t start_effective = effective_;
-  while (!oracle.stable() && interactions_ - start < max_interactions) {
-    const std::uint64_t remaining = max_interactions - (interactions_ - start);
-    if (advance(oracle, remaining) == 0) break;  // silent, oracle unsatisfied
-  }
-  result.interactions = interactions_ - start;
-  result.effective = effective_ - start_effective;
-  result.stabilized = oracle.stable();
-  return result;
-}
-
-std::uint64_t BatchSimulator::advance(StabilityOracle& oracle,
-                                      std::uint64_t budget) {
+Advance BatchSimulator::advance(StabilityOracle& oracle,
+                                std::uint64_t budget) {
   const std::uint64_t weight = effective_weight();
-  if (weight == 0) return 0;  // silent configuration
-  bool use_batch = false;
-  switch (mode_) {
-    case BatchMode::kForceBatch:
-      use_batch = true;
-      break;
-    case BatchMode::kForceThin:
-      use_batch = false;
-      break;
-    case BatchMode::kAuto: {
-      // Crossover where one thin advance (expected 1/p_eff interactions
-      // for one cell scan) outruns a whole collision-free batch
-      // (~sqrt(n)/2 interactions for dozens of hypergeometric draws); the
-      // constant is the measured cost ratio batch/thin per advance.
-      constexpr double kThinCrossover = 8.0;
-      use_batch = static_cast<double>(weight) * sqrt_n_ >=
-                  kThinCrossover * static_cast<double>(n_) *
-                      static_cast<double>(n_ - 1);
-      break;
-    }
+  if (weight == 0) return {};  // silent configuration
+  if (use_batch_regime(mode_, weight, n_)) {
+    return {batch_advance(oracle, budget), true};  // one on_batch callback
   }
-  return use_batch ? batch_advance(oracle, budget)
-                   : thin_advance(oracle, budget, weight);
+  return thin_advance(oracle, budget, weight);
 }
 
 void BatchSimulator::apply_pair(StateId p, StateId q) {
@@ -131,9 +107,9 @@ void BatchSimulator::apply_pair(StateId p, StateId q) {
   ++effective_;
 }
 
-std::uint64_t BatchSimulator::thin_advance(StabilityOracle& oracle,
-                                           std::uint64_t budget,
-                                           std::uint64_t weight) {
+Advance BatchSimulator::thin_advance(StabilityOracle& oracle,
+                                     std::uint64_t budget,
+                                     std::uint64_t weight) {
   const double p_eff =
       static_cast<double>(weight) /
       (static_cast<double>(n_) * static_cast<double>(n_ - 1));
@@ -144,7 +120,7 @@ std::uint64_t BatchSimulator::thin_advance(StabilityOracle& oracle,
     interactions_ += budget;
     PPK_OBS_HOOK(obs_, on_skip(counts_, interactions_, budget,
                                obs::AdvanceKind::kThin));
-    return budget;
+    return {budget, false};
   }
   interactions_ += nulls + 1;
   // Counts are untouched during the null run; report it before the pair is
@@ -175,7 +151,7 @@ std::uint64_t BatchSimulator::thin_advance(StabilityOracle& oracle,
   oracle.on_transition(p, q, t.initiator, t.responder);
   PPK_OBS_HOOK(obs_,
                on_apply(counts_, interactions_, obs::AdvanceKind::kThin));
-  return nulls + 1;
+  return {nulls + 1, true};
 }
 
 std::uint64_t BatchSimulator::sample_run_length() {
@@ -335,5 +311,7 @@ std::uint64_t BatchSimulator::batch_advance(StabilityOracle& oracle,
                                 batch_effective, obs::AdvanceKind::kBatch));
   return advanced;
 }
+
+template class EngineLoop<BatchSimulator>;
 
 }  // namespace ppk::pp

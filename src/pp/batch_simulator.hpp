@@ -49,9 +49,9 @@
 // are null.  There the engine switches to a thin regime -- the jump
 // engine's trick: skip the geometric(p_eff) null run in O(1), draw one
 // effective pair with exact integer weights.  kAuto picks per advance:
-// batch while p_eff * sqrt(n) >= 1, thin below (the crossover where a
-// single geometric skip outruns a whole batch).  Tests pin either regime
-// via set_batch_mode().
+// batch while p_eff * sqrt(n) >= 8, thin below (the crossover where a
+// single geometric skip outruns a whole batch; see use_batch_regime()).
+// Tests pin either regime via set_batch_mode().
 //
 // Oracles see batches through StabilityOracle::on_batch (endpoints only;
 // see stability.hpp for why that is exact for configuration-function
@@ -64,6 +64,7 @@
 #include <memory>
 #include <vector>
 
+#include "pp/engine_loop.hpp"
 #include "pp/population.hpp"
 #include "pp/sim_result.hpp"
 #include "pp/snapshot.hpp"
@@ -85,32 +86,35 @@ enum class BatchMode {
   kForceThin,   ///< always the geometric-skip pairwise path
 };
 
-class BatchSimulator {
+/// The regime rule both batch engines apply once per advance: true for a
+/// collision-free batch, false for one thin-regime draw.  kAuto batches
+/// while p_eff * sqrt(n) >= 8, with p_eff = weight / (n (n - 1)): below
+/// that, one thin advance (expected 1/p_eff interactions for one cell
+/// scan) outruns a whole batch (~sqrt(n)/2 interactions for dozens of
+/// hypergeometric draws), and 8 is their measured cost ratio per advance.
+[[nodiscard]] bool use_batch_regime(BatchMode mode, std::uint64_t weight,
+                                    std::uint64_t n);
+
+class BatchSimulator : public EngineLoop<BatchSimulator> {
  public:
   BatchSimulator(const TransitionTable& table, Counts initial,
                  std::uint64_t seed);
 
-  /// One bounded advance: a collision-free batch (plus its collision
-  /// interaction) or one thin-regime effective draw, per the mode.  Returns
-  /// false iff the configuration is silent (nothing can advance).
+  /// One unbounded advance().  Returns false iff the configuration is
+  /// silent (nothing can advance).
   bool step(StabilityOracle& oracle);
 
-  /// Runs until the oracle reports stability, the interaction budget is
-  /// exhausted, or the configuration goes silent without satisfying the
-  /// oracle (stabilized = false).  The budget is exact: batches truncate at
-  /// the boundary (conditioning only on collision-freeness of the draws
-  /// actually used) and thin-regime null skips clamp like the jump engine.
-  /// The oracle is reset from the current counts.
-  SimResult run(StabilityOracle& oracle,
-                std::uint64_t max_interactions = UINT64_MAX);
-
-  /// Like run(), but does NOT reset the oracle: continues a run split into
-  /// budget chunks without discarding oracle progress.  Note that because
-  /// the oracle observes batch *endpoints*, a stabilization that occurs
-  /// mid-batch is reported at the batch's end -- at most Theta(sqrt(n))
-  /// interactions late against the Theta(n^2) totals being measured.
-  SimResult resume(StabilityOracle& oracle,
-                   std::uint64_t max_interactions = UINT64_MAX);
+  /// One bounded advance for the shared run()/resume() loop
+  /// (pp/engine_loop.hpp): a collision-free batch (plus its collision
+  /// interaction) or one thin-regime effective draw, per the mode.  The
+  /// budget is exact: batches truncate at the boundary (conditioning only
+  /// on collision-freeness of the draws actually used) and thin-regime
+  /// null skips clamp like the jump engine.  Because the oracle observes
+  /// batch *endpoints*, a stabilization that occurs mid-batch is reported
+  /// at the batch's end -- at most Theta(sqrt(n)) interactions late
+  /// against the Theta(n^2) totals being measured.  Advances 0 iff the
+  /// configuration is silent.
+  Advance advance(StabilityOracle& oracle, std::uint64_t budget);
 
   void set_batch_mode(BatchMode mode) noexcept { mode_ = mode; }
 
@@ -139,22 +143,14 @@ class BatchSimulator {
 
   [[nodiscard]] std::uint64_t population_size() const noexcept { return n_; }
 
-  [[nodiscard]] std::uint64_t interactions() const noexcept {
-    return interactions_;
-  }
-
   /// Exact total weight of effective ordered pairs (out of n(n-1)) in the
   /// current configuration; 0 iff silent.
   [[nodiscard]] std::uint64_t effective_weight() const;
 
  private:
-  /// Advances at most `budget` (>= 1) interactions.  Returns the number
-  /// actually advanced; 0 iff the configuration is silent.
-  std::uint64_t advance(StabilityOracle& oracle, std::uint64_t budget);
-
   std::uint64_t batch_advance(StabilityOracle& oracle, std::uint64_t budget);
-  std::uint64_t thin_advance(StabilityOracle& oracle, std::uint64_t budget,
-                             std::uint64_t weight);
+  Advance thin_advance(StabilityOracle& oracle, std::uint64_t budget,
+                       std::uint64_t weight);
 
   /// Samples the birthday run length L (largest l such that the first l
   /// interactions touch 2l distinct agents), capped at floor(n/2).
@@ -181,11 +177,8 @@ class BatchSimulator {
   Counts counts_;
   Xoshiro256 rng_;
   std::uint64_t n_ = 0;
-  std::uint64_t interactions_ = 0;
-  std::uint64_t effective_ = 0;
   BatchMode mode_ = BatchMode::kAuto;
   obs::ObsSink* obs_ = nullptr;
-  double sqrt_n_ = 0.0;
   /// Shared table of log(i!) for i <= n when n is tabulable, else null.
   std::shared_ptr<const std::vector<double>> log_fact_;
 
@@ -200,5 +193,7 @@ class BatchSimulator {
   std::vector<std::uint32_t> touched_;       // post-batch touched counts
   std::vector<std::int64_t> count_delta_;    // batch count deltas
 };
+
+extern template class EngineLoop<BatchSimulator>;
 
 }  // namespace ppk::pp

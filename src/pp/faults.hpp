@@ -159,6 +159,12 @@ class ChurnSimulator {
   /// measures.)  Events scheduled beyond the budget never fire; once the
   /// oracle is stable and only such events remain, the run ends early
   /// instead of idling the rest of the budget away on null draws.
+  ///
+  /// This is the one engine that keeps its own loop instead of the shared
+  /// EngineLoop (pp/engine_loop.hpp): a fault changes the verdict through
+  /// on_external_change without any effective interaction, so the query
+  /// cannot be skipped after a null draw, and the engine keeps drawing
+  /// past stability while scheduled events remain.
   SimResult run(StabilityOracle& oracle, std::uint64_t max_interactions);
 
   /// Like run(), but does NOT reset the oracle: continues a run split into
@@ -214,6 +220,11 @@ class ChurnSimulator {
 
   [[nodiscard]] const Population& population() const noexcept {
     return population_;
+  }
+
+  /// Current state counts (what run() resets the oracle from).
+  [[nodiscard]] const Counts& counts() const noexcept {
+    return population_.counts();
   }
 
   [[nodiscard]] const FaultTrace& trace() const noexcept { return trace_; }

@@ -143,12 +143,12 @@ void GraphJumpSimulator::refresh_incident(std::uint32_t v) {
 }
 
 bool GraphJumpSimulator::step(StabilityOracle& oracle) {
-  return step_within(oracle, UINT64_MAX);
+  return advance(oracle, UINT64_MAX).interactions > 0;
 }
 
-bool GraphJumpSimulator::step_within(StabilityOracle& oracle,
-                                     std::uint64_t budget) {
-  if (live_.empty()) return false;  // dead-silent on this graph (wedged)
+Advance GraphJumpSimulator::advance(StabilityOracle& oracle,
+                                    std::uint64_t budget) {
+  if (live_.empty()) return {};  // dead-silent on this graph (wedged)
 
   if (!has_pending_) {
     // Each drawn pair is effective with probability L / 2m (uniform
@@ -169,7 +169,7 @@ bool GraphJumpSimulator::step_within(StabilityOracle& oracle,
     pending_nulls_ -= budget;
     PPK_OBS_HOOK(obs_, on_skip(population_.counts(), interactions_, budget,
                                obs::AdvanceKind::kJump));
-    return true;
+    return {budget, false};
   }
   const std::uint64_t nulls = pending_nulls_;
   pending_nulls_ = 0;
@@ -206,28 +206,9 @@ bool GraphJumpSimulator::step_within(StabilityOracle& oracle,
   oracle.on_transition(p, q, t.initiator, t.responder);
   PPK_OBS_HOOK(obs_, on_apply(population_.counts(), interactions_,
                               obs::AdvanceKind::kJump));
-  return true;
+  return {nulls + 1, true};
 }
 
-SimResult GraphJumpSimulator::run(StabilityOracle& oracle,
-                                  std::uint64_t max_interactions) {
-  oracle.reset(population_.counts());
-  return resume(oracle, max_interactions);
-}
-
-SimResult GraphJumpSimulator::resume(StabilityOracle& oracle,
-                                     std::uint64_t max_interactions) {
-  SimResult result;
-  const std::uint64_t start = interactions_;
-  const std::uint64_t start_effective = effective_;
-  while (!oracle.stable() && interactions_ - start < max_interactions) {
-    const std::uint64_t remaining = max_interactions - (interactions_ - start);
-    if (!step_within(oracle, remaining)) break;  // wedged, oracle unsatisfied
-  }
-  result.interactions = interactions_ - start;
-  result.effective = effective_ - start_effective;
-  result.stabilized = oracle.stable();
-  return result;
-}
+template class EngineLoop<GraphJumpSimulator>;
 
 }  // namespace ppk::pp

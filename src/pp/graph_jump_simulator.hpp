@@ -52,6 +52,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "pp/engine_loop.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/population.hpp"
 #include "pp/sim_result.hpp"
@@ -66,7 +67,7 @@ class ObsSink;
 
 namespace ppk::pp {
 
-class GraphJumpSimulator {
+class GraphJumpSimulator : public EngineLoop<GraphJumpSimulator> {
  public:
   GraphJumpSimulator(const TransitionTable& table, InteractionGraph graph,
                      Population population, std::uint64_t seed);
@@ -77,21 +78,14 @@ class GraphJumpSimulator {
   /// step again keeps returning false without advancing).
   bool step(StabilityOracle& oracle);
 
-  /// Runs until the oracle reports stability, the interaction budget is
-  /// exhausted, or the live set empties without satisfying the oracle (a
-  /// wedged configuration; stabilized = false with interactions() short of
-  /// the budget).  The budget is exact: `interactions()` never advances
-  /// past it, and a null run truncated at the boundary resumes from its
-  /// remainder on the next grant.  The oracle is reset from the current
-  /// configuration.
-  SimResult run(StabilityOracle& oracle,
-                std::uint64_t max_interactions = UINT64_MAX);
-
-  /// Like run(), but does NOT reset the oracle: continues a run split into
-  /// budget chunks without discarding oracle progress (e.g. a quiescence
-  /// lull spanning the chunk boundary).  Bit-identical to an unchunked run.
-  SimResult resume(StabilityOracle& oracle,
-                   std::uint64_t max_interactions = UINT64_MAX);
+  /// One bounded advance for the shared run()/resume() loop
+  /// (pp/engine_loop.hpp): skips nulls and applies the next effective pair,
+  /// but never moves interactions() forward by more than `budget`.  A null
+  /// run reaching the budget consumes exactly `budget` draws and parks the
+  /// remainder for the next advance, so chunked runs are bit-identical to
+  /// unchunked ones.  Advances 0 iff no directed edge is live (a wedged
+  /// run stops short of its budget).
+  Advance advance(StabilityOracle& oracle, std::uint64_t budget);
 
   /// Records, into `marks`, the interaction index of every increase of
   /// `state`'s count (one entry per unit of increase), exactly as the
@@ -131,8 +125,9 @@ class GraphJumpSimulator {
     return graph_;
   }
 
-  [[nodiscard]] std::uint64_t interactions() const noexcept {
-    return interactions_;
+  /// Current state counts (what run() resets the oracle from).
+  [[nodiscard]] const Counts& counts() const noexcept {
+    return population_.counts();
   }
 
   /// Number of live directed edges (orientations with an effective rule).
@@ -143,13 +138,6 @@ class GraphJumpSimulator {
   }
 
  private:
-  /// One bounded advance: skips nulls and applies the next effective pair,
-  /// but never moves interactions() forward by more than `budget`.  A null
-  /// run reaching the budget consumes exactly `budget` draws and parks the
-  /// remainder in pending_nulls_.  Returns false iff the live set is empty
-  /// (nothing advanced).
-  bool step_within(StabilityOracle& oracle, std::uint64_t budget);
-
   /// Re-derives liveness of both orientations of every edge incident to
   /// agent v from the current states.  Idempotent, so edges incident to
   /// both interaction endpoints may be refreshed twice.
@@ -179,8 +167,6 @@ class GraphJumpSimulator {
   /// pos_[d] = index of directed edge d inside live_, or kNoPos.
   std::vector<std::uint32_t> pos_;
 
-  std::uint64_t interactions_ = 0;
-  std::uint64_t effective_ = 0;
   /// Remainder of a geometric null run truncated at a budget boundary
   /// (valid iff has_pending_); consumed before any new draw so chunking
   /// never touches the RNG stream.
@@ -191,5 +177,7 @@ class GraphJumpSimulator {
   std::vector<std::uint64_t>* watch_marks_ = nullptr;
   obs::ObsSink* obs_ = nullptr;
 };
+
+extern template class EngineLoop<GraphJumpSimulator>;
 
 }  // namespace ppk::pp

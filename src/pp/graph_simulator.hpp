@@ -26,6 +26,7 @@
 #include <cstdint>
 
 #include "obs/sink.hpp"
+#include "pp/engine_loop.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/population.hpp"
 #include "pp/sim_result.hpp"
@@ -36,7 +37,7 @@
 
 namespace ppk::pp {
 
-class GraphSimulator {
+class GraphSimulator : public EngineLoop<GraphSimulator> {
  public:
   GraphSimulator(const TransitionTable& table, InteractionGraph graph,
                  Population population, std::uint64_t seed)
@@ -76,29 +77,10 @@ class GraphSimulator {
     return true;
   }
 
-  /// Runs until the oracle reports stability or `max_interactions` pairs
-  /// have been drawn.  The oracle is reset from the current configuration.
-  SimResult run(StabilityOracle& oracle,
-                std::uint64_t max_interactions = UINT64_MAX) {
-    oracle.reset(population_.counts());
-    return resume(oracle, max_interactions);
-  }
-
-  /// Like run(), but does NOT reset the oracle: continues a run split into
-  /// budget chunks (e.g. for wall-clock checks) without discarding oracle
-  /// progress such as a QuiescenceOracle lull spanning the chunk boundary.
-  SimResult resume(StabilityOracle& oracle,
-                   std::uint64_t max_interactions = UINT64_MAX) {
-    SimResult result;
-    const std::uint64_t start = interactions_;
-    const std::uint64_t start_effective = effective_;
-    while (!oracle.stable() && interactions_ - start < max_interactions) {
-      step(oracle);
-    }
-    result.interactions = interactions_ - start;
-    result.effective = effective_ - start_effective;
-    result.stabilized = oracle.stable();
-    return result;
+  /// One draw for the shared run()/resume() loop (pp/engine_loop.hpp).
+  /// This engine does not detect wedges, so it always draws.
+  Advance advance(StabilityOracle& oracle, std::uint64_t /*budget*/) {
+    return {1, step(oracle)};
   }
 
   /// Serializable mid-run state: per-agent states, RNG position and
@@ -131,6 +113,11 @@ class GraphSimulator {
     return population_;
   }
 
+  /// Current state counts (what run() resets the oracle from).
+  [[nodiscard]] const Counts& counts() const noexcept {
+    return population_.counts();
+  }
+
   [[nodiscard]] const InteractionGraph& graph() const noexcept {
     return graph_;
   }
@@ -141,8 +128,6 @@ class GraphSimulator {
   Population population_;
   Xoshiro256 rng_;
   obs::ObsSink* obs_ = nullptr;
-  std::uint64_t interactions_ = 0;
-  std::uint64_t effective_ = 0;
 };
 
 }  // namespace ppk::pp

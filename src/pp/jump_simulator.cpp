@@ -71,11 +71,11 @@ void JumpSimulator::apply_count_change(StateId state, std::int64_t delta) {
 }
 
 bool JumpSimulator::step(StabilityOracle& oracle) {
-  return step_within(oracle, UINT64_MAX);
+  return advance(oracle, UINT64_MAX).interactions > 0;
 }
 
-bool JumpSimulator::step_within(StabilityOracle& oracle, std::uint64_t budget) {
-  if (total_weight_ == 0) return false;  // silent configuration
+Advance JumpSimulator::advance(StabilityOracle& oracle, std::uint64_t budget) {
+  if (total_weight_ == 0) return {};  // silent configuration
 
   // Skip the geometric run of null interactions.
   const double p_eff = static_cast<double>(total_weight_) /
@@ -86,11 +86,11 @@ bool JumpSimulator::step_within(StabilityOracle& oracle, std::uint64_t budget) {
     // and stop at the boundary without applying a pair.  Memorylessness
     // makes this exact -- the truncated run's first `budget` draws are
     // distributed as `budget` independent null draws, and the next
-    // step_within() call re-samples the wait from scratch.
+    // advance() re-samples the wait from scratch.
     interactions_ += budget;
     PPK_OBS_HOOK(obs_, on_skip(counts_, interactions_, budget,
                                obs::AdvanceKind::kJump));
-    return true;
+    return {budget, false};
   }
   interactions_ += nulls + 1;
   ++effective_;
@@ -157,7 +157,7 @@ bool JumpSimulator::step_within(StabilityOracle& oracle, std::uint64_t budget) {
   oracle.on_transition(p, q, t.initiator, t.responder);
   PPK_OBS_HOOK(obs_,
                on_apply(counts_, interactions_, obs::AdvanceKind::kJump));
-  return true;
+  return {nulls + 1, true};
 }
 
 Snapshot JumpSimulator::snapshot() const {
@@ -184,25 +184,6 @@ void JumpSimulator::restore(const Snapshot& snap) {
   rebuild_weights();
 }
 
-SimResult JumpSimulator::run(StabilityOracle& oracle,
-                             std::uint64_t max_interactions) {
-  oracle.reset(counts_);
-  return resume(oracle, max_interactions);
-}
-
-SimResult JumpSimulator::resume(StabilityOracle& oracle,
-                                std::uint64_t max_interactions) {
-  SimResult result;
-  const std::uint64_t start = interactions_;
-  const std::uint64_t start_effective = effective_;
-  while (!oracle.stable() && interactions_ - start < max_interactions) {
-    const std::uint64_t remaining = max_interactions - (interactions_ - start);
-    if (!step_within(oracle, remaining)) break;  // silent, oracle unsatisfied
-  }
-  result.interactions = interactions_ - start;
-  result.effective = effective_ - start_effective;
-  result.stabilized = oracle.stable();
-  return result;
-}
+template class EngineLoop<JumpSimulator>;
 
 }  // namespace ppk::pp

@@ -57,6 +57,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "pp/engine_loop.hpp"
 #include "pp/population.hpp"
 #include "pp/sim_result.hpp"
 #include "pp/snapshot.hpp"
@@ -70,7 +71,7 @@ class ObsSink;
 
 namespace ppk::pp {
 
-class JumpSimulator {
+class JumpSimulator : public EngineLoop<JumpSimulator> {
  public:
   JumpSimulator(const TransitionTable& table, Counts initial,
                 std::uint64_t seed);
@@ -81,25 +82,15 @@ class JumpSimulator {
   /// step again keeps returning false without advancing).
   bool step(StabilityOracle& oracle);
 
-  /// Runs until the oracle reports stability, the interaction budget is
-  /// exhausted, or the configuration goes silent without satisfying the
-  /// oracle (in which case stabilized = false).  The budget is exact:
-  /// `interactions()` never advances past it.  When a geometric null run
-  /// would carry the counter beyond the budget, the run is truncated at the
-  /// boundary without applying the effective pair -- which is exactly the
-  /// right distribution, because the geometric is memoryless: the first
-  /// `remaining` draws of a longer-than-remaining null run are just
-  /// `remaining` null draws.  (Earlier versions documented the overshoot as
-  /// a known wart; it also made chunked wall-clock runs overdraw their
-  /// grants.)
-  SimResult run(StabilityOracle& oracle,
-                std::uint64_t max_interactions = UINT64_MAX);
-
-  /// Like run(), but does NOT reset the oracle: continues a run split into
-  /// budget chunks without discarding oracle progress (e.g. a quiescence
-  /// lull spanning the chunk boundary).
-  SimResult resume(StabilityOracle& oracle,
-                   std::uint64_t max_interactions = UINT64_MAX);
+  /// One bounded advance for the shared run()/resume() loop
+  /// (pp/engine_loop.hpp): skips nulls and applies the next effective pair,
+  /// but never moves interactions() forward by more than `budget`.  When
+  /// the geometric null run reaches the budget, exactly `budget` nulls are
+  /// consumed and no pair is applied -- the right distribution, because
+  /// the geometric is memoryless: the first `budget` draws of a longer run
+  /// are just `budget` null draws.  Advances 0 iff the configuration is
+  /// silent.
+  Advance advance(StabilityOracle& oracle, std::uint64_t budget);
 
   /// Records, into `marks`, the interaction index of every increase of
   /// `state`'s count (one entry per unit of increase).  Null skips cannot
@@ -135,10 +126,6 @@ class JumpSimulator {
 
   [[nodiscard]] std::uint64_t population_size() const noexcept { return n_; }
 
-  [[nodiscard]] std::uint64_t interactions() const noexcept {
-    return interactions_;
-  }
-
   /// Exact total weight of effective ordered pairs (out of n(n-1)).
   [[nodiscard]] std::uint64_t effective_weight() const noexcept {
     return total_weight_;
@@ -149,13 +136,6 @@ class JumpSimulator {
   /// Moves counts_[state] by `delta` (the net change of one transition at
   /// that state) and updates row_sum_, col_sum_ and the total in O(|Q|).
   void apply_count_change(StateId state, std::int64_t delta);
-
-  /// One bounded advance: skips nulls and applies the next effective pair,
-  /// but never moves interactions() forward by more than `budget`.  If the
-  /// geometric null run reaches the budget, exactly `budget` nulls are
-  /// consumed and no pair is applied (exact: the geometric is memoryless).
-  /// Returns false iff the configuration is silent (nothing advanced).
-  bool step_within(StabilityOracle& oracle, std::uint64_t budget);
 
   /// Dense effective masks, all-ones (-1) where eff(p, q) and 0 elsewhere:
   /// eff_by_row_[p * |Q| + q] and its transpose eff_by_col_[q * |Q| + p].
@@ -172,8 +152,6 @@ class JumpSimulator {
   Counts counts_;
   Xoshiro256 rng_;
   std::uint64_t n_ = 0;
-  std::uint64_t interactions_ = 0;
-  std::uint64_t effective_ = 0;
   /// row_sum_[p] = sum_q eff(p,q) * (c_q - [p==q]); signed because the
   /// diagonal term is -1 while c_p == 0 (the row weight c_p * row_sum_p
   /// is 0 there regardless).
@@ -186,5 +164,7 @@ class JumpSimulator {
   std::vector<std::uint64_t>* watch_marks_ = nullptr;
   obs::ObsSink* obs_ = nullptr;
 };
+
+extern template class EngineLoop<JumpSimulator>;
 
 }  // namespace ppk::pp

@@ -67,8 +67,9 @@ class StabilityOracle {
   /// a function of the callbacks received so far (reset, on_transition,
   /// on_batch, on_external_change, restore_state): it may not change
   /// between two callbacks.  Engines rely on this to skip the query after
-  /// null draws, which make no callback -- AgentSimulator asks once per
-  /// run()/resume() and then once per effective interaction.
+  /// null draws, which make no callback -- the shared run()/resume() loop
+  /// (pp/engine_loop.hpp) asks once per grant and then once per advance
+  /// that made a callback.
   [[nodiscard]] virtual bool stable() const = 0;
 
   /// Called by churn-capable engines (see pp/faults.hpp) when the

@@ -56,16 +56,6 @@ void record_trial_metrics(obs::MetricsRegistry& metrics,
 void for_each_trial(std::uint32_t trials, std::size_t threads,
                     const std::function<void(std::size_t)>& body);
 
-/// The engine's live configuration, whichever surface exposes it.
-template <typename Sim>
-[[nodiscard]] Counts engine_counts(const Sim& sim) {
-  if constexpr (requires { sim.counts(); }) {
-    return sim.counts();
-  } else {
-    return sim.population().counts();
-  }
-}
-
 /// Constructs the engine trial_engine(initial, mc) names, seeded with
 /// `seed`, and returns fn(engine).  The topology comes from its own
 /// sub-stream of `seed`; non-uniform fairness runs on the

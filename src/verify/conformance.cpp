@@ -478,7 +478,7 @@ TrialRun run_engine_trial(ConformanceEngine engine, const CaseContext& ctx,
         &total);
     run.result = {total.interactions, total.effective,
                   end == pp::TrialEnd::kStabilized};
-    run.final_counts = pp::engine_counts(sim);
+    run.final_counts = sim.counts();
   });
   run.fingerprint = oracle.fingerprint();
   run.violation = oracle.violation();
@@ -665,7 +665,7 @@ void check_snapshot_resume(const ConformanceCase& c, const CaseContext& ctx,
       base_total.effective += r2.effective;
       base_total.stabilized = r2.stabilized;
     }
-    base_counts = pp::engine_counts(sim);
+    base_counts = sim.counts();
   });
 
   // --- Interrupted run: identical first phase, then snapshot -> bytes ->
@@ -709,7 +709,7 @@ void check_snapshot_resume(const ConformanceCase& c, const CaseContext& ctx,
       total.effective += r2.effective;
       total.stabilized = r2.stabilized;
     }
-    final_counts = pp::engine_counts(sim);
+    final_counts = sim.counts();
     fingerprint = oracle_b.fingerprint();
   });
 

@@ -123,7 +123,9 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(*checkpoint_every);
   options.max_retries = static_cast<std::uint32_t>(*retries);
   options.retry_backoff = *backoff;
-  if (*trial_deadline > 0.0) options.trial_deadline_seconds = *trial_deadline;
+  if (*trial_deadline > 0.0) {
+    options.mc.wall_clock_limit_seconds = *trial_deadline;
+  }
   if (*deadline > 0.0) options.campaign_deadline_seconds = *deadline;
   std::signal(SIGINT, [](int) { g_interrupted.store(true); });
   options.stop = &g_interrupted;

@@ -107,7 +107,7 @@ void expect_campaign_is_monte_carlo(const ppk::pp::Protocol& protocol,
     ppk::pp::MonteCarloOptions reference_options = mc;
     if (chunked) {
       options.chunk_interactions = ppk::core::kDefaultChunkInteractions;
-      options.trial_deadline_seconds = 1e9;
+      options.mc.wall_clock_limit_seconds = 1e9;
       reference_options.wall_clock_limit_seconds = 1e9;
     } else {
       options.chunk_interactions = mc.max_interactions;

@@ -12,6 +12,7 @@
 #include "pp/agent_simulator.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/trace.hpp"
+#include "pp/trial.hpp"
 #include "pp/transition_table.hpp"
 #include "protocols/leader_election.hpp"
 
@@ -127,7 +128,9 @@ TEST(AgentSimulator, ResumePreservesOracleProgressAcrossChunks) {
   EXPECT_FALSE(stabilized);
 }
 
-/// Forwards to an inner oracle and counts stable() queries.
+/// Forwards to an inner oracle, counting stable() queries, the callbacks
+/// that may change its verdict (on_transition, on_batch) and the effective
+/// interactions they report.
 class QueryCountingOracle final : public StabilityOracle {
  public:
   explicit QueryCountingOracle(std::unique_ptr<StabilityOracle> inner)
@@ -135,50 +138,180 @@ class QueryCountingOracle final : public StabilityOracle {
   void reset(const Counts& counts) override { inner_->reset(counts); }
   void on_transition(StateId p, StateId q, StateId p_next,
                      StateId q_next) override {
+    ++callbacks_;
+    ++effective_;
     inner_->on_transition(p, q, p_next, q_next);
+  }
+  void on_batch(const Counts& counts, std::uint64_t interactions,
+                std::uint64_t effective) override {
+    ++callbacks_;
+    effective_ += effective;
+    inner_->on_batch(counts, interactions, effective);
   }
   [[nodiscard]] bool stable() const override {
     ++queries_;
     return inner_->stable();
   }
   [[nodiscard]] std::uint64_t queries() const noexcept { return queries_; }
+  [[nodiscard]] std::uint64_t callbacks() const noexcept { return callbacks_; }
+  [[nodiscard]] std::uint64_t effective() const noexcept { return effective_; }
 
  private:
   std::unique_ptr<StabilityOracle> inner_;
+  std::uint64_t callbacks_ = 0;
+  std::uint64_t effective_ = 0;
   mutable std::uint64_t queries_ = 0;
 };
 
+/// One engine behind the shared run()/resume() loop (pp/engine_loop.hpp),
+/// as the engine factory builds it from `mc` over n = 40 agents.
+struct LoopEngineRow {
+  const char* name;
+  MonteCarloOptions mc;
+  BatchMode batch_mode = BatchMode::kAuto;
+};
+
+std::vector<LoopEngineRow> loop_engine_rows() {
+  const auto row = [](const char* name, Engine engine) {
+    LoopEngineRow r{name, {}};
+    r.mc.engine = engine;
+    return r;
+  };
+  const auto complete = [](std::uint64_t) {
+    return InteractionGraph::complete(40);
+  };
+  std::vector<LoopEngineRow> rows;
+  rows.push_back(row("agent", Engine::kAgentArray));
+  rows.push_back(row("graph", Engine::kGraph));
+  rows.back().mc.graph = complete;
+  rows.push_back(row("adversarial", Engine::kAgentArray));
+  rows.back().mc.fairness = FairnessSpec::epsilon_fair(0.5);
+  rows.push_back(row("jump", Engine::kJump));
+  rows.push_back(row("graph-jump", Engine::kGraphJump));
+  rows.back().mc.graph = complete;
+  // At n = 40 kAuto always picks the thin regime; force each one.
+  rows.push_back(row("batch", Engine::kBatch));
+  rows.back().batch_mode = BatchMode::kForceBatch;
+  rows.push_back(row("batch-thin", Engine::kBatch));
+  rows.back().batch_mode = BatchMode::kForceThin;
+  rows.push_back(row("batch-sharded", Engine::kBatchSharded));
+  rows.back().batch_mode = BatchMode::kForceBatch;
+  return rows;
+}
+
+/// Builds `row`'s engine from `initial` with `seed` and calls fn(engine).
+template <typename Fn>
+void with_loop_engine(const Protocol& protocol, const TransitionTable& table,
+                      const Counts& initial, const LoopEngineRow& row,
+                      std::uint64_t seed, Fn&& fn) {
+  const auto visit = [&](auto& sim) {
+    if constexpr (requires { sim.set_batch_mode(row.batch_mode); }) {
+      sim.set_batch_mode(row.batch_mode);
+    }
+    fn(sim);
+  };
+  with_engine(&protocol, table, initial, row.mc, seed, nullptr, nullptr,
+              visit);
+}
+
+/// Drives `sim` in grants of 7 until it stabilizes or goes silent (or
+/// `max_grants` run out): every grant advances exactly 7 unless the run
+/// stabilizes or goes silent, reports the effective interactions the
+/// oracle heard of, and asks the oracle at most once per callback + 1.
+template <typename Sim>
+void expect_exact_grants(Sim& sim, QueryCountingOracle& oracle,
+                         int max_grants) {
+  constexpr std::uint64_t kGrant = 7;
+  bool first = true;
+  for (int grant = 0; grant < max_grants; ++grant) {
+    const std::uint64_t queries = oracle.queries();
+    const std::uint64_t callbacks = oracle.callbacks();
+    const std::uint64_t effective = oracle.effective();
+    const SimResult r =
+        first ? sim.run(oracle, kGrant) : sim.resume(oracle, kGrant);
+    first = false;
+    EXPECT_LE(oracle.queries() - queries, oracle.callbacks() - callbacks + 1);
+    EXPECT_EQ(r.effective, oracle.effective() - effective);
+    EXPECT_LE(r.interactions, kGrant);
+    if (r.stabilized) return;
+    if (r.interactions < kGrant) {
+      EXPECT_EQ(sim.advance(oracle, 1).interactions, 0u);  // silent
+      return;
+    }
+  }
+}
+
 TEST(AgentSimulator, QueriesOracleOnlyAfterEffectiveDraws) {
-  // run() asks the oracle once up front and then once per effective draw:
-  // a null draw makes no callback, so it cannot change the verdict.  The
-  // result must equal a loop that queries after every step().
+  // Every engine runs through the shared loop, which asks the oracle once
+  // per grant and then only after an advance that made a callback: null
+  // draws make none, so they cannot change the verdict.  Per grant, the
+  // queries are at most the callbacks + 1; a grant of g advances exactly g
+  // unless the run stabilizes or goes silent; and the result equals a
+  // reference loop that asks after every advance (for the per-draw
+  // engines, one advance is one step()).
   const core::KPartitionProtocol protocol(4);
   const TransitionTable table(protocol);
   constexpr std::uint32_t kN = 40;
-  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{1000},
-                                     std::uint64_t{UINT64_MAX}}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      const Population initial(kN, protocol.num_states(),
-                               protocol.initial_state());
-      AgentSimulator sim(table, initial, seed);
-      QueryCountingOracle oracle(core::stable_pattern_oracle(protocol, kN));
-      const SimResult fast = sim.run(oracle, budget);
-      EXPECT_LE(oracle.queries(), fast.effective + 1);
+  const Counts initial =
+      Population(kN, protocol.num_states(), protocol.initial_state()).counts();
+  const auto pattern = [&] {
+    return QueryCountingOracle(core::stable_pattern_oracle(protocol, kN));
+  };
+  for (const LoopEngineRow& row : loop_engine_rows()) {
+    SCOPED_TRACE(row.name);
+    for (const std::uint64_t budget :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1000},
+          std::uint64_t{UINT64_MAX}}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE("budget " + std::to_string(budget) + ", seed " +
+                     std::to_string(seed));
+        SimResult fast;
+        Snapshot fast_end;
+        with_loop_engine(protocol, table, initial, row, seed, [&](auto& sim) {
+          QueryCountingOracle oracle = pattern();
+          fast = sim.run(oracle, budget);
+          EXPECT_LE(oracle.queries(), oracle.callbacks() + 1);
+          EXPECT_EQ(fast.effective, oracle.effective());
+          EXPECT_TRUE(fast.stabilized || fast.interactions == budget);
+          fast_end = sim.snapshot();
+        });
 
-      AgentSimulator ref(table, initial, seed);
-      auto ref_oracle = core::stable_pattern_oracle(protocol, kN);
-      ref_oracle->reset(ref.population().counts());
-      SimResult slow;
-      while (!ref_oracle->stable() && slow.interactions < budget) {
-        ++slow.interactions;
-        if (ref.step(*ref_oracle)) ++slow.effective;
+        with_loop_engine(protocol, table, initial, row, seed, [&](auto& ref) {
+          auto oracle = core::stable_pattern_oracle(protocol, kN);
+          oracle->reset(ref.counts());
+          SimResult slow;
+          while (!oracle->stable() && slow.interactions < budget) {
+            const Advance a =
+                ref.advance(*oracle, budget - slow.interactions);
+            if (a.interactions == 0) break;
+            slow.interactions += a.interactions;
+          }
+          slow.stabilized = oracle->stable();
+          EXPECT_EQ(fast.interactions, slow.interactions);
+          EXPECT_EQ(fast.stabilized, slow.stabilized);
+          EXPECT_EQ(fast_end, ref.snapshot());  // RNG, counters, states
+        });
       }
-      slow.stabilized = ref_oracle->stable();
-      EXPECT_EQ(fast.interactions, slow.interactions) << "seed " << seed;
-      EXPECT_EQ(fast.effective, slow.effective) << "seed " << seed;
-      EXPECT_EQ(fast.stabilized, slow.stabilized) << "seed " << seed;
-      EXPECT_EQ(sim.population().counts(), ref.population().counts());
     }
+    with_loop_engine(protocol, table, initial, row, 5, [&](auto& sim) {
+      QueryCountingOracle oracle = pattern();
+      expect_exact_grants(sim, oracle, 1'000'000);
+    });
+  }
+
+  // Leader election under an oracle that never agrees: the per-draw
+  // engines draw every grant in full, the others stop short once a single
+  // leader is left (silence).
+  const protocols::LeaderElectionProtocol election;
+  const TransitionTable election_table(election);
+  for (const LoopEngineRow& row : loop_engine_rows()) {
+    SCOPED_TRACE(row.name);
+    with_loop_engine(election, election_table, Counts{kN, 0}, row, 6,
+                     [&](auto& sim) {
+                       QueryCountingOracle oracle(
+                           std::make_unique<NeverStableOracle>());
+                       expect_exact_grants(sim, oracle, 10'000);
+                     });
   }
 }
 
