@@ -1,18 +1,19 @@
 // Extension experiment: global fairness guarantees *eventual* progress
 // but puts no bound on an adversary's stalling.  The epsilon-fair
-// adversary (pp/adversarial.hpp) steers interactions toward null pairs and
-// free-agent flips with probability 1 - epsilon; because every pair keeps
-// an epsilon-proportional chance, its infinite executions remain globally
-// fair w.p. 1, so stabilization is still guaranteed (Theorem 1) -- only
-// slower.  This bench sweeps epsilon and reports the slowdown relative to
-// the uniform scheduler (epsilon = 1).
+// adversary (the fairness draw rule of pp/agent_simulator.hpp) steers
+// interactions toward null pairs and free-agent flips with probability
+// 1 - epsilon; because every pair keeps an epsilon-proportional chance,
+// its infinite executions remain globally fair w.p. 1, so stabilization
+// is still guaranteed (Theorem 1) -- only slower.  This bench sweeps
+// epsilon and reports the slowdown relative to the uniform scheduler
+// (epsilon = 1).
 
 #include <optional>
 
 #include "bench_common.hpp"
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
-#include "pp/adversarial.hpp"
+#include "pp/agent_simulator.hpp"
 #include "pp/transition_table.hpp"
 #include "util/rng.hpp"
 
@@ -24,11 +25,11 @@ double mean_to_stabilize(const ppk::core::KPartitionProtocol& protocol,
                          std::uint64_t master_seed) {
   double total = 0.0;
   for (int trial = 0; trial < trials; ++trial) {
-    ppk::pp::AdversarialSimulator sim(
+    ppk::pp::AgentSimulator sim(
         protocol, table,
         ppk::pp::Population(n, protocol.num_states(),
                             protocol.initial_state()),
-        epsilon,
+        ppk::pp::FairnessSpec::epsilon_fair(epsilon),
         ppk::derive_stream_seed(master_seed,
                                 static_cast<std::uint64_t>(trial)));
     auto oracle = ppk::core::stable_pattern_oracle(protocol, n);

@@ -11,7 +11,7 @@
 //
 //  1. Sweep.  Stabilization rate and time on the complete graph,
 //     Erdos-Renyi graphs of shrinking density, the star, and the ring,
-//     under BOTH graph engines: the per-draw GraphSimulator (which burns
+//     under BOTH graph engines: the per-draw agent array (which burns
 //     its whole budget on a wedged run -- it cannot tell a dead
 //     configuration from a slow one) and the live-edge GraphJumpSimulator
 //     (which reports `stalled` the moment zero directed edges are live).
@@ -53,7 +53,7 @@
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "pp/graph_jump_simulator.hpp"
-#include "pp/graph_simulator.hpp"
+#include "pp/agent_simulator.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/monte_carlo.hpp"
 #include "pp/transition_table.hpp"
@@ -185,7 +185,7 @@ SpeedupReport measure_wedged_ring_speedup(std::uint32_t n,
     // best time is a pure noise floor.
     const ppk::Stopwatch graph_clock;
     {
-      ppk::pp::GraphSimulator sim(table, InteractionGraph::ring(n),
+      ppk::pp::AgentSimulator sim(table, InteractionGraph::ring(n),
                                   wedged_population(protocol, n), seed);
       auto oracle = ppk::core::stable_pattern_oracle(protocol, n);
       const auto r = sim.run(*oracle, graph_budget);

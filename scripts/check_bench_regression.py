@@ -3,13 +3,11 @@
 
 Dispatches on the new report's schema:
 
- - ppk-bench-engines-v1/-v2/-v3/-v4 (bench/batch_throughput): engine-
-   throughput gates, baseline BENCH_ENGINES.json -- see below.  v2 adds
-   the "sharded" engine to the grid plus the "sampler_setup" and
-   "sharded_scale" blocks; v3 adds the "auto_crossover" block; v4 drops
-   the deleted count engine from the grid (engine set agent, jump,
-   batch, sharded).  Older reports (baselines) are still accepted,
-   skipping the gates of the blocks they lack.
+ - ppk-bench-engines-v4 (bench/batch_throughput): engine-throughput
+   gates, baseline BENCH_ENGINES.json -- see below.  The grid covers the
+   agent, jump, batch and sharded engines, plus the "sampler_setup",
+   "sharded_scale" and "auto_crossover" blocks.  Reports of the older
+   engine schemas (v1-v3) fail the schema check.
  - ppk-bench-topology-v1 (bench/topology_sensitivity): topology gates,
    baseline BENCH_TOPOLOGY.json -- see check_topology().
  - ppk-bench-fairness-v1 (bench/fairness_matrix): the three-families
@@ -60,10 +58,10 @@ against the committed baseline:
     branch, so a drop beyond noise means a hook leaked onto a hot path.
     Cross-machine comparisons skip this gate (throughput is not
     comparable); use --reps >= 3 when generating reports for it.
- 5. Sampler setup (v2): warm engine construction costs less than
+ 5. Sampler setup: warm engine construction costs less than
     MAX_WARM_FRACTION of the cold shared log-factorial table build --
     the hoisted-table amortization the bench also hard-asserts.
- 6. Sharded scale (v2): the deep exact-budget block at n = 1e8 must
+ 6. Sharded scale: the deep exact-budget block at n = 1e8 must
     contain the batch baseline row and sharded rows at worker counts
     1/2/4/8; every sharded row's verdict fingerprint must be identical
     (bit-determinism across thread counts -- the report itself records
@@ -75,7 +73,7 @@ against the committed baseline:
     regression gates, and -- same machine only, because the shared
     table's lgamma values are libm-specific -- fingerprint equality
     with the baseline's rows.
- 7. Auto crossover (v3): at every (family, k, n) point of the block both
+ 7. Auto crossover: at every (family, k, n) point of the block both
     candidate engines below the batch band (agent, jump) ran the same
     fixed-seed trials to stabilization, and every trial stabilized.
     Where kAuto picks jump (n >= kJumpCrossover) its pick takes at most
@@ -102,8 +100,8 @@ against the committed baseline:
  tolerance by the two rows' spreads, so thresholds are tight exactly
  when the machine was quiet enough to support them and honest when it
  was not -- a 2% claim cannot be made from a 10%-noisy measurement.
- Rows without calibration (older baselines) fall back to raw rates
- with a printed note; generate gate-quality reports with --reps >= 3.
+ Rows without calibration fall back to raw rates with a printed note;
+ generate gate-quality reports with --reps >= 3.
 
 Usage:
   scripts/check_bench_regression.py NEW.json [BASELINE.json]
@@ -117,21 +115,12 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMA_V1 = "ppk-bench-engines-v1"
-SCHEMA_V2 = "ppk-bench-engines-v2"
-SCHEMA_V3 = "ppk-bench-engines-v3"
-SCHEMA_V4 = "ppk-bench-engines-v4"
-ENGINE_SCHEMAS = (SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4)
-SHARDED_SCHEMAS = (SCHEMA_V2, SCHEMA_V3, SCHEMA_V4)  # the v2 sharded blocks
-CROSSOVER_SCHEMAS = (SCHEMA_V3, SCHEMA_V4)  # the v3 auto_crossover block
+ENGINE_SCHEMA = "ppk-bench-engines-v4"
 TOPOLOGY_SCHEMA = "ppk-bench-topology-v1"
-ENGINES_V1 = {"agent", "count", "jump", "batch"}
-ENGINES_V2 = ENGINES_V1 | {"sharded"}
-ENGINES_V4 = ENGINES_V2 - {"count"}
+ENGINES = {"agent", "jump", "batch", "sharded"}
 REQUIRED_TOP = {"schema", "bench", "git_rev", "smoke", "wall_cap_seconds",
-                "seed", "machine", "results"}
-REQUIRED_TOP_V2 = REQUIRED_TOP | {"sampler_setup", "sharded_scale"}
-REQUIRED_TOP_V3 = REQUIRED_TOP_V2 | {"auto_crossover"}
+                "seed", "machine", "results", "sampler_setup",
+                "sharded_scale", "auto_crossover"}
 REQUIRED_ROW = {"engine", "k", "n", "interactions", "effective", "seconds",
                 "stabilized", "interactions_per_second"}
 REQUIRED_SCALE_ROW = {"engine", "threads", "interactions", "effective",
@@ -146,12 +135,12 @@ OBS_GATED_ENGINES = ("agent", "batch")  # hot pairwise path + hot batch path
 MACHINE_KEYS = ("hardware_threads", "compiler", "assertions_disabled",
                 "os", "arch")
 
-# v2 sharded gates.
+# Sharded gates.
 MIN_SHARDED_SPEEDUP = 1.25    # slowest sharded row vs batch, same budget
 MAX_WARM_FRACTION = 0.5       # warm engine ctor vs cold log-fact build
 SHARDED_THREADS = (1, 2, 4, 8)
 
-# v3 auto-crossover gate.
+# Auto-crossover gate.
 MAX_AUTO_PICK_RATIO = 1.2     # kAuto's pick vs the faster of agent/jump
 REQUIRED_CROSSOVER_POINT = {"family", "k", "n", "pick", "agent_seconds",
                             "jump_seconds", "stabilized"}
@@ -228,49 +217,36 @@ def load(path):
         fail(f"{path}: {err}")
 
 
-def engine_set(doc):
-    schema = doc.get("schema")
-    if schema == SCHEMA_V4:
-        return ENGINES_V4
-    return ENGINES_V2 if schema in SHARDED_SCHEMAS else ENGINES_V1
-
-
 def validate_schema(doc, path):
-    if doc.get("schema") not in ENGINE_SCHEMAS:
-        fail(f"{path}: schema {doc.get('schema')!r}, expected one of "
-             f"{list(ENGINE_SCHEMAS)}")
-    required = {SCHEMA_V1: REQUIRED_TOP, SCHEMA_V2: REQUIRED_TOP_V2,
-                SCHEMA_V3: REQUIRED_TOP_V3,
-                SCHEMA_V4: REQUIRED_TOP_V3}[doc["schema"]]
-    missing = required - doc.keys()
+    if doc.get("schema") != ENGINE_SCHEMA:
+        fail(f"{path}: schema {doc.get('schema')!r}, expected "
+             f"{ENGINE_SCHEMA!r}")
+    missing = REQUIRED_TOP - doc.keys()
     if missing:
         fail(f"{path}: missing top-level keys {sorted(missing)}")
     if not isinstance(doc["results"], list) or not doc["results"]:
         fail(f"{path}: results must be a non-empty array")
-    engines = engine_set(doc)
     points = {}
     for i, row in enumerate(doc["results"]):
         missing = REQUIRED_ROW - row.keys()
         if missing:
             fail(f"{path}: results[{i}] missing {sorted(missing)}")
-        if row["engine"] not in engines:
+        if row["engine"] not in ENGINES:
             fail(f"{path}: results[{i}] unknown engine {row['engine']!r}")
         if row["seconds"] <= 0 or row["interactions_per_second"] <= 0:
             fail(f"{path}: results[{i}] non-positive measurement")
         points.setdefault((row["k"], row["n"]), {})[row["engine"]] = row
     for (k, n), rows in points.items():
-        if set(rows) != engines:
+        if set(rows) != ENGINES:
             fail(f"{path}: point (k={k}, n={n}) has engines {sorted(rows)}, "
-                 f"expected all of {sorted(engines)}")
-    if doc["schema"] in SHARDED_SCHEMAS:
-        validate_sharded_scale(doc, path)
-    if doc["schema"] in CROSSOVER_SCHEMAS:
-        validate_auto_crossover(doc, path)
+                 f"expected all of {sorted(ENGINES)}")
+    validate_sharded_scale(doc, path)
+    validate_auto_crossover(doc, path)
     return points
 
 
 def validate_sharded_scale(doc, path):
-    """Structural checks on the v2 deep-trial block: every expected row
+    """Structural checks on the deep-trial block: every expected row
     present and well-formed.  Gating happens in check_sharded_scale()."""
     scale = doc["sharded_scale"]
     for key in ("k", "n", "budget", "seed", "deterministic", "rows"):
@@ -312,7 +288,7 @@ def validate_sharded_scale(doc, path):
 
 
 def validate_auto_crossover(doc, path):
-    """Structural checks on the v3 auto_crossover block.  Gating happens
+    """Structural checks on the auto_crossover block.  Gating happens
     in check_auto_crossover()."""
     block = doc["auto_crossover"]
     points = block.get("points") if isinstance(block, dict) else None
@@ -339,9 +315,6 @@ def check_auto_crossover(new_doc, new_path):
     """Gate 7: kAuto's agent/jump pick is within MAX_AUTO_PICK_RATIO of
     the faster engine wherever it picks jump, and agent still wins some
     point at the grid n just below the crossover."""
-    if new_doc["schema"] not in CROSSOVER_SCHEMAS:
-        print("skip: auto-crossover gate (report predates the block)")
-        return
     points = validate_auto_crossover(new_doc, new_path)
     for point in points:
         if not point["stabilized"]:
@@ -888,9 +861,6 @@ def check_fairness(new_doc, base_doc, new_path, base_path):
 
 def check_sampler_setup(new_doc):
     """Gate 5: per-engine sampler setup stays amortized out."""
-    if new_doc["schema"] not in SHARDED_SCHEMAS:
-        print("skip: sampler-setup gate (v1 report)")
-        return
     setup = new_doc["sampler_setup"]
     fraction = setup.get("warm_fraction")
     if fraction is None:
@@ -906,9 +876,6 @@ def check_sampler_setup(new_doc):
 def check_sharded_scale(new_doc, base_doc, new_path, base_path):
     """Gate 6: the deep-trial block's speedup, determinism and (when the
     baseline ran the identical configuration) regression gates."""
-    if new_doc["schema"] not in SHARDED_SCHEMAS:
-        print("skip: sharded-scale gate (v1 report)")
-        return
     scale = new_doc["sharded_scale"]
     batch, sharded = validate_sharded_scale(new_doc, new_path)
 
@@ -927,9 +894,6 @@ def check_sharded_scale(new_doc, base_doc, new_path, base_path):
           f"sharded/batch speedup {speedup:.2f}x "
           f"(>= {MIN_SHARDED_SPEEDUP}x)")
 
-    if base_doc["schema"] not in SHARDED_SCHEMAS:
-        print("skip: sharded-scale baseline comparison (v1 baseline)")
-        return
     base_scale = base_doc["sharded_scale"]
     same_config = all(base_scale.get(key) == scale.get(key)
                       for key in ("k", "n", "budget", "seed"))
@@ -984,17 +948,15 @@ def check_engines(new_doc, base_doc, new_path, base_path):
                  f"requires >= {MIN_BATCH_SPEEDUP}x")
         print(f"ok: (k={k}, n={n}) batch/agent speedup {speedup:.1f}x")
 
-    # Both the batch engine and (when both reports carry it) its sharded
-    # rebuild are regression-gated against the baseline grid.
-    gated_engines = tuple(e for e in ("batch", "sharded")
-                          if e in engine_set(new_doc) & engine_set(base_doc))
+    # Both the batch engine and its sharded rebuild are regression-gated
+    # against the baseline grid.
     compared = 0
     for (k, n), rows in sorted(new_points.items()):
         base = base_points.get((k, n))
         if base is None:
             print(f"skip: (k={k}, n={n}) not in baseline grid")
             continue
-        for engine in gated_engines:
+        for engine in ("batch", "sharded"):
             metric, new_tp, base_tp = comparable_rate(rows[engine],
                                                       base[engine])
             drop = 1.0 - new_tp / base_tp

@@ -21,7 +21,7 @@ Usage:
 
 With no arguments, checks src/obs/*.hpp, src/pp/stability.hpp,
 src/core/campaign.hpp, the fairness axis (src/pp/fairness.hpp,
-src/pp/adversarial.hpp), the two protocol families it carries
+src/pp/agent_simulator.hpp), the two protocol families it carries
 (src/core/weak_kpartition.hpp, src/core/graph_bipartition.hpp), and the
 per-agent verifier behind them (src/verify/agent_graph.hpp,
 src/verify/weak_fairness.hpp), the SCC condensation every verify-layer
@@ -42,9 +42,10 @@ DEFAULT_TARGETS = sorted((REPO / "src" / "obs").glob("*.hpp")) + [
     REPO / "src" / "pp" / "trial.hpp",
     # The run()/resume() loop every engine but the churn engine shares.
     REPO / "src" / "pp" / "engine_loop.hpp",
-    # The fairness-policy axis and the protocol families riding on it.
+    # The fairness-policy axis, the engine realizing it, and the protocol
+    # families riding on it.
     REPO / "src" / "pp" / "fairness.hpp",
-    REPO / "src" / "pp" / "adversarial.hpp",
+    REPO / "src" / "pp" / "agent_simulator.hpp",
     REPO / "src" / "core" / "weak_kpartition.hpp",
     REPO / "src" / "core" / "graph_bipartition.hpp",
     REPO / "src" / "verify" / "agent_graph.hpp",

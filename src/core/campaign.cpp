@@ -544,6 +544,26 @@ void run_trial(Shared& s, const pp::Protocol* protocol,
   maybe_checkpoint_locked(s);
 }
 
+/// The fingerprint's topology field: "complete" without a factory, else a
+/// hash of the agent count and edge list of the graph trial 0 runs on (the
+/// factory is a std::function and cannot be compared itself).  A
+/// randomized factory is pinned by its trial-0 draw.
+std::string topology_fingerprint(const pp::MonteCarloOptions& mc) {
+  if (!mc.graph) return "complete";
+  const std::uint64_t trial0 = derive_stream_seed(mc.master_seed, 0);
+  const pp::InteractionGraph graph =
+      mc.graph(derive_stream_seed(trial0, pp::kGraphTopologyStream));
+  std::vector<std::uint32_t> words{graph.num_agents()};
+  for (const auto& [a, b] : graph.edges()) {
+    words.push_back(a);
+    words.push_back(b);
+  }
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "edges:%016llx",
+                static_cast<unsigned long long>(pp::CountsHash{}(words)));
+  return buffer;
+}
+
 }  // namespace
 
 std::string campaign_fingerprint(const pp::Counts& initial,
@@ -558,10 +578,7 @@ std::string campaign_fingerprint(const pp::Counts& initial,
       << " seed=" << options.mc.master_seed
       << " budget=" << options.mc.max_interactions
       << " engine=" << pp::engine_name(pp::trial_engine(initial, options.mc))
-      << " topology="
-      << (options.topology_tag.empty()
-              ? (options.mc.graph ? "unnamed" : "complete")
-              : options.topology_tag)
+      << " topology=" << topology_fingerprint(options.mc)
       << " watch="
       << (options.mc.watch_state ? static_cast<int>(*options.mc.watch_state)
                                  : -1)

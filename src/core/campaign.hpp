@@ -103,14 +103,6 @@ struct CampaignOptions {
   /// deadline had passed.
   const std::atomic<bool>* stop = nullptr;
 
-  /// Stable name for the topology behind `mc.graph`, folded into the
-  /// configuration fingerprint (e.g. "ring", "erdos-renyi:p=0.1").  The
-  /// factory itself is a std::function and cannot be fingerprinted; an
-  /// empty tag falls back to a presence bit, which distinguishes
-  /// graph-from-no-graph but NOT ring-from-star -- callers that switch
-  /// topologies between runs must tag them.
-  std::string topology_tag;
-
   /// Streaming hook: invoked once per trial verdict (completed, failed,
   /// or censored) as trials finish, under the campaign lock -- callbacks
   /// are serialized and must not re-enter the campaign.  Trials restored
@@ -235,13 +227,10 @@ struct CampaignCheckpoint {
 /// Deterministic one-line description of everything that shapes trial
 /// trajectories (trials, seed, budget, the engine as resolved -- kAuto is
 /// recorded as the engine it picks for this population --, fairness
-/// policy + epsilon,
-/// chunk size, retry policy, watch state, topology tag, initial
-/// configuration).  Stored in checkpoints and compared verbatim on
-/// resume.  The topology factory itself cannot be fingerprinted: set
-/// `CampaignOptions::topology_tag` so distinct topologies refuse each
-/// other's checkpoints; with an empty tag only graph-vs-no-graph is
-/// distinguished and resuming with a different factory is a caller error.
+/// policy + epsilon, chunk size, retry policy, watch state, the edge list
+/// of trial 0's topology, initial configuration).  Stored in checkpoints
+/// and compared verbatim on resume, so a checkpoint written on one
+/// topology refuses to resume on another.
 [[nodiscard]] std::string campaign_fingerprint(const pp::Counts& initial,
                                                const CampaignOptions& options);
 

@@ -24,8 +24,9 @@
 //
 // FairnessSpec rides in MonteCarloOptions: any protocol x policy x
 // topology x engine combination is one scenario.  Policies other than
-// kUniformRandom route the trial to the AdversarialSimulator (the only
-// engine that schedules *agents* rather than state counts).
+// kUniformRandom route the trial to the AgentSimulator's fairness draw
+// rule (the agent array is the only engine that schedules *agents* rather
+// than state counts).
 
 #pragma once
 

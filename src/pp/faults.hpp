@@ -263,7 +263,4 @@ class ChurnSimulator {
   std::uint64_t effective_ = 0;
 };
 
-/// The ISSUE-facing name: a ChurnSimulator *is* the fault injector.
-using FaultInjector = ChurnSimulator;
-
 }  // namespace ppk::pp

@@ -1,12 +1,13 @@
-// The live-edge ("graph jump") simulation engine: GraphSimulator's
-// distribution with JumpSimulator's null-skipping.
+// The live-edge ("graph jump") simulation engine: the distribution of the
+// agent array's topology draw (pp/agent_simulator.hpp) with
+// JumpSimulator's null-skipping.
 //
 // On a sparse interaction graph the wedged endgame is even more extreme
 // than the complete-graph one: a k-partition run on a ring typically ends
 // with a handful of builders walled in by committed neighbours, where
-// *every* adjacent pair is null and GraphSimulator draws null edges until
-// the budget runs out.  This engine never draws a null pair and recognizes
-// that dead end exactly, in O(1).
+// *every* adjacent pair is null and the per-draw engine draws null edges
+// until the budget runs out.  This engine never draws a null pair and
+// recognizes that dead end exactly, in O(1).
 //
 // It maintains the set of **live directed edges** -- orientations (i, j)
 // of graph edges whose current endpoint-state pair (state(i), state(j))
@@ -21,8 +22,8 @@
 //    both orientations of every edge incident to i or j: O(deg i + deg j)
 //    per effective interaction, independent of how many nulls it skipped.
 //
-// Sampling matches GraphSimulator's law exactly.  GraphSimulator draws a
-// uniform edge then a uniform orientation -- a uniform directed edge out
+// Sampling matches the per-draw engine's law exactly.  It draws a uniform
+// edge then a uniform orientation -- a uniform directed edge out
 // of 2m -- and the draw is effective iff that directed edge is live, so
 // with L live directed edges each drawn pair is effective with probability
 // p_eff = L / 2m and, conditioned on being effective, is uniform over the
@@ -33,8 +34,8 @@
 // Zero live directed edges is precisely the dead-silent condition on the
 // graph (wedged, or globally silent): step() then returns false without
 // advancing, so wedged runs stop immediately instead of exhausting the
-// budget -- exact wedge detection, where GraphSimulator cannot detect it
-// at all (see the contract note in graph_simulator.hpp).
+// budget -- exact wedge detection, where the per-draw engine cannot detect
+// it at all (see the contract note in agent_simulator.hpp).
 //
 // Chunked runs are bit-identical to unchunked ones: when a budget boundary
 // truncates a null run, the *remainder* of the already-sampled run is

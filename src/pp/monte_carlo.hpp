@@ -20,7 +20,6 @@
 #include "pp/fairness.hpp"
 #include "pp/batch_sharded_simulator.hpp"
 #include "pp/graph_jump_simulator.hpp"
-#include "pp/graph_simulator.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/population.hpp"
@@ -37,8 +36,9 @@ namespace ppk::pp {
 /// Which engine executes the trials.  kAuto picks per trial from the
 /// population size, the requested instrumentation and whether a topology
 /// is set (see resolve_engine(); docs/engines.md walks through the
-/// policy).  kGraph (per-draw GraphSimulator) and kGraphJump (live-edge
-/// skip-ahead; docs/topologies.md) require MonteCarloOptions::graph.
+/// policy).  kGraph (the agent array's per-draw topology rule) and
+/// kGraphJump (live-edge skip-ahead; docs/topologies.md) require
+/// MonteCarloOptions::graph.
 enum class Engine {
   kAgentArray,
   kJump,
@@ -121,14 +121,14 @@ struct MonteCarloOptions {
   std::size_t engine_threads = 1;
   /// If set, every time the count of this state increases, the current
   /// interaction index is recorded (the paper's NI_i grouping marks).
-  /// Supported by the agent (observer hook), jump and graph-jump engines.
-  /// Forcing kBatch, kBatchSharded or kGraph with a watch set is a
-  /// precondition violation (the batch engines aggregate draws and the
-  /// per-draw graph engine has no hook -- failing fast beats silently
-  /// returning empty marks), and so is combining it with a fairness policy
-  /// that needs the adversarial engine.  kAuto never resolves to an engine
-  /// without marks when a watch is set: it picks agent below
-  /// kJumpCrossover and jump from there up.
+  /// Every engine with a per-interaction index records marks through its
+  /// set_watch() hook: the agent array under every draw rule (complete
+  /// graph, kGraph topology, adversarial fairness), jump and graph-jump.
+  /// Forcing kBatch or kBatchSharded with a watch set is a precondition
+  /// violation (the batch engines aggregate draws -- failing fast beats
+  /// silently returning empty marks).  kAuto never resolves to a batch
+  /// engine when a watch is set: it picks agent below kJumpCrossover and
+  /// jump from there up.
   std::optional<StateId> watch_state;
   /// If set, a per-trial wall-clock cap: a trial that exceeds it stops at
   /// the next check (every kDefaultChunkInteractions, pp/trial.hpp) and
@@ -148,13 +148,14 @@ struct MonteCarloOptions {
   /// Scheduling guarantee for the trials (pp/fairness.hpp).  The default
   /// uniform-random policy is what every count-based engine implements;
   /// kEpsilonFair (epsilon < 1) and kWeakRoundRobin route each trial to
-  /// the agent-level AdversarialSimulator instead -- composed with `graph`
-  /// when a topology factory is set, so fairness x topology is one
-  /// scenario.  The adversarial scheduler needs the protocol's group map
-  /// (to probe for non-progressing pairs), so a non-default policy
-  /// requires the run_monte_carlo overload that takes a Protocol; it also
-  /// excludes watch_state and forced non-agent engines (precondition
-  /// violations -- those engines cannot realize the policy).
+  /// the AgentSimulator's fairness draw rule instead -- composed with
+  /// `graph` when a topology factory is set, so fairness x topology is one
+  /// scenario, and recording watch marks like every agent-array trial.
+  /// The adversarial scheduler needs the protocol's group map (to probe
+  /// for non-progressing pairs), so a non-default policy requires the
+  /// run_monte_carlo overload that takes a Protocol; it also excludes
+  /// forced non-agent engines (a precondition violation -- those engines
+  /// cannot realize the policy).
   FairnessSpec fairness{};
   /// If non-null, every trial runs with an observability sink writing into
   /// a private per-trial registry; the driver folds the trial registries

@@ -9,9 +9,8 @@ Engine trial_engine(const Counts& initial, const MonteCarloOptions& options) {
   const bool watch = options.watch_state.has_value();
   const bool graph = static_cast<bool>(options.graph);
   if (options.fairness.needs_adversarial_engine()) {
-    // Only the agent-level scheduler realizes a non-uniform policy, and it
-    // has no watch hook.
-    PPK_EXPECTS(!watch);
+    // Only the agent array schedules agents, so only it realizes a
+    // non-uniform policy.
     PPK_EXPECTS(options.engine == Engine::kAuto ||
                 options.engine == Engine::kAgentArray);
     return Engine::kAgentArray;
@@ -24,12 +23,12 @@ Engine trial_engine(const Counts& initial, const MonteCarloOptions& options) {
   // experiment.
   PPK_EXPECTS((engine == Engine::kGraph || engine == Engine::kGraphJump) ==
               graph);
-  // The batch engines aggregate draws and the per-draw graph engine has no
-  // hook, so none of them can produce per-interaction watch marks; quietly
-  // returning none would corrupt downstream statistics.  kAuto never picks
-  // them with a watch set, so reaching this means the caller forced one.
-  PPK_EXPECTS(!watch || engine == Engine::kAgentArray ||
-              engine == Engine::kJump || engine == Engine::kGraphJump);
+  // The batch engines aggregate draws, so they cannot produce
+  // per-interaction watch marks; quietly returning none would corrupt
+  // downstream statistics.  kAuto never picks them with a watch set, so
+  // reaching this means the caller forced one.
+  PPK_EXPECTS(!watch || (engine != Engine::kBatch &&
+                         engine != Engine::kBatchSharded));
   return engine;
 }
 

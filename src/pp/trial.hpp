@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "obs/sink.hpp"
-#include "pp/adversarial.hpp"
 #include "pp/monte_carlo.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -36,12 +35,12 @@ inline constexpr std::uint64_t kDefaultChunkInteractions = 1ULL << 22;
 inline constexpr std::uint64_t kGraphTopologyStream = 0x6772'6170'68ULL;
 
 /// The engine a trial of `options` from `initial` runs on: kAgentArray (the
-/// agent-level AdversarialSimulator) when the fairness policy needs the
-/// adversarial scheduler, else resolve_engine() of the requested engine.
-/// Fails fast (PPK_EXPECTS) on every combination no engine can realize: a
-/// watch state on an engine without per-interaction marks, a topology no
-/// engine consults or a graph engine without one, and adversarial fairness
-/// with a watch state or a forced non-agent engine.
+/// agent array under the fairness draw rule) when the fairness policy needs
+/// the adversarial scheduler, else resolve_engine() of the requested
+/// engine.  Fails fast (PPK_EXPECTS) on every combination no engine can
+/// realize: a watch state on a batch engine (no per-interaction marks), a
+/// topology no engine consults or a graph engine without one, and
+/// adversarial fairness with a forced non-agent engine.
 [[nodiscard]] Engine trial_engine(const Counts& initial,
                                   const MonteCarloOptions& options);
 
@@ -58,8 +57,8 @@ void for_each_trial(std::uint32_t trials, std::size_t threads,
 
 /// Constructs the engine trial_engine(initial, mc) names, seeded with
 /// `seed`, and returns fn(engine).  The topology comes from its own
-/// sub-stream of `seed`; non-uniform fairness runs on the
-/// AdversarialSimulator (which needs `protocol` for its group map); with
+/// sub-stream of `seed`; non-uniform fairness runs on the AgentSimulator's
+/// fairness draw rule (which needs `protocol` for its group map); with
 /// `metrics` non-null the engine reports into it through an obs::ObsSink;
 /// with mc.watch_state set, the watched state's count increases are
 /// appended to `watch_marks`.
@@ -74,21 +73,8 @@ auto with_engine(const Protocol* protocol, const TransitionTable& table,
   const auto visit = [&](auto& sim) {
     if (sink) sim.set_obs_sink(&*sink);
     if (mc.watch_state) {
-      const StateId watched = *mc.watch_state;
-      if constexpr (requires { sim.set_watch(watched, watch_marks); }) {
-        sim.set_watch(watched, watch_marks);
-      } else if constexpr (requires { sim.set_observer(nullptr); }) {
-        sim.set_observer([watch_marks, watched](const SimEvent& event) {
-          // The count rises iff an agent enters the state while its
-          // partner does not simultaneously leave it (and vice versa).
-          const int delta = (event.p_next == watched ? 1 : 0) +
-                            (event.q_next == watched ? 1 : 0) -
-                            (event.p == watched ? 1 : 0) -
-                            (event.q == watched ? 1 : 0);
-          for (int i = 0; i < delta; ++i) {
-            watch_marks->push_back(event.interaction);
-          }
-        });
+      if constexpr (requires { sim.set_watch(StateId{}, watch_marks); }) {
+        sim.set_watch(*mc.watch_state, watch_marks);
       } else {
         PPK_ASSERT(false);  // trial_engine() rejects engines without a hook
       }
@@ -103,8 +89,8 @@ auto with_engine(const Protocol* protocol, const TransitionTable& table,
   }
   if (mc.fairness.needs_adversarial_engine()) {
     PPK_EXPECTS(protocol != nullptr);
-    AdversarialSimulator sim(*protocol, table, Population(initial),
-                             mc.fairness, seed, graph ? &*graph : nullptr);
+    AgentSimulator sim(*protocol, table, Population(initial), mc.fairness,
+                       seed, graph ? &*graph : nullptr);
     return visit(sim);
   }
   switch (engine) {
@@ -121,7 +107,7 @@ auto with_engine(const Protocol* protocol, const TransitionTable& table,
       return visit(sim);
     }
     case Engine::kGraph: {
-      GraphSimulator sim(table, std::move(*graph), Population(initial), seed);
+      AgentSimulator sim(table, *graph, Population(initial), seed);
       return visit(sim);
     }
     case Engine::kGraphJump: {

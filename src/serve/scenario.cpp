@@ -15,18 +15,6 @@
 
 namespace ppk::serve {
 
-namespace {
-
-/// %.17g round-trips every finite double through strtod, which is what
-/// keeps serialize(parse(serialize(s))) byte-identical for er_p/epsilon.
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  return buffer;
-}
-
-}  // namespace
-
 const char* to_string(ScenarioFamily family) noexcept {
   switch (family) {
     case ScenarioFamily::kKPartition: return "kpartition";
@@ -848,12 +836,6 @@ core::CampaignOptions ScenarioRuntime::campaign_options() const {
       PPK_ASSERT(false);
       return pp::InteractionGraph::complete(n);
     };
-    options.topology_tag = std::string(to_string(kind));
-    if (kind == ScenarioTopology::kErdosRenyi) {
-      options.topology_tag += ":p=" + format_double(p);
-    }
-  } else {
-    options.topology_tag = "complete";
   }
   return options;
 }

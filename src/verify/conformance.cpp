@@ -12,7 +12,6 @@
 #include "core/kpartition.hpp"
 #include "core/weak_kpartition.hpp"
 #include "io/snapshot_io.hpp"
-#include "pp/adversarial.hpp"
 #include "pp/faults.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/stability.hpp"
@@ -28,34 +27,104 @@ namespace ppk::verify {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Names
+// Rows and names
 
-struct EngineName {
+/// The topology a row's scheduler is restricted to.  kNone (no topology)
+/// and kComplete realize the agent reference's process; the others are the
+/// sparse rows.
+enum class RowTopology : std::uint8_t {
+  kNone,
+  kComplete,
+  kRing,
+  kStar,
+  kPath,
+  kEr,
+};
+
+/// Everything the harness knows about one ConformanceEngine.
+struct EngineRow {
   ConformanceEngine engine;
+  /// Stable identifier used in logs and repro files.
   const char* name;
+  /// The engine pp::with_engine() builds for the row; nullopt for the rows
+  /// built directly (adversarial-eps1, churn-nofaults) and for kModel.
+  std::optional<pp::Engine> plain;
+  RowTopology topology;
+  pp::BatchMode batch_mode;
+  /// Per-step RNG consumption independent of budget boundaries, so a
+  /// chunked run()+resume() is bit-identical to one unchunked run.  The
+  /// aggregated engines (jump, batch) clamp geometric skips / batch lengths
+  /// at the budget and only agree in law.  The live-edge engine skips like
+  /// jump but *parks* a truncated run at the budget boundary instead of
+  /// re-drawing it, so it is held to the bit-identical contract.
+  bool pairwise;
+  /// For a sparse live-edge row: the per-draw row it is distribution-pinned
+  /// against (same topology, same conditional law).
+  std::optional<ConformanceEngine> counterpart;
 };
 
-constexpr EngineName kEngineNames[] = {
-    {ConformanceEngine::kAgent, "agent"},
-    {ConformanceEngine::kJump, "jump"},
-    {ConformanceEngine::kBatchAuto, "batch-auto"},
-    {ConformanceEngine::kBatchForced, "batch-forced"},
-    {ConformanceEngine::kThinForced, "thin-forced"},
-    {ConformanceEngine::kBatchSharded, "batch-sharded"},
-    {ConformanceEngine::kGraphComplete, "graph-complete"},
-    {ConformanceEngine::kAdversarialEps1, "adversarial-eps1"},
-    {ConformanceEngine::kChurnNoFaults, "churn-nofaults"},
-    {ConformanceEngine::kGraphRing, "graph-ring"},
-    {ConformanceEngine::kGraphStar, "graph-star"},
-    {ConformanceEngine::kGraphPath, "graph-path"},
-    {ConformanceEngine::kGraphEr, "graph-er"},
-    {ConformanceEngine::kLiveEdgeComplete, "live-edge-complete"},
-    {ConformanceEngine::kLiveEdgeRing, "live-edge-ring"},
-    {ConformanceEngine::kLiveEdgeStar, "live-edge-star"},
-    {ConformanceEngine::kLiveEdgePath, "live-edge-path"},
-    {ConformanceEngine::kLiveEdgeEr, "live-edge-er"},
-    {ConformanceEngine::kModel, "model"},
+using CE = ConformanceEngine;
+using pp::BatchMode;
+using pp::Engine;
+using Topo = RowTopology;
+
+// Rows in all_conformance_engines() order; kModel (no engine) last.
+constexpr EngineRow kRows[] = {
+    {CE::kAgent, "agent", Engine::kAgentArray, Topo::kNone, BatchMode::kAuto,
+     true, std::nullopt},
+    {CE::kJump, "jump", Engine::kJump, Topo::kNone, BatchMode::kAuto, false,
+     std::nullopt},
+    {CE::kBatchAuto, "batch-auto", Engine::kBatch, Topo::kNone,
+     BatchMode::kAuto, false, std::nullopt},
+    {CE::kBatchForced, "batch-forced", Engine::kBatch, Topo::kNone,
+     BatchMode::kForceBatch, false, std::nullopt},
+    {CE::kThinForced, "thin-forced", Engine::kBatch, Topo::kNone,
+     BatchMode::kForceThin, false, std::nullopt},
+    {CE::kBatchSharded, "batch-sharded", Engine::kBatchSharded, Topo::kNone,
+     BatchMode::kAuto, false, std::nullopt},
+    {CE::kGraphComplete, "graph-complete", Engine::kGraph, Topo::kComplete,
+     BatchMode::kAuto, true, std::nullopt},
+    {CE::kAdversarialEps1, "adversarial-eps1", std::nullopt, Topo::kNone,
+     BatchMode::kAuto, true, std::nullopt},
+    {CE::kChurnNoFaults, "churn-nofaults", std::nullopt, Topo::kNone,
+     BatchMode::kAuto, true, std::nullopt},
+    {CE::kGraphRing, "graph-ring", Engine::kGraph, Topo::kRing,
+     BatchMode::kAuto, true, std::nullopt},
+    {CE::kGraphStar, "graph-star", Engine::kGraph, Topo::kStar,
+     BatchMode::kAuto, true, std::nullopt},
+    {CE::kGraphPath, "graph-path", Engine::kGraph, Topo::kPath,
+     BatchMode::kAuto, true, std::nullopt},
+    {CE::kGraphEr, "graph-er", Engine::kGraph, Topo::kEr, BatchMode::kAuto,
+     true, std::nullopt},
+    {CE::kLiveEdgeComplete, "live-edge-complete", Engine::kGraphJump,
+     Topo::kComplete, BatchMode::kAuto, true, std::nullopt},
+    {CE::kLiveEdgeRing, "live-edge-ring", Engine::kGraphJump, Topo::kRing,
+     BatchMode::kAuto, true, CE::kGraphRing},
+    {CE::kLiveEdgeStar, "live-edge-star", Engine::kGraphJump, Topo::kStar,
+     BatchMode::kAuto, true, CE::kGraphStar},
+    {CE::kLiveEdgePath, "live-edge-path", Engine::kGraphJump, Topo::kPath,
+     BatchMode::kAuto, true, CE::kGraphPath},
+    {CE::kLiveEdgeEr, "live-edge-er", Engine::kGraphJump, Topo::kEr,
+     BatchMode::kAuto, true, CE::kGraphEr},
+    {CE::kModel, "model", std::nullopt, Topo::kNone, BatchMode::kAuto, false,
+     std::nullopt},
 };
+
+const EngineRow& row_of(ConformanceEngine engine) {
+  for (const EngineRow& row : kRows) {
+    if (row.engine == engine) return row;
+  }
+  PPK_ASSERT(false);
+  return kRows[0];
+}
+
+/// True for the sparse-topology rows -- the engines whose scheduler is
+/// restricted to a non-complete graph and therefore realizes a *different*
+/// stochastic process than the agent reference.
+bool is_sparse_topology(ConformanceEngine engine) {
+  const RowTopology t = row_of(engine).topology;
+  return t != RowTopology::kNone && t != RowTopology::kComplete;
+}
 
 struct CheckName {
   ConformanceCheck check;
@@ -269,62 +338,19 @@ CaseContext materialize(const ConformanceCase& c) {
   return ctx;
 }
 
-/// True for the sparse-topology rows -- the engines whose scheduler is
-/// restricted to a non-complete graph and therefore realizes a *different*
-/// stochastic process than the agent reference.
-bool is_sparse_topology(ConformanceEngine engine) {
-  switch (engine) {
-    case ConformanceEngine::kGraphRing:
-    case ConformanceEngine::kGraphStar:
-    case ConformanceEngine::kGraphPath:
-    case ConformanceEngine::kGraphEr:
-    case ConformanceEngine::kLiveEdgeRing:
-    case ConformanceEngine::kLiveEdgeStar:
-    case ConformanceEngine::kLiveEdgePath:
-    case ConformanceEngine::kLiveEdgeEr:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// The per-draw engine a sparse live-edge row is distribution-pinned
-/// against (same topology, same conditional law).
-std::optional<ConformanceEngine> per_draw_counterpart(
-    ConformanceEngine engine) {
-  switch (engine) {
-    case ConformanceEngine::kLiveEdgeRing:
-      return ConformanceEngine::kGraphRing;
-    case ConformanceEngine::kLiveEdgeStar:
-      return ConformanceEngine::kGraphStar;
-    case ConformanceEngine::kLiveEdgePath:
-      return ConformanceEngine::kGraphPath;
-    case ConformanceEngine::kLiveEdgeEr:
-      return ConformanceEngine::kGraphEr;
-    default:
-      return std::nullopt;
-  }
-}
-
-pp::InteractionGraph topology_for(ConformanceEngine engine,
+pp::InteractionGraph topology_for(RowTopology topology,
                                   const CaseContext& ctx) {
-  switch (engine) {
-    case ConformanceEngine::kGraphRing:
-    case ConformanceEngine::kLiveEdgeRing:
-      return pp::InteractionGraph::ring(ctx.n);
-    case ConformanceEngine::kGraphStar:
-    case ConformanceEngine::kLiveEdgeStar:
-      return pp::InteractionGraph::star(ctx.n);
-    case ConformanceEngine::kGraphPath:
-    case ConformanceEngine::kLiveEdgePath:
-      return pp::InteractionGraph::path(ctx.n);
-    case ConformanceEngine::kGraphEr:
-    case ConformanceEngine::kLiveEdgeEr:
+  switch (topology) {
+    case RowTopology::kRing: return pp::InteractionGraph::ring(ctx.n);
+    case RowTopology::kStar: return pp::InteractionGraph::star(ctx.n);
+    case RowTopology::kPath: return pp::InteractionGraph::path(ctx.n);
+    case RowTopology::kEr:
       // Dense enough that every n >= 3 connects within the resample bound.
       return pp::InteractionGraph::erdos_renyi(ctx.n, 0.5, ctx.topology_seed);
-    default:
-      return pp::InteractionGraph::complete(ctx.n);
+    case RowTopology::kNone:
+    case RowTopology::kComplete: break;
   }
+  return pp::InteractionGraph::complete(ctx.n);
 }
 
 enum class OracleKind { kStabilization, kQuiescence };
@@ -345,35 +371,6 @@ std::unique_ptr<pp::StabilityOracle> make_oracle(const CaseContext& ctx,
   return std::make_unique<pp::SilenceOracle>(*ctx.engine_table);
 }
 
-/// True for the engines whose per-step RNG consumption is independent of
-/// budget boundaries, making chunked run()+resume() bit-identical to one
-/// unchunked run.  The aggregated engines (jump, batch) clamp geometric
-/// skips / batch lengths at the budget and therefore only agree in law.
-bool is_pairwise(ConformanceEngine engine) {
-  switch (engine) {
-    case ConformanceEngine::kAgent:
-    case ConformanceEngine::kGraphComplete:
-    case ConformanceEngine::kAdversarialEps1:
-    case ConformanceEngine::kChurnNoFaults:
-    case ConformanceEngine::kGraphRing:
-    case ConformanceEngine::kGraphStar:
-    case ConformanceEngine::kGraphPath:
-    case ConformanceEngine::kGraphEr:
-    // The live-edge engine skips geometrically like the jump engine but
-    // *parks* a truncated run at the budget boundary instead of re-drawing
-    // it, so chunking does not perturb its RNG stream: it is held to the
-    // stronger bit-identical contract.
-    case ConformanceEngine::kLiveEdgeComplete:
-    case ConformanceEngine::kLiveEdgeRing:
-    case ConformanceEngine::kLiveEdgeStar:
-    case ConformanceEngine::kLiveEdgePath:
-    case ConformanceEngine::kLiveEdgeEr:
-      return true;
-    default:
-      return false;
-  }
-}
-
 struct TrialRun {
   pp::SimResult result;
   pp::Counts final_counts;
@@ -381,33 +378,6 @@ struct TrialRun {
   std::optional<Violation> violation;
   bool counts_consistent = true;  // engine state == oracle-tracked state
 };
-
-/// The pp::Engine a conformance row runs, for the rows that denote one.
-std::optional<pp::Engine> plain_engine(ConformanceEngine engine) {
-  switch (engine) {
-    case ConformanceEngine::kAgent: return pp::Engine::kAgentArray;
-    case ConformanceEngine::kJump: return pp::Engine::kJump;
-    case ConformanceEngine::kBatchSharded: return pp::Engine::kBatchSharded;
-    case ConformanceEngine::kBatchAuto:
-    case ConformanceEngine::kBatchForced:
-    case ConformanceEngine::kThinForced:
-      return pp::Engine::kBatch;
-    case ConformanceEngine::kGraphComplete:
-    case ConformanceEngine::kGraphRing:
-    case ConformanceEngine::kGraphStar:
-    case ConformanceEngine::kGraphPath:
-    case ConformanceEngine::kGraphEr:
-      return pp::Engine::kGraph;
-    case ConformanceEngine::kLiveEdgeComplete:
-    case ConformanceEngine::kLiveEdgeRing:
-    case ConformanceEngine::kLiveEdgeStar:
-    case ConformanceEngine::kLiveEdgePath:
-    case ConformanceEngine::kLiveEdgeEr:
-      return pp::Engine::kGraphJump;
-    default:
-      return std::nullopt;
-  }
-}
 
 /// Constructs the simulator a conformance row denotes (fresh engine, RNG
 /// stream from `seed`) and invokes `fn` on it.  Shared by the trial driver
@@ -421,24 +391,25 @@ template <typename Fn>
 void with_engine(ConformanceEngine engine, const CaseContext& ctx,
                  std::uint64_t seed, Fn&& fn) {
   const pp::TransitionTable& table = *ctx.engine_table;
-  if (const auto plain = plain_engine(engine)) {
+  const EngineRow& row = row_of(engine);
+  if (row.plain) {
     pp::MonteCarloOptions mc;
-    mc.engine = *plain;
+    mc.engine = *row.plain;
     // Two workers with the parallel grain forced to zero (below): every
     // sharded batch takes the pool-dispatched path, so the conformance nets
     // exercise exactly the machinery whose determinism the engine claims.
     mc.engine_threads = 2;
-    if (*plain == pp::Engine::kGraph || *plain == pp::Engine::kGraphJump) {
-      mc.graph = [&](std::uint64_t) { return topology_for(engine, ctx); };
+    if (row.topology != RowTopology::kNone) {
+      mc.graph = [&](std::uint64_t) {
+        return topology_for(row.topology, ctx);
+      };
     }
-    const pp::BatchMode mode =
-        engine == ConformanceEngine::kBatchForced ? pp::BatchMode::kForceBatch
-        : engine == ConformanceEngine::kThinForced ? pp::BatchMode::kForceThin
-                                                   : pp::BatchMode::kAuto;
     pp::with_engine(ctx.engine_protocol, table, ctx.initial, mc, seed,
                     nullptr, nullptr, [&](auto& sim) {
-                      if constexpr (requires { sim.set_batch_mode(mode); }) {
-                        sim.set_batch_mode(mode);
+                      if constexpr (requires {
+                                      sim.set_batch_mode(row.batch_mode);
+                                    }) {
+                        sim.set_batch_mode(row.batch_mode);
                       }
                       if constexpr (requires { sim.set_parallel_grain(0); }) {
                         sim.set_parallel_grain(0);
@@ -448,8 +419,9 @@ void with_engine(ConformanceEngine engine, const CaseContext& ctx,
     return;
   }
   if (engine == ConformanceEngine::kAdversarialEps1) {
-    pp::AdversarialSimulator sim(*ctx.engine_protocol, table,
-                                 pp::Population(ctx.initial), 1.0, seed);
+    pp::AgentSimulator sim(*ctx.engine_protocol, table,
+                           pp::Population(ctx.initial),
+                           pp::FairnessSpec::epsilon_fair(1.0), seed);
     fn(sim);
     return;
   }
@@ -818,32 +790,28 @@ void compare_distributions(const ConformanceCase& c, const CaseContext& ctx,
 }  // namespace
 
 const char* conformance_engine_name(ConformanceEngine engine) {
-  for (const auto& e : kEngineNames) {
-    if (e.engine == engine) return e.name;
+  for (const auto& row : kRows) {
+    if (row.engine == engine) return row.name;
   }
   return "?";
 }
 
 std::optional<ConformanceEngine> conformance_engine_from_name(
     const std::string& name) {
-  for (const auto& e : kEngineNames) {
-    if (name == e.name) return e.engine;
+  for (const auto& row : kRows) {
+    if (name == row.name) return row.engine;
   }
   return std::nullopt;
 }
 
 const std::vector<ConformanceEngine>& all_conformance_engines() {
-  static const std::vector<ConformanceEngine> kAll = {
-      ConformanceEngine::kAgent,          ConformanceEngine::kJump,
-      ConformanceEngine::kBatchAuto,      ConformanceEngine::kBatchForced,
-      ConformanceEngine::kThinForced,     ConformanceEngine::kBatchSharded,
-      ConformanceEngine::kGraphComplete,  ConformanceEngine::kAdversarialEps1,
-      ConformanceEngine::kChurnNoFaults,  ConformanceEngine::kGraphRing,
-      ConformanceEngine::kGraphStar,      ConformanceEngine::kGraphPath,
-      ConformanceEngine::kGraphEr,        ConformanceEngine::kLiveEdgeComplete,
-      ConformanceEngine::kLiveEdgeRing,   ConformanceEngine::kLiveEdgeStar,
-      ConformanceEngine::kLiveEdgePath,   ConformanceEngine::kLiveEdgeEr,
-  };
+  static const std::vector<ConformanceEngine> kAll = [] {
+    std::vector<ConformanceEngine> all;
+    for (const auto& row : kRows) {
+      if (row.engine != ConformanceEngine::kModel) all.push_back(row.engine);
+    }
+    return all;
+  }();
   return kAll;
 }
 
@@ -992,7 +960,7 @@ ConformanceReport check_conformance(const ConformanceCase& c,
     }
 
     // Chunked run()+resume() must be bit-identical for pairwise engines.
-    if (is_pairwise(engine)) {
+    if (row_of(engine).pairwise) {
       const std::uint64_t chunk_seed =
           trial_seed(c, engine, kPurposeChunked, 0);
       const TrialRun whole =
@@ -1060,7 +1028,7 @@ ConformanceReport check_conformance(const ConformanceCase& c,
   }
 
   // --- Sparse-pair distribution net ----------------------------------------
-  // Each live-edge row against the per-draw GraphSimulator on the *same*
+  // Each live-edge row against its per-draw graph row on the *same*
   // graph: the exact geometric null-skip must realize the identical
   // conditional law, so stabilization times (censored at the budget) and
   // effective counts are KS-compared engine-to-engine.  The counterpart is
@@ -1068,7 +1036,7 @@ ConformanceReport check_conformance(const ConformanceCase& c,
   // keeps shrunken repros (restricted to agent + the diverging engine)
   // replayable.
   for (const ConformanceEngine engine : engines) {
-    const auto counterpart = per_draw_counterpart(engine);
+    const auto counterpart = row_of(engine).counterpart;
     if (!counterpart.has_value()) continue;
     const DistributionSample per_draw = sample_engine(
         c, ctx, ref, *counterpart, kPurposeDistribution, c.trials);

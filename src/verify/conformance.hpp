@@ -5,10 +5,10 @@
 // The repo carries many realizations of the *same* stochastic process (the
 // uniform-random pairwise scheduler): the agent array, the jump and batch
 // aggregators, the restricted-scheduler simulators specialized to
-// unrestricted parameters (GraphSimulator on the complete graph,
-// AdversarialSimulator with epsilon = 1, ChurnSimulator with an empty fault
-// schedule).  Any future sharding or parallelism PR adds more.
-// Sparse topologies are covered too: the per-draw GraphSimulator and the
+// unrestricted parameters (the agent array's topology draw on the complete
+// graph and its fairness draw with epsilon = 1, ChurnSimulator with an
+// empty fault schedule).  Any future sharding or parallelism PR adds more.
+// Sparse topologies are covered too: the per-draw topology draw and the
 // live-edge GraphJumpSimulator each run on the ring, star, path and a
 // seeded G(n, 0.5), and every live-edge row is pinned against its per-draw
 // counterpart by a dedicated distribution net (the two engines realize the
@@ -95,7 +95,7 @@ enum class ConformanceEngine : std::uint8_t {
   kGraphComplete,
   kAdversarialEps1,
   kChurnNoFaults,
-  // Sparse-topology rows.  graph-X is the per-draw GraphSimulator on
+  // Sparse-topology rows.  graph-X is the agent array's topology draw on
   // topology X; live-edge-X is GraphJumpSimulator on the same graph
   // (G(n, 0.5) rows share one seeded graph derived from the case seed, so
   // a pair sees the identical topology).  live-edge-complete runs against

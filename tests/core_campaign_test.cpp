@@ -447,13 +447,19 @@ TEST_F(CampaignTest, FingerprintCoversFairnessAndTopology) {
   changed.mc.fairness.epsilon = 0.5;
   EXPECT_NE(ppk::core::campaign_fingerprint(initial, changed), quarter);
 
-  // A caller-supplied topology tag distinguishes topologies the factory
-  // presence bit cannot (ring vs star).
+  // The topology is fingerprinted by the edge list trial 0 runs on, so two
+  // factories over the same agents (ring vs star) refuse each other's
+  // checkpoints.
   changed = base;
-  changed.topology_tag = "ring";
+  changed.mc.engine = ppk::pp::Engine::kGraph;
+  changed.mc.graph = [](std::uint64_t) {
+    return ppk::pp::InteractionGraph::ring(kN);
+  };
   const std::string ring = ppk::core::campaign_fingerprint(initial, changed);
   EXPECT_NE(ring, fp);
-  changed.topology_tag = "star";
+  changed.mc.graph = [](std::uint64_t) {
+    return ppk::pp::InteractionGraph::star(kN);
+  };
   EXPECT_NE(ppk::core::campaign_fingerprint(initial, changed), ring);
 }
 
@@ -639,7 +645,7 @@ INSTANTIATE_TEST_SUITE_P(
         TrialRow{"batch", Engine::kBatch, Engine::kBatch, 4000},
         TrialRow{"sharded", Engine::kBatchSharded, Engine::kBatchSharded,
                  4000},
-        TrialRow{"graph", Engine::kGraph, Engine::kGraph, 40, true},
+        TrialRow{"graph", Engine::kGraph, Engine::kGraph, 40, true, true},
         TrialRow{"graph_jump", Engine::kGraphJump, Engine::kGraphJump, 40,
                  true, true},
         TrialRow{"auto_agent_band", Engine::kAuto, Engine::kAgentArray, 40},

@@ -17,11 +17,9 @@
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
-#include "pp/adversarial.hpp"
 #include "pp/agent_simulator.hpp"
 #include "pp/batch_simulator.hpp"
 #include "pp/graph_jump_simulator.hpp"
-#include "pp/graph_simulator.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/monte_carlo.hpp"
@@ -186,7 +184,7 @@ TEST(ObsMetrics, SinkCountersMatchEngineTotals) {
   // The restricted-scheduler engines gained obs hooks in this PR.
   check(
       [&](ObsSink& sink) {
-        ppk::pp::GraphSimulator sim(table,
+        ppk::pp::AgentSimulator sim(table,
                                     ppk::pp::InteractionGraph::complete(n),
                                     ppk::pp::Population(initial), 11);
         sim.set_obs_sink(&sink);
@@ -196,8 +194,9 @@ TEST(ObsMetrics, SinkCountersMatchEngineTotals) {
       "graph");
   check(
       [&](ObsSink& sink) {
-        ppk::pp::AdversarialSimulator sim(
-            protocol, table, ppk::pp::Population(initial), 0.5, 11);
+        ppk::pp::AgentSimulator sim(
+            protocol, table, ppk::pp::Population(initial),
+            ppk::pp::FairnessSpec::epsilon_fair(0.5), 11);
         sim.set_obs_sink(&sink);
         auto oracle = ppk::core::stable_pattern_oracle(protocol, n);
         return sim.run(*oracle);

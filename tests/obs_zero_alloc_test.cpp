@@ -17,9 +17,7 @@
 
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
-#include "pp/adversarial.hpp"
 #include "pp/agent_simulator.hpp"
-#include "pp/graph_simulator.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/population.hpp"
@@ -91,13 +89,13 @@ TEST(ObsZeroAlloc, AgentEngineSteadyStateAllocatesNothingWithoutSink) {
 }
 
 TEST(ObsZeroAlloc, GraphEngineSteadyStateAllocatesNothingWithoutSink) {
-  // GraphSimulator gained obs hooks in this PR; its dormant path must stay
+  // The agent array's topology draw rule: its dormant obs path must stay
   // allocation-free like the other engines'.
   const KPartitionProtocol protocol(4);
   const ppk::pp::TransitionTable table(protocol);
   const std::uint32_t n = 64;
 
-  ppk::pp::GraphSimulator sim(
+  ppk::pp::AgentSimulator sim(
       table, ppk::pp::InteractionGraph::complete(n),
       ppk::pp::Population(n, protocol.num_states(), protocol.initial_state()),
       123);
@@ -113,16 +111,16 @@ TEST(ObsZeroAlloc, GraphEngineSteadyStateAllocatesNothingWithoutSink) {
 }
 
 TEST(ObsZeroAlloc, AdversarialEngineSteadyStateAllocatesNothingWithoutSink) {
-  // AdversarialSimulator gained obs hooks in this PR; epsilon = 0.25 keeps
-  // the adversary's probe loop (the extra branch) on the measured path.
+  // The agent array's fairness draw rule: epsilon = 0.25 keeps the
+  // adversary's probe loop (the extra branch) on the measured path.
   const KPartitionProtocol protocol(4);
   const ppk::pp::TransitionTable table(protocol);
   const std::uint32_t n = 64;
 
-  ppk::pp::AdversarialSimulator sim(
+  ppk::pp::AgentSimulator sim(
       protocol, table,
       ppk::pp::Population(n, protocol.num_states(), protocol.initial_state()),
-      0.25, 123);
+      ppk::pp::FairnessSpec::epsilon_fair(0.25), 123);
   auto oracle = ppk::core::stable_pattern_oracle(protocol, n);
   oracle->reset(sim.population().counts());
   for (int i = 0; i < 256; ++i) sim.step(*oracle);  // warm-up

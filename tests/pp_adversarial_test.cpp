@@ -1,4 +1,3 @@
-#include "pp/adversarial.hpp"
 
 #include <gtest/gtest.h>
 
@@ -22,10 +21,10 @@ double mean_interactions_adversarial(pp::GroupId k, std::uint32_t n,
   double total = 0.0;
   int ok = 0;
   for (int trial = 0; trial < trials; ++trial) {
-    AdversarialSimulator sim(
+    AgentSimulator sim(
         protocol, table,
         Population(n, protocol.num_states(), protocol.initial_state()),
-        epsilon,
+        FairnessSpec::epsilon_fair(epsilon),
         derive_stream_seed(master_seed, static_cast<std::uint64_t>(trial)));
     auto oracle = core::stable_pattern_oracle(protocol, n);
     const SimResult result = sim.run(*oracle, 500'000'000ULL);
@@ -45,10 +44,10 @@ TEST(AdversarialSimulator, StillStabilizesBecauseItIsFair) {
 TEST(AdversarialSimulator, ReachesTheCorrectStablePattern) {
   const core::KPartitionProtocol protocol(4);
   const TransitionTable table(protocol);
-  AdversarialSimulator sim(
+  AgentSimulator sim(
       protocol, table,
-      Population(13, protocol.num_states(), protocol.initial_state()), 0.05,
-      99);
+      Population(13, protocol.num_states(), protocol.initial_state()),
+      FairnessSpec::epsilon_fair(0.05), 99);
   auto oracle = core::stable_pattern_oracle(protocol, 13);
   ASSERT_TRUE(sim.run(*oracle, 500'000'000ULL).stabilized);
   EXPECT_TRUE(core::matches_stable_pattern(protocol, 13,
@@ -64,7 +63,7 @@ TEST(AdversarialSimulator, SmallerEpsilonMeansSlowerStabilization) {
 }
 
 TEST(AdversarialSimulator, ResumePreservesOracleProgressAcrossChunks) {
-  // Regression (the PR 1 bug class, fixed here for AdversarialSimulator):
+  // Regression (the PR 1 bug class, fixed here for the adversarial rule):
   // run() resets the oracle, so granting the budget in chunks via run()
   // discarded a quiescence lull spanning a chunk boundary.  resume() must
   // continue the oracle, making a chunked run bit-identical to an unchunked
@@ -80,18 +79,18 @@ TEST(AdversarialSimulator, ResumePreservesOracleProgressAcrossChunks) {
   constexpr std::uint64_t kChunk = 64;    // drawn pairs per grant
   constexpr std::uint64_t kBudget = 5'000'000;
 
-  AdversarialSimulator whole(protocol, table,
-                             Population(kN, protocol.num_states(),
-                                        protocol.initial_state()),
-                             kEpsilon, seed);
+  AgentSimulator whole(
+      protocol, table,
+      Population(kN, protocol.num_states(), protocol.initial_state()),
+      FairnessSpec::epsilon_fair(kEpsilon), seed);
   auto whole_oracle = make_quiescence_oracle(protocol, kWindow);
   const SimResult reference = whole.run(whole_oracle, kBudget);
   ASSERT_TRUE(reference.stabilized);
 
-  AdversarialSimulator chunked(protocol, table,
-                               Population(kN, protocol.num_states(),
-                                          protocol.initial_state()),
-                               kEpsilon, seed);
+  AgentSimulator chunked(
+      protocol, table,
+      Population(kN, protocol.num_states(), protocol.initial_state()),
+      FairnessSpec::epsilon_fair(kEpsilon), seed);
   auto chunked_oracle = make_quiescence_oracle(protocol, kWindow);
   std::uint64_t total = 0;
   bool stabilized = false;
@@ -108,10 +107,10 @@ TEST(AdversarialSimulator, ResumePreservesOracleProgressAcrossChunks) {
 
   // Contrast: the buggy per-chunk run() pattern resets the oracle every 64
   // draws, so the 500-effective-interaction lull is never observed.
-  AdversarialSimulator resetting(protocol, table,
-                                 Population(kN, protocol.num_states(),
-                                            protocol.initial_state()),
-                                 kEpsilon, seed);
+  AgentSimulator resetting(
+      protocol, table,
+      Population(kN, protocol.num_states(), protocol.initial_state()),
+      FairnessSpec::epsilon_fair(kEpsilon), seed);
   auto reset_oracle = make_quiescence_oracle(protocol, kWindow);
   total = 0;
   stabilized = false;
@@ -125,7 +124,7 @@ TEST(AdversarialSimulator, ResumePreservesOracleProgressAcrossChunks) {
 
 TEST(AdversarialSimulator, EpsilonOneMatchesUniformScheduler) {
   // With epsilon = 1 the adversary never acts: statistics must match the
-  // plain AgentSimulator.
+  // complete-graph draw.
   const core::KPartitionProtocol protocol(3);
   const TransitionTable table(protocol);
   constexpr int kTrials = 40;
@@ -155,7 +154,7 @@ TEST(FairnessPolicy, WeakRoundRobinStabilizesWeakProtocol) {
   const core::WeakKPartitionProtocol protocol(3);
   const TransitionTable table(protocol);
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    AdversarialSimulator sim(
+    AgentSimulator sim(
         protocol, table,
         Population(14, protocol.num_states(), protocol.initial_state()),
         FairnessSpec::weak_round_robin(), seed);
@@ -181,7 +180,7 @@ TEST(FairnessPolicy, WeakRoundRobinCannotRefuteGlobalProtocolsBySimulation) {
   const core::KPartitionProtocol protocol(3);
   const TransitionTable table(protocol);
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    AdversarialSimulator sim(
+    AgentSimulator sim(
         protocol, table,
         Population(9, protocol.num_states(), protocol.initial_state()),
         FairnessSpec::weak_round_robin(), seed);
@@ -198,20 +197,20 @@ TEST(FairnessPolicy, WeakRoundRobinSnapshotResumeIsBitIdentical) {
   const core::WeakKPartitionProtocol protocol(2);
   const TransitionTable table(protocol);
   const auto make = [&] {
-    return AdversarialSimulator(
+    return AgentSimulator(
         protocol, table,
         Population(10, protocol.num_states(), protocol.initial_state()),
         FairnessSpec::weak_round_robin(), 77);
   };
 
-  AdversarialSimulator reference = make();
+  AgentSimulator reference = make();
   SilenceOracle ref_oracle(table);
   ref_oracle.reset(reference.population().counts());
   for (int i = 0; i < 37; ++i) reference.step(ref_oracle);
   const Snapshot snap = reference.snapshot();
   for (int i = 0; i < 200; ++i) reference.step(ref_oracle);
 
-  AdversarialSimulator restored = make();
+  AgentSimulator restored = make();
   restored.restore(snap);
   SilenceOracle oracle(table);
   oracle.reset(restored.population().counts());
@@ -230,7 +229,7 @@ TEST(FairnessPolicy, TopologyRestrictedSchedulingHonorsEdges) {
 
   const core::GraphBipartitionProtocol graph_protocol;
   const TransitionTable graph_table(graph_protocol);
-  AdversarialSimulator good(
+  AgentSimulator good(
       graph_protocol, graph_table,
       Population(7, graph_protocol.num_states(),
                  graph_protocol.initial_state()),
@@ -242,7 +241,7 @@ TEST(FairnessPolicy, TopologyRestrictedSchedulingHonorsEdges) {
 
   const core::KPartitionProtocol paper(3);
   const TransitionTable paper_table(paper);
-  AdversarialSimulator wedged(
+  AgentSimulator wedged(
       paper, paper_table,
       Population(7, paper.num_states(), paper.initial_state()),
       FairnessSpec::uniform_random(), 5, &star);

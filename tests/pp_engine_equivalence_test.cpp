@@ -1,9 +1,10 @@
 // Statistical equivalence of the simulation engines (including the batch
 // engine's two forced regimes and the restricted-scheduler simulators
-// specialized to unrestricted parameters -- GraphSimulator on the complete
-// graph, AdversarialSimulator with epsilon = 1): all of them must sample
-// stabilization-time distributions identical to AgentSimulator's, because
-// they all claim to realize the same uniform-random scheduler.  A two-sample
+// specialized to unrestricted parameters -- the agent array's topology draw
+// on the complete graph and its fairness draw with epsilon = 1): all of them
+// must sample stabilization-time distributions identical to the
+// complete-graph draw's, because they all claim to realize the same
+// uniform-random scheduler.  A two-sample
 // Kolmogorov-Smirnov test per engine pair catches distribution-level bugs
 // (wrong pair weights, off-by-one in null accounting, broken batch
 // composition) that mean-comparison tests miss.
@@ -24,12 +25,10 @@
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "core/weak_kpartition.hpp"
-#include "pp/adversarial.hpp"
 #include "pp/agent_simulator.hpp"
 #include "pp/batch_sharded_simulator.hpp"
 #include "pp/batch_simulator.hpp"
 #include "pp/graph_jump_simulator.hpp"
-#include "pp/graph_simulator.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/transition_table.hpp"
@@ -90,8 +89,8 @@ enum class EngineUnderTest {
   // Restricted-scheduler simulators specialized to unrestricted parameters
   // (this PR): both claim to degenerate to the uniform-random scheduler, so
   // both must match the agent reference in law.
-  kGraphComplete,    // GraphSimulator on the complete graph
-  kAdversarialEps1,  // AdversarialSimulator with a zero stall budget
+  kGraphComplete,    // the topology draw on the complete graph
+  kAdversarialEps1,  // the fairness draw with a zero stall budget
   // The live-edge skip-ahead engine on the complete graph: its geometric
   // null-skip conditioned on the live set must realize exactly the uniform
   // ordered-pair draw there.
@@ -163,7 +162,7 @@ double one_trial(EngineUnderTest engine, const Protocol& protocol,
       break;
     }
     case EngineUnderTest::kGraphComplete: {
-      GraphSimulator sim(
+      AgentSimulator sim(
           table, InteractionGraph::complete(n),
           Population(n, protocol.num_states(), protocol.initial_state()),
           seed);
@@ -173,10 +172,10 @@ double one_trial(EngineUnderTest engine, const Protocol& protocol,
     case EngineUnderTest::kAdversarialEps1: {
       // epsilon = 1: the adversary branch never fires, leaving the pure
       // uniform pair draw.
-      AdversarialSimulator sim(
+      AgentSimulator sim(
           protocol, table,
           Population(n, protocol.num_states(), protocol.initial_state()),
-          1.0, seed);
+          FairnessSpec::epsilon_fair(1.0), seed);
       result = sim.run(*oracle);
       break;
     }
@@ -288,7 +287,7 @@ TEST(EngineEquivalence, LiveEdgeMatchesPerDrawOnSparseTopologies) {
   // On a sparse graph neither engine matches the agent reference (the
   // scheduler is a different process), but the live-edge engine's exact
   // geometric null-skip must realize the *same* conditional law as the
-  // per-draw GraphSimulator on the same graph.  Stabilization times are
+  // per-draw topology draw on the same graph.  Stabilization times are
   // censored at the budget: a wedged trial contributes `budget` whether
   // the per-draw engine burned it or the live-edge engine proved the dead
   // end early -- stall detection is an efficiency property, not a
@@ -317,7 +316,7 @@ TEST(EngineEquivalence, LiveEdgeMatchesPerDrawOnSparseTopologies) {
     std::vector<double> live_effective;
     for (int trial = 0; trial < kTrials; ++trial) {
       {
-        GraphSimulator sim(
+        AgentSimulator sim(
             table, topologies[topo].graph,
             Population(n, protocol.num_states(), protocol.initial_state()),
             derive_stream_seed(500 + topo, static_cast<std::uint64_t>(trial)));

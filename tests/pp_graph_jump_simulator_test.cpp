@@ -4,7 +4,7 @@
 // be bit-identical to an unchunked run (the pending-null carry), budgets
 // must be exact, and watch marks must follow the agent-engine semantics.
 //
-// Also pins the satellite-3 contract: GraphSimulator cannot detect a
+// Also pins the per-draw topology rule's contract: it cannot detect a
 // wedged configuration (no effective interactions means no oracle
 // callbacks, so even a QuiescenceOracle never fires) and burns its full
 // budget, while the live-edge engine stops at interaction zero.
@@ -19,7 +19,7 @@
 
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
-#include "pp/graph_simulator.hpp"
+#include "pp/agent_simulator.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/stability.hpp"
 #include "pp/transition_table.hpp"
@@ -104,7 +104,7 @@ TEST(GraphJumpSimulator, WedgedRingStopsAtInteractionZero) {
 }
 
 TEST(GraphJumpSimulator, GraphSimulatorBurnsBudgetWhereLiveEdgeStalls) {
-  // Satellite regression for the documented GraphSimulator contract:
+  // Regression for the documented per-draw topology-rule contract:
   // oracles hear about effective interactions only, so on a wedged
   // configuration no oracle -- quiescence included -- can fire and the
   // per-draw engine exhausts the budget.  The live-edge engine reports
@@ -118,7 +118,7 @@ TEST(GraphJumpSimulator, GraphSimulatorBurnsBudgetWhereLiveEdgeStalls) {
        {InteractionGraph::ring(n), InteractionGraph::path(n)}) {
     const Population population = wedged_population(protocol, n);
 
-    GraphSimulator per_draw(table, graph, population, 3);
+    AgentSimulator per_draw(table, graph, population, 3);
     auto quiescence = make_quiescence_oracle(protocol, 100);
     const SimResult burned = per_draw.run(quiescence, kBudget);
     EXPECT_EQ(burned.interactions, kBudget);

@@ -7,7 +7,6 @@
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "pp/agent_simulator.hpp"
-#include "pp/graph_simulator.hpp"
 #include "pp/transition_table.hpp"
 #include "protocols/epidemic.hpp"
 
@@ -118,7 +117,7 @@ TEST(GraphSimulator, CompleteGraphMatchesAgentSimulatorStatistically) {
   double agent_mean = 0.0;
   for (int trial = 0; trial < kTrials; ++trial) {
     {
-      GraphSimulator sim(table, InteractionGraph::complete(n),
+      AgentSimulator sim(table, InteractionGraph::complete(n),
                          Population(n, protocol.num_states(),
                                     protocol.initial_state()),
                          derive_stream_seed(10, static_cast<std::uint64_t>(trial)));
@@ -147,7 +146,7 @@ TEST(GraphSimulator, EpidemicSpreadsOnAnyConnectedGraph) {
        {InteractionGraph::ring(20), InteractionGraph::star(20),
         InteractionGraph::path(20), InteractionGraph::erdos_renyi(20, 0.3, 3)}) {
     Population population(Counts{1, 19});  // one informed agent (agent 0)
-    GraphSimulator sim(table, graph, std::move(population), 77);
+    AgentSimulator sim(table, graph, std::move(population), 77);
     SilenceOracle oracle(table);
     const SimResult result = sim.run(oracle, 1'000'000);
     ASSERT_TRUE(result.stabilized);
@@ -157,11 +156,11 @@ TEST(GraphSimulator, EpidemicSpreadsOnAnyConnectedGraph) {
 }
 
 TEST(GraphSimulator, ResumePreservesOracleProgressAcrossChunks) {
-  // Regression (the PR 1 bug class, fixed here for GraphSimulator): run()
-  // resets the oracle, so granting the budget in chunks via run() discarded
-  // a quiescence lull spanning a chunk boundary -- a window longer than the
-  // chunk could never fill.  resume() must continue the oracle where the
-  // previous chunk stopped, making a chunked run identical to an unchunked
+  // Regression (the PR 1 bug class, fixed here for the topology rule):
+  // run() resets the oracle, so granting the budget in chunks via run()
+  // discarded a quiescence lull spanning a chunk boundary -- a window longer
+  // than the chunk could never fill.  resume() must continue the oracle where
+  // the previous chunk stopped, making a chunked run identical to an unchunked
   // one (the RNG consumes per drawn pair, so chunking is transparent).
   const core::KPartitionProtocol protocol(4);
   const TransitionTable table(protocol);
@@ -173,7 +172,7 @@ TEST(GraphSimulator, ResumePreservesOracleProgressAcrossChunks) {
   constexpr std::uint64_t kChunk = 64;    // drawn pairs per grant
   constexpr std::uint64_t kBudget = 5'000'000;
 
-  GraphSimulator whole(table, InteractionGraph::complete(kN),
+  AgentSimulator whole(table, InteractionGraph::complete(kN),
                        Population(kN, protocol.num_states(),
                                   protocol.initial_state()),
                        seed);
@@ -181,7 +180,7 @@ TEST(GraphSimulator, ResumePreservesOracleProgressAcrossChunks) {
   const SimResult reference = whole.run(whole_oracle, kBudget);
   ASSERT_TRUE(reference.stabilized);
 
-  GraphSimulator chunked(table, InteractionGraph::complete(kN),
+  AgentSimulator chunked(table, InteractionGraph::complete(kN),
                          Population(kN, protocol.num_states(),
                                     protocol.initial_state()),
                          seed);
@@ -201,7 +200,7 @@ TEST(GraphSimulator, ResumePreservesOracleProgressAcrossChunks) {
 
   // Contrast: the buggy per-chunk run() pattern resets the oracle every 64
   // draws, so the 500-effective-interaction lull is never observed.
-  GraphSimulator resetting(table, InteractionGraph::complete(kN),
+  AgentSimulator resetting(table, InteractionGraph::complete(kN),
                            Population(kN, protocol.num_states(),
                                       protocol.initial_state()),
                            seed);
@@ -231,7 +230,7 @@ TEST(GraphSimulator, KPartitionCanWedgeOnSparseGraphs) {
   int ring_failures = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     {
-      GraphSimulator sim(table, InteractionGraph::complete(n),
+      AgentSimulator sim(table, InteractionGraph::complete(n),
                          Population(n, protocol.num_states(),
                                     protocol.initial_state()),
                          seed);
@@ -239,7 +238,7 @@ TEST(GraphSimulator, KPartitionCanWedgeOnSparseGraphs) {
       EXPECT_TRUE(sim.run(*oracle, budget).stabilized) << "seed " << seed;
     }
     {
-      GraphSimulator sim(table, InteractionGraph::ring(n),
+      AgentSimulator sim(table, InteractionGraph::ring(n),
                          Population(n, protocol.num_states(),
                                     protocol.initial_state()),
                          seed);

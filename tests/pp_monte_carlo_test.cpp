@@ -385,35 +385,36 @@ TEST_F(MonteCarloTest, WrongSizeTopologyFailsFast) {
       "precondition");
 }
 
-TEST_F(MonteCarloTest, WatchOnPerDrawGraphEngineFailsFast) {
-  // GraphSimulator has no watch hook; the live-edge engine does.  Forcing
-  // the per-draw engine with a watch set must fail fast.
-  MonteCarloOptions options;
-  options.trials = 1;
-  options.engine = Engine::kGraph;
-  options.watch_state = protocol_.g(4);
-  options.graph = [](std::uint64_t) { return InteractionGraph::complete(14); };
-  EXPECT_DEATH(
-      run_monte_carlo(protocol_, table_, 14, oracle_factory(14), options),
-      "precondition");
-}
-
 TEST_F(MonteCarloTest, WatchMarksOnLiveEdgeTopologyEngine) {
-  MonteCarloOptions options;
-  options.trials = 6;
-  options.engine = Engine::kGraphJump;
-  options.watch_state = protocol_.g(4);
-  options.graph = [](std::uint64_t) { return InteractionGraph::complete(14); };
-  const std::uint32_t n = 14;  // floor(14/4) = 3 groupings
-  const auto result =
-      run_monte_carlo(protocol_, table_, n, oracle_factory(n), options);
-  for (const auto& trial : result.trials) {
-    ASSERT_TRUE(trial.stabilized);
-    ASSERT_EQ(trial.watch_marks.size(), 3u);
-    for (std::size_t i = 1; i < trial.watch_marks.size(); ++i) {
-      EXPECT_GT(trial.watch_marks[i], trial.watch_marks[i - 1]);
+  // Every engine with a watch hook records the same marks: the live-edge
+  // engine, the agent array's topology draw and its epsilon-fair draw.
+  const auto complete = [](std::uint64_t) {
+    return InteractionGraph::complete(14);
+  };
+  MonteCarloOptions live_edge;
+  live_edge.engine = Engine::kGraphJump;
+  live_edge.graph = complete;
+  MonteCarloOptions per_draw;
+  per_draw.engine = Engine::kGraph;
+  per_draw.graph = complete;
+  MonteCarloOptions epsilon_fair;
+  epsilon_fair.engine = Engine::kAuto;
+  epsilon_fair.fairness = FairnessSpec::epsilon_fair(0.5);
+  for (MonteCarloOptions options : {live_edge, per_draw, epsilon_fair}) {
+    SCOPED_TRACE(std::string(engine_name(options.engine)));
+    options.trials = 6;
+    options.watch_state = protocol_.g(4);
+    const std::uint32_t n = 14;  // floor(14/4) = 3 groupings
+    const auto result =
+        run_monte_carlo(protocol_, table_, n, oracle_factory(n), options);
+    for (const auto& trial : result.trials) {
+      ASSERT_TRUE(trial.stabilized);
+      ASSERT_EQ(trial.watch_marks.size(), 3u);
+      for (std::size_t i = 1; i < trial.watch_marks.size(); ++i) {
+        EXPECT_GT(trial.watch_marks[i], trial.watch_marks[i - 1]);
+      }
+      EXPECT_LE(trial.watch_marks.back(), trial.interactions);
     }
-    EXPECT_LE(trial.watch_marks.back(), trial.interactions);
   }
 }
 

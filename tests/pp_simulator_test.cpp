@@ -2,13 +2,16 @@
 
 #include <array>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "core/weak_kpartition.hpp"
+#include "io/snapshot_io.hpp"
 #include "pp/agent_simulator.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/trace.hpp"
@@ -520,6 +523,92 @@ TEST(JumpGolden, BudgetTruncatedChunksArePinned) {
   }
   expect_golden({sim.interactions(), effective, fnv1a_counts(sim.counts())},
                 {43258, 2067, 0x483b58570ba818f4ULL}, "chunked");
+}
+
+std::uint64_t fnv1a_text(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Golden pin for the agent-array engine's draw rules: the complete-graph
+// draw, the edge + orientation draw of a topology, and the epsilon-fair and
+// weak round-robin adversaries, each built by the engine factory.  The
+// pinned snapshot text covers the RNG position, the counters, every
+// agent's state and the weak round-robin remainder, so any change to a
+// rule's RNG use or snapshot payload moves these numbers.
+TEST(AgentArrayGolden, DrawRulesArePinned) {
+  struct Case {
+    const char* name;
+    MonteCarloOptions mc;
+    std::uint64_t budget;
+    std::uint64_t interactions;
+    std::uint64_t effective;
+    std::uint64_t snapshot_hash;  // FNV-1a over the snapshot text
+    std::uint64_t marks_hash;     // FNV-1a over the watch marks
+  };
+  const core::KPartitionProtocol protocol(3);
+  const TransitionTable table(protocol);
+  constexpr std::uint32_t kN = 24;
+  const auto ring = [](std::uint64_t) { return InteractionGraph::ring(kN); };
+  const auto star = [](std::uint64_t) { return InteractionGraph::star(kN); };
+  const auto options = [](Engine engine, FairnessSpec fairness,
+                          std::function<InteractionGraph(std::uint64_t)> graph,
+                          std::optional<StateId> watch) {
+    MonteCarloOptions mc;
+    mc.engine = engine;
+    mc.fairness = fairness;
+    mc.graph = std::move(graph);
+    mc.watch_state = watch;
+    return mc;
+  };
+  const FairnessSpec uniform = FairnessSpec::uniform_random();
+  const std::vector<Case> cases = {
+      {"agent",
+       options(Engine::kAgentArray, uniform, {},
+               core::KPartitionProtocol::kInitialPrime),
+       100'000, 318, 63, 0x947148e2670c413fULL, 0xc1f290a10f0feeb3ULL},
+      {"graph-ring", options(Engine::kGraph, uniform, ring, {}), 20'000,
+       20'000, 1677, 0x9958d950b193d1b2ULL, 0},
+      {"graph-star", options(Engine::kGraph, uniform, star, {}), 20'000,
+       20'000, 18279, 0x30e2c1d6f7cd1ad3ULL, 0},
+      {"epsilon-0.25",
+       options(Engine::kAuto, FairnessSpec::epsilon_fair(0.25), {}, {}),
+       100'000, 782, 331, 0x126c669a03fb05b9ULL, 0},
+      // 1000 = 1 full round of 552 ordered pairs + 448 draws: the snapshot
+      // carries a 104-pair round remainder.
+      {"weak-round-robin",
+       options(Engine::kAuto, FairnessSpec::weak_round_robin(), {}, {}), 1'000,
+       1'000, 988, 0x1a0cdba0db6034fcULL, 0},
+      {"epsilon-0.5-ring",
+       options(Engine::kAuto, FairnessSpec::epsilon_fair(0.5), ring, {}),
+       20'000, 20'000, 3437, 0x69d7ef94e714cf9cULL, 0},
+  };
+  const Counts initial =
+      Population(kN, protocol.num_states(), protocol.initial_state()).counts();
+  for (const Case& c : cases) {
+    std::vector<std::uint64_t> marks;
+    with_engine(&protocol, table, initial, c.mc, 9, nullptr, &marks,
+                [&](auto& sim) {
+                  auto oracle = core::stable_pattern_oracle(protocol, kN);
+                  const SimResult result = sim.run(*oracle, c.budget);
+                  std::string text;
+                  for (const std::uint64_t m : marks) {
+                    text += std::to_string(m) + ' ';
+                  }
+                  const std::uint64_t snapshot_hash =
+                      fnv1a_text(io::serialize_snapshot(sim.snapshot()));
+                  const std::uint64_t marks_hash =
+                      marks.empty() ? 0 : fnv1a_text(text);
+                  EXPECT_EQ(result.interactions, c.interactions) << c.name;
+                  EXPECT_EQ(result.effective, c.effective) << c.name;
+                  EXPECT_EQ(snapshot_hash, c.snapshot_hash) << c.name;
+                  EXPECT_EQ(marks_hash, c.marks_hash) << c.name;
+                });
+  }
 }
 
 TEST(TraceRecorder, RecordsHumanReadableEvents) {

@@ -22,13 +22,11 @@
 #include "core/kpartition.hpp"
 #include "core/weak_kpartition.hpp"
 #include "io/snapshot_io.hpp"
-#include "pp/adversarial.hpp"
 #include "pp/agent_simulator.hpp"
 #include "pp/batch_sharded_simulator.hpp"
 #include "pp/batch_simulator.hpp"
 #include "pp/faults.hpp"
 #include "pp/graph_jump_simulator.hpp"
-#include "pp/graph_simulator.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/stability.hpp"
@@ -150,7 +148,7 @@ TEST_F(SnapshotTest, BatchShardedSimulatorRoundTrips) {
 
 TEST_F(SnapshotTest, GraphSimulatorRoundTrips) {
   expect_roundtrip([&] {
-    return ppk::pp::GraphSimulator(
+    return ppk::pp::AgentSimulator(
         table_, ppk::pp::InteractionGraph::ring(24), population(24), kSeed);
   });
 }
@@ -165,8 +163,9 @@ TEST_F(SnapshotTest, GraphJumpSimulatorRoundTrips) {
 
 TEST_F(SnapshotTest, AdversarialSimulatorRoundTrips) {
   expect_roundtrip([&] {
-    return ppk::pp::AdversarialSimulator(protocol_, table_, population(24),
-                                         1.0, kSeed);
+    return ppk::pp::AgentSimulator(protocol_, table_, population(24),
+                                   ppk::pp::FairnessSpec::epsilon_fair(1.0),
+                                   kSeed);
   });
 }
 
@@ -185,7 +184,7 @@ TEST_F(SnapshotTest, WeakKPartitionFamilyRoundTrips) {
       [](auto&) {}, /*cut=*/300, /*rest=*/5'000);
   expect_roundtrip(
       [&] {
-        return ppk::pp::AdversarialSimulator(
+        return ppk::pp::AgentSimulator(
             protocol, table, pop(24),
             ppk::pp::FairnessSpec::weak_round_robin(), kSeed);
       },

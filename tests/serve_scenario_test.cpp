@@ -366,7 +366,6 @@ TEST(ServeScenario, RuntimeFillsCampaignOptionsFromTheSpec) {
   EXPECT_EQ(options.mc.fairness.policy, pp::FairnessPolicy::kEpsilonFair);
   ASSERT_TRUE(static_cast<bool>(options.mc.graph));
   EXPECT_EQ(options.mc.graph(1).num_agents(), spec.n);
-  EXPECT_EQ(options.topology_tag, "erdos-renyi:p=0.25");
 
   // A fresh oracle per trial, bound to the runtime's protocol objects.
   const pp::OracleFactory factory = runtime.oracle_factory();
