@@ -12,10 +12,18 @@
 // finds those diagonal blocks from the row order alone and solves them one
 // at a time, each with the blocks before it already final, so a sweep never
 // revisits a solved block and the sweep count is that of the slowest
-// block, not of the whole chain.  Convergence is never assumed: the solver
-// certifies its answer with an explicitly recomputed global residual
-// (compensated summation, so the certificate itself is trustworthy) and
-// reports failure honestly instead of returning a half-converged vector.
+// block, not of the whole chain.  Within a block the caller puts rows
+// downstream-first as well, so an update mostly reads values already
+// refreshed in the same sweep.
+//
+// A row update is a plain sum, split around the diagonal so the inner
+// loops carry no branch.  It needs no compensation: in these systems every
+// term is non-negative (b >= 0, -A off the diagonal >= 0, x >= 0), so there
+// is no cancellation and the sum's relative error stays within a few ulps
+// per term.  Convergence is never assumed: the solver certifies its answer
+// with an explicitly recomputed global residual, compensated so that the
+// certificate itself is trustworthy, and reports failure honestly instead
+// of returning a half-converged vector.
 
 #pragma once
 
@@ -30,22 +38,21 @@
 
 namespace ppk::util {
 
-/// Neumaier-compensated accumulator: exact enough that a residual computed
-/// with it is a certificate, not an estimate.
+/// Compensated accumulator (Neumaier's scheme): exact enough that a
+/// residual computed with it is a certificate, not an estimate.
 struct CompensatedSum {
   /// Running sum.
   double sum = 0.0;
   /// Running compensation (lost low-order bits).
   double compensation = 0.0;
 
-  /// Adds one term.
+  /// Adds one term.  The rounding error of sum + value comes from Knuth's
+  /// branch-free TwoSum; for finite inputs it is exactly the error that
+  /// Neumaier's magnitude test recovers, so the two agree bit for bit.
   void add(double value) noexcept {
     const double t = sum + value;
-    if (std::abs(sum) >= std::abs(value)) {
-      compensation += (sum - t) + value;
-    } else {
-      compensation += (value - t) + sum;
-    }
+    const double z = t - sum;
+    compensation += (sum - (t - z)) + (value - z);
     sum = t;
   }
 
@@ -227,9 +234,13 @@ struct SolveCertificate {
   const auto bound = [&](double norm_x) {
     return options.tolerance * (norm_a * norm_x + norm_b);
   };
+  // ||x||_inf over rows [begin, end); infinite once an entry is not finite.
   const auto max_abs = [&](std::uint32_t begin, std::uint32_t end) {
     double m = 0.0;
-    for (std::uint32_t r = begin; r < end; ++r) m = std::max(m, std::abs(x[r]));
+    for (std::uint32_t r = begin; r < end; ++r) {
+      if (!std::isfinite(x[r])) return std::numeric_limits<double>::infinity();
+      m = std::max(m, std::abs(x[r]));
+    }
     return m;
   };
 
@@ -250,20 +261,25 @@ struct SolveCertificate {
     bool met = false;
     while (!met && sweeps < options.max_sweeps) {
       for (std::uint32_t r = begin; r < end; ++r) {
-        CompensatedSum acc;
-        acc.add(b[r]);
-        for (std::size_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
-          if (i == diag[r]) continue;
-          acc.add(-a.value[i] * x[a.col[i]]);
+        // A plain sum, split around the diagonal entry.
+        double acc = b[r];
+        for (std::size_t i = a.row_ptr[r]; i < diag[r]; ++i) {
+          acc -= a.value[i] * x[a.col[i]];
         }
-        (jacobi ? next[r] : x[r]) = acc.value() / a.value[diag[r]];
+        for (std::size_t i = diag[r] + 1; i < a.row_ptr[r + 1]; ++i) {
+          acc -= a.value[i] * x[a.col[i]];
+        }
+        (jacobi ? next[r] : x[r]) = acc / a.value[diag[r]];
       }
       if (jacobi) x.swap(next);
       ++sweeps;
       if (sweeps == 1 || sweeps % stride == 0 ||
           sweeps == options.max_sweeps) {
-        const double norm_x = std::max(solved_norm, max_abs(begin, end));
-        met = meets(residual_inf(begin, end), bound(norm_x));
+        const double block_norm = max_abs(begin, end);
+        // A diverged iterate cannot recover: end the block unconverged.
+        if (!std::isfinite(block_norm)) break;
+        met = meets(residual_inf(begin, end),
+                    bound(std::max(solved_norm, block_norm)));
       }
     }
     cert.sweeps = std::max(cert.sweeps, sweeps);
@@ -275,9 +291,13 @@ struct SolveCertificate {
     begin = end;
   }
 
-  // The certificate proper: the global compensated residual of x.
+  // The certificate proper: the global compensated residual of x.  After
+  // a divergence ||x|| is infinite; the bound then takes ||x|| over the
+  // blocks certified before it, so an infinite residual never meets an
+  // infinite bound.
   cert.residual = residual_inf(0, a.rows);
-  cert.residual_bound = bound(max_abs(0, a.rows));
+  const double norm_x = max_abs(0, a.rows);
+  cert.residual_bound = bound(std::isfinite(norm_x) ? norm_x : solved_norm);
   cert.converged =
       blocks_converged && meets(cert.residual, cert.residual_bound);
   return cert;

@@ -11,12 +11,20 @@
 // probabilities, the full hitting-time distribution -- is preserved
 // exactly.  This module explores only canonical orbit representatives
 // (lex-min over group images), accumulates transition rates as exact
-// integer numerators over the common denominator n*(n-1), certifies
-// lumpability programmatically (an exact per-orbit-pair rate-sum check
-// against every group element, not a trust-the-declaration shortcut), and
-// solves the resulting linear systems with the residual-certified sparse
-// Gauss-Seidel of util/csr.hpp instead of dense elimination.  The orbit
-// graph's SCCs (verify/scc.hpp) order every solve's unknowns block by block.
+// integer numerators over the common denominator n*(n-1), and certifies
+// lumpability programmatically: every group image's row must equal the
+// representative's integer for integer, not a trust-the-declaration
+// shortcut.  Exploration allocates nothing per transition: successors
+// are canonicalized in reused buffers and looked up in an open-addressing
+// index keyed by the stored representatives.
+//
+// The resulting linear systems go to the residual-certified sparse
+// Gauss-Seidel of util/csr.hpp instead of dense elimination, assembled
+// row by row in the order of the orbit graph's SCCs (verify/scc.hpp):
+// SCCs downstream first, so the solve goes block by block, and orbits
+// downstream-first inside each SCC, so each update reads fresh successor
+// values.  The sweep is a plain sum -- every term is non-negative -- and
+// the certificate a compensated residual.
 //
 // The win is twofold: the orbit quotient shrinks the state space by up to
 // the group order, and the sparse solver removes the few-thousand-unknown
@@ -29,7 +37,9 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pp/population.hpp"
@@ -142,17 +152,28 @@ class LumpedMarkovAnalysis {
       const ConfigPredicate& target, std::size_t horizon) const;
 
  private:
-  /// Exact out-rates of one orbit: integer numerators over denom_.
-  struct OrbitRow {
-    /// (target orbit, numerator) sorted by target; may include the orbit
-    /// itself (an effective transition to another member of the same
-    /// orbit).
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> rates;
-    /// Null-interaction numerator: denom_ minus the effective total.
-    std::uint64_t stay = 0;
+  /// A jump-chain linear system over some of the orbits: see jump_system().
+  struct JumpSystem {
+    /// Unknown r is orbit `orbits[r]`.
+    std::vector<std::uint32_t> orbits;
+    /// index[orbit] = its unknown, or UINT32_MAX for an excluded orbit.
+    std::vector<std::uint32_t> index;
+    /// Leave rate of each unknown: denom_ minus its self-loop numerator.
+    std::vector<std::uint64_t> leave;
+    /// I - Q, Q the jump chain restricted to the unknowns.
+    util::CsrMatrix a;
   };
 
   LumpedMarkovAnalysis() = default;
+
+  /// Exact out-rates of one orbit: (target orbit, numerator over denom_)
+  /// pairs sorted by target.  May include the orbit itself (an effective
+  /// transition to another member of the same orbit).
+  [[nodiscard]] std::span<const std::pair<std::uint32_t, std::uint64_t>> rates(
+      std::size_t orbit) const {
+    return std::span(rates_).subspan(rate_begin_[orbit],
+                                     rate_begin_[orbit + 1] - rate_begin_[orbit]);
+  }
 
   /// Evaluates `target` on every group image of each representative,
   /// throwing std::invalid_argument on an orbit-inconsistent predicate.
@@ -162,12 +183,25 @@ class LumpedMarkovAnalysis {
   /// Total self-loop numerator of an orbit (nulls + within-orbit rates).
   [[nodiscard]] std::uint64_t self_numerator(std::size_t orbit) const;
 
+  /// The embedded jump chain's system (I - Q) x = b over every orbit not
+  /// `excluded`, with Q's transitions into excluded orbits dropped.
+  /// Unknowns follow the SCC condensation: ascending SCC id (downstream
+  /// SCCs first, so I - Q is block-lower-triangular) and, inside an SCC,
+  /// descending orbit id, which the breadth-first numbering makes roughly
+  /// downstream-first too, so a Gauss-Seidel update mostly reads values
+  /// already refreshed in the same sweep.
+  [[nodiscard]] JumpSystem jump_system(const std::vector<char>& excluded) const;
+
   std::uint64_t n_ = 0;
   std::uint64_t denom_ = 0;  // n * (n - 1), the common rate denominator
   std::vector<std::vector<pp::StateId>> group_;
   std::vector<pp::Counts> reps_;
   std::vector<std::uint64_t> sizes_;
-  std::vector<OrbitRow> rows_;
+  /// Orbit u's rates are rates_[rate_begin_[u] .. rate_begin_[u + 1]).
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> rates_;
+  std::vector<std::size_t> rate_begin_;
+  /// Null-interaction numerator per orbit: denom_ minus the effective total.
+  std::vector<std::uint64_t> stay_;
   Condensation sccs_;  // of the orbit graph (verify/scc.hpp)
   std::uint64_t raw_config_count_ = 0;
   util::SolveOptions solver_;

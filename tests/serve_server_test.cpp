@@ -337,6 +337,18 @@ TEST(ServeServer, V2TaggedExactCacheEntryIsAMissAndGetsRetagged) {
       "\"expected_interactions\": 17.5}");
 }
 
+TEST(ServeServer, V3TaggedExactCacheEntryIsAMissAndGetsRetagged) {
+  // The v3 daemon: answers from the Neumaier-compensated, upstream-first
+  // sweep, whose low bits the plain downstream-first sweep no longer
+  // reproduces.
+  ASSERT_NE(kExactResultSchema, "ppkd-exact-v3");
+  expect_stale_exact_entry_is_recomputed(
+      "markov_mig_v3",
+      "{\"event\": \"result\", \"mode\": \"markov\", "
+      "\"exact_schema\": \"ppkd-exact-v3\", \"solver\": \"lumped\", "
+      "\"expected_interactions\": 17.5}");
+}
+
 /// Stores a simulate result, rewrites its cache entry with `stale_tag` in
 /// place of the current sim_schema member (an empty string drops the
 /// member), and checks that the next submission recomputes the frame and

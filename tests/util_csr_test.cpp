@@ -136,6 +136,32 @@ TEST(CsrSolve, DivergedIterateIsNeverCertified) {
   EXPECT_GT(cert.residual, cert.residual_bound);
 }
 
+TEST(CsrSolve, ADivergedBlockStopsBeforeTheSweepCap) {
+  // The divergent system above overflows within a few hundred sweeps.  The
+  // first residual check after that ends the block, long before the cap,
+  // and the failure is reported against a finite bound.
+  CsrBuilder builder(2, 2);
+  builder.add(0, 0, 1.0);
+  builder.add(0, 1, 3.0);
+  builder.add(1, 0, 3.0);
+  builder.add(1, 1, 1.0);
+  const CsrMatrix a = builder.build();
+  const std::vector<double> b = {1.0, 2.0};
+
+  for (const auto method : {SolveOptions::Method::kGaussSeidel,
+                            SolveOptions::Method::kJacobi}) {
+    std::vector<double> x(2, 0.0);
+    SolveOptions options;
+    options.method = method;
+    options.max_sweeps = 100'000;
+    const SolveCertificate cert = solve_sparse(a, b, x, options);
+    EXPECT_FALSE(cert.converged);
+    EXPECT_LT(cert.sweeps, 1000u);
+    EXPECT_TRUE(std::isfinite(cert.residual_bound));
+    EXPECT_GT(cert.residual, cert.residual_bound);
+  }
+}
+
 /// A two-block lower-triangular system: rows 0-1 a fast block, rows 2-3 a
 /// slow-mixing one (off-diagonals -0.995) fed by column 0.
 CsrMatrix two_block_system() {

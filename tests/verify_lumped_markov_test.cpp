@@ -11,15 +11,21 @@
 //  * exact hand-computed pins of the hitting-time CDF;
 //  * absorption: exactly 1 for a lone bottom SCC on both back ends, and
 //    dense agreement across several bottom SCCs;
-//  * the benchmark's k = 2, n = 160 answer.
+//  * the benchmark's k = 2, n = 160 answer;
+//  * golden digests of the exploration (orbits, sizes, rows via the CDF);
+//  * Gauss-Seidel / Jacobi agreement on hitting times and absorption.
 
 #include "verify/lumped_markov.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -283,6 +289,169 @@ TEST(LumpedMarkov, KPartitionK2N160MatchesThePinnedAnswer) {
       });
   ASSERT_TRUE(expected.has_value());
   EXPECT_NEAR(*expected / 35159.468358745275, 1.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Exploration golden pins
+//
+// A digest of everything the exploration decides -- orbit numbering,
+// canonical representatives, orbit sizes, the raw configuration count --
+// plus the bits of the 200-step hitting-time CDF, which steps the stored
+// rows directly (no solver), so it pins every rate numerator and its
+// orbit index.  A change to how orbits are found, canonicalized, numbered
+// or rated must leave these digests unchanged.
+
+/// FNV-1a over the little-endian bytes of each mixed word.
+struct Fnv1a {
+  std::uint64_t hash = 14695981039346656037ULL;
+  void mix(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffU;
+      hash *= 1099511628211ULL;
+    }
+  }
+};
+
+std::uint64_t exploration_digest(const pp::Protocol& protocol,
+                                 const pp::TransitionTable& table,
+                                 std::uint32_t n,
+                                 const ConfigPredicate& target) {
+  std::string why;
+  const auto lumped = LumpedMarkovAnalysis::try_build(
+      table, protocol.symmetry(), initial_counts(protocol, n), {}, &why);
+  EXPECT_TRUE(lumped.has_value()) << why;
+  if (!lumped.has_value()) return 0;
+  Fnv1a fnv;
+  fnv.mix(lumped->num_orbits());
+  fnv.mix(lumped->raw_config_count());
+  for (std::size_t orbit = 0; orbit < lumped->num_orbits(); ++orbit) {
+    for (const std::uint32_t c : lumped->representative(orbit)) fnv.mix(c);
+    fnv.mix(lumped->orbit_size(orbit));
+  }
+  for (const double f : lumped->hitting_time_cdf(target, 200)) {
+    fnv.mix(std::bit_cast<std::uint64_t>(f));
+  }
+  return fnv.hash;
+}
+
+TEST(LumpedMarkov, ExplorationMatchesTheGoldenDigests) {
+  {
+    const core::KPartitionProtocol protocol(2);
+    const pp::TransitionTable table(protocol);
+    ASSERT_EQ(pp::expand_symmetry_group(protocol.symmetry(), 4096).size(), 4u);
+    EXPECT_EQ(exploration_digest(protocol, table, 40,
+                                 [&](const pp::Counts& config) {
+                                   return core::matches_stable_pattern(
+                                       protocol, 40, config);
+                                 }),
+              6387928800355029911ULL)
+        << "kpartition k=2 n=40";
+  }
+  {
+    const core::KPartitionProtocol protocol(3);
+    const pp::TransitionTable table(protocol);
+    EXPECT_EQ(exploration_digest(protocol, table, 18,
+                                 [&](const pp::Counts& config) {
+                                   return core::matches_stable_pattern(
+                                       protocol, 18, config);
+                                 }),
+              13035533931136967510ULL)
+        << "kpartition k=3 n=18";
+  }
+  {
+    const core::BipartitionProtocol protocol;
+    const pp::TransitionTable table(protocol);
+    EXPECT_EQ(exploration_digest(
+                  protocol, table, 31,
+                  [](const pp::Counts& config) {
+                    return config[core::BipartitionProtocol::kG1] +
+                               config[core::BipartitionProtocol::kG2] ==
+                           30;
+                  }),
+              12129883009692265769ULL)
+        << "bipartition n=31";
+  }
+  {
+    const core::WeakKPartitionProtocol protocol(2);
+    const pp::TransitionTable table(protocol);
+    EXPECT_EQ(exploration_digest(protocol, table, 12, silence_predicate(table)),
+              3639025868792790683ULL)
+        << "weak-kpartition k=2 n=12";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Solver agreement: the block-by-block, downstream-first Gauss-Seidel and
+// the order-independent Jacobi reference solve the same systems.
+//
+// Both run to a residual bound 100x tighter than the default.  At the
+// default 1e-13 each answer is certified, but the certified residual still
+// leaves the two stopping points ~1e-11 apart relative (k = 2, n = 60):
+// that measures the stopping rule, not the sweeps.
+
+constexpr double kAgreementTolerance = 1e-15;
+
+void expect_solvers_agree(const pp::TransitionTable& table,
+                          const pp::SymmetrySpec& symmetry,
+                          const pp::Counts& initial,
+                          const ConfigPredicate& target,
+                          const std::string& label) {
+  LumpedOptions gs_options;
+  gs_options.solver.tolerance = kAgreementTolerance;
+  gs_options.solver.method = util::SolveOptions::Method::kGaussSeidel;
+  LumpedOptions jacobi_options;
+  jacobi_options.solver.tolerance = kAgreementTolerance;
+  jacobi_options.solver.method = util::SolveOptions::Method::kJacobi;
+  std::string why;
+  const auto gs =
+      LumpedMarkovAnalysis::try_build(table, symmetry, initial, gs_options, &why);
+  ASSERT_TRUE(gs.has_value()) << label << ": " << why;
+  const auto jacobi = LumpedMarkovAnalysis::try_build(table, symmetry, initial,
+                                                      jacobi_options, &why);
+  ASSERT_TRUE(jacobi.has_value()) << label << ": " << why;
+
+  const std::optional<double> gs_time = gs->expected_hitting_time(target);
+  const std::optional<double> jacobi_time =
+      jacobi->expected_hitting_time(target);
+  ASSERT_EQ(gs_time.has_value(), jacobi_time.has_value()) << label;
+  if (gs_time.has_value()) {
+    EXPECT_NEAR(*gs_time / *jacobi_time, 1.0, 1e-12)
+        << label << ": gauss-seidel=" << *gs_time
+        << " jacobi=" << *jacobi_time;
+  }
+
+  const auto gs_absorption = gs->absorption_probabilities();
+  const auto jacobi_absorption = jacobi->absorption_probabilities();
+  ASSERT_EQ(gs_absorption.size(), jacobi_absorption.size()) << label;
+  for (std::size_t i = 0; i < gs_absorption.size(); ++i) {
+    EXPECT_EQ(gs_absorption[i].scc, jacobi_absorption[i].scc) << label;
+    EXPECT_NEAR(gs_absorption[i].probability,
+                jacobi_absorption[i].probability,
+                1e-12 * jacobi_absorption[i].probability)
+        << label << ": bottom SCC " << gs_absorption[i].scc;
+  }
+}
+
+TEST(LumpedMarkov, GaussSeidelAndJacobiAgree) {
+  for (const auto& [k, n] : {std::pair<pp::GroupId, std::uint32_t>{3, 18},
+                             std::pair<pp::GroupId, std::uint32_t>{2, 60}}) {
+    const core::KPartitionProtocol protocol(k);
+    const pp::TransitionTable table(protocol);
+    expect_solvers_agree(
+        table, protocol.symmetry(), initial_counts(protocol, n),
+        [&protocol, n](const pp::Counts& config) {
+          return core::matches_stable_pattern(protocol, n, config);
+        },
+        "kpartition k=" + std::to_string(k) + " n=" + std::to_string(n));
+  }
+  // The k-partition chains have a lone bottom SCC, so their absorption
+  // needs no solve; the basic strategy's wedges give several.
+  const core::BasicStrategyProtocol protocol(3);
+  const pp::TransitionTable table(protocol);
+  const ConfigPredicate silent = silence_predicate(table);
+  expect_solvers_agree(table, pp::trivial_symmetry(protocol.num_states()),
+                       initial_counts(protocol, 9), silent,
+                       "basic strategy k=3 n=9");
 }
 
 // ---------------------------------------------------------------------------
