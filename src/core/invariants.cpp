@@ -45,15 +45,30 @@ pp::Counts stable_counts(const KPartitionProtocol& protocol, std::uint32_t n) {
 
 bool matches_stable_pattern(const KPartitionProtocol& protocol,
                             std::uint32_t n, const pp::Counts& counts) {
+  const pp::GroupId k = protocol.k();
   PPK_EXPECTS(counts.size() == protocol.num_states());
-  const pp::Counts target = stable_counts(protocol, n);
-  // The two free states form one equivalence class (the leftover agent may
-  // be initial or initial'); all other states must match exactly.
-  const std::uint32_t free_now = counts[0] + counts[1];
-  const std::uint32_t free_target = target[0] + target[1];
-  if (free_now != free_target) return false;
-  for (pp::StateId s = 2; s < counts.size(); ++s) {
-    if (counts[s] != target[s]) return false;
+  PPK_EXPECTS(n >= 3);
+  const std::uint32_t floor_nk = n / k;
+  const std::uint32_t r = n % k;
+
+  // stable_counts' pattern, compared state by state without building it:
+  // exact answers test every orbit against it.  The two free states form
+  // one equivalence class (the leftover agent may be initial or initial').
+  if (counts[KPartitionProtocol::kInitial] +
+          counts[KPartitionProtocol::kInitialPrime] !=
+      (r == 1 ? 1u : 0u)) {
+    return false;
+  }
+  for (pp::GroupId x = 1; x <= k; ++x) {
+    if (counts[protocol.g(x)] != floor_nk + (r >= 2 && x <= r - 1 ? 1 : 0)) {
+      return false;
+    }
+  }
+  for (pp::GroupId p = 2; p + 1 <= k; ++p) {
+    if (counts[protocol.m(p)] != (r >= 2 && p == r ? 1u : 0u)) return false;
+  }
+  for (pp::GroupId q = 1; q + 2 <= k; ++q) {
+    if (counts[protocol.d(q)] != 0) return false;
   }
   return true;
 }

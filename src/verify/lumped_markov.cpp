@@ -1,6 +1,10 @@
 #include "verify/lumped_markov.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <map>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -13,36 +17,107 @@ namespace {
 
 using Rate = std::pair<std::uint32_t, std::uint64_t>;
 
-/// Calls visit(successor, numerator) for every effective ordered pair
-/// present in `config`, with `successor` the raw configuration it leads to
-/// (a reused buffer) and `numerator` its rate over n*(n-1).  Returns the
-/// total effective numerator.
-template <class Visit>
-std::uint64_t for_each_successor(const pp::TransitionTable& table,
-                                 const pp::Counts& config, pp::Counts& next,
-                                 Visit&& visit) {
-  const pp::StateId num_states = table.num_states();
-  std::uint64_t effective = 0;
-  for (pp::StateId p = 0; p < num_states; ++p) {
-    if (config[p] == 0) continue;
-    for (pp::StateId q = 0; q < num_states; ++q) {
-      if (config[q] == 0) continue;
-      if (p == q && config[p] < 2) continue;
-      if (!table.effective(p, q)) continue;
-      const std::uint64_t numerator =
-          std::uint64_t{config[p]} * (config[q] - (p == q ? 1u : 0u));
-      const pp::Transition& t = table.apply(p, q);
-      next = config;
-      --next[p];
-      --next[q];
-      ++next[t.initiator];
-      ++next[t.responder];
-      visit(next, numerator);
-      effective += numerator;
+/// A table's effective ordered pairs grouped by their net count change.
+/// Every pair of a class moves a configuration to the same successor, so a
+/// row needs one canonicalization and one lookup per class, not per pair;
+/// at k = 3 the k-partition table's 27 effective pairs fall into 9 classes.
+class MoveClasses {
+ public:
+  explicit MoveClasses(const pp::TransitionTable& table) {
+    // Keyed by the sorted (state, change) list, so the classes come out in
+    // one fixed order; the order is immaterial to the rows, which are
+    // sorted and merged by target.
+    std::map<std::vector<Delta>, std::vector<Pair>> by_change;
+    const pp::StateId num_states = table.num_states();
+    for (pp::StateId p = 0; p < num_states; ++p) {
+      for (pp::StateId q = 0; q < num_states; ++q) {
+        if (!table.effective(p, q)) continue;
+        const pp::Transition& t = table.apply(p, q);
+        std::vector<Delta> change;
+        const auto add = [&](pp::StateId state, std::int32_t by) {
+          for (Delta& d : change) {
+            if (d.state == state) {
+              d.change += by;
+              return;
+            }
+          }
+          change.push_back(Delta{state, by});
+        };
+        add(p, -1);
+        add(q, -1);
+        add(t.initiator, +1);
+        add(t.responder, +1);
+        // A swap (p, q) -> (q, p) nets to nothing: its class is empty and
+        // leads back to the configuration itself.
+        std::erase_if(change, [](const Delta& d) { return d.change == 0; });
+        std::sort(change.begin(), change.end());
+        by_change[std::move(change)].push_back(Pair{p, q});
+      }
+    }
+    for (const auto& [change, pairs] : by_change) {
+      Class c{};
+      c.num_deltas = static_cast<std::uint32_t>(change.size());
+      std::copy(change.begin(), change.end(), c.deltas.begin());
+      c.pair_begin = static_cast<std::uint32_t>(pairs_.size());
+      pairs_.insert(pairs_.end(), pairs.begin(), pairs.end());
+      c.pair_end = static_cast<std::uint32_t>(pairs_.size());
+      classes_.push_back(c);
     }
   }
-  return effective;
-}
+
+  /// Calls visit(successor, numerator) once per class with a nonzero rate
+  /// in `config`: `successor` is `config` itself, moved by the class's
+  /// change for the call and restored after it, and `numerator` the summed
+  /// rate of the class's pairs over n*(n-1).  Returns the total effective
+  /// numerator.
+  template <class Visit>
+  std::uint64_t for_each_successor(pp::Counts& config, Visit&& visit) const {
+    std::uint64_t effective = 0;
+    for (const Class& c : classes_) {
+      std::uint64_t numerator = 0;
+      for (std::uint32_t i = c.pair_begin; i < c.pair_end; ++i) {
+        const auto [p, q] = pairs_[i];
+        // c_p (c_q - [p = q]): an absent p zeroes the product even where
+        // c_q - 1 wraps around.
+        numerator += std::uint64_t{config[p]} *
+                     (config[q] - static_cast<std::uint32_t>(p == q));
+      }
+      if (numerator == 0) continue;
+      // A negative change cast to unsigned wraps to the exact count.
+      const auto deltas = std::span(c.deltas).first(c.num_deltas);
+      for (const Delta& d : deltas) {
+        config[d.state] += static_cast<std::uint32_t>(d.change);
+      }
+      visit(std::as_const(config), numerator);
+      for (const Delta& d : deltas) {
+        config[d.state] -= static_cast<std::uint32_t>(d.change);
+      }
+      effective += numerator;
+    }
+    return effective;
+  }
+
+ private:
+  struct Delta {
+    pp::StateId state;
+    std::int32_t change;
+    friend auto operator<=>(const Delta&, const Delta&) = default;
+  };
+  struct Pair {
+    pp::StateId p;
+    pp::StateId q;
+  };
+  /// One net change: at most 4 states move (two leave, two arrive).
+  struct Class {
+    std::array<Delta, 4> deltas;
+    std::uint32_t num_deltas;
+    std::uint32_t pair_begin;  // the class's pairs are
+    std::uint32_t pair_end;    // pairs_[pair_begin .. pair_end)
+  };
+
+  std::vector<Class> classes_;
+  std::vector<Pair> pairs_;
+};
 
 /// Sorts a row by target orbit and merges the numerators of repeated
 /// targets.
@@ -169,9 +244,8 @@ std::optional<LumpedMarkovAnalysis> LumpedMarkovAnalysis::try_build(
   const std::vector<std::vector<pp::StateId>>& elements = out.group_;
 
   // Reused buffers: nothing below allocates per transition.
-  pp::Counts rep;    // the orbit being expanded
-  pp::Counts next;   // a raw successor
-  pp::Counts best;   // its canonical form
+  pp::Counts rep;    // the orbit being expanded; moved to each successor
+  pp::Counts best;   // a successor's canonical form
   pp::Counts image;  // a group image of a successor
   pp::Counts other;  // a group image of the representative
   const auto canonicalize = [&](const pp::Counts& counts) {
@@ -181,6 +255,8 @@ std::optional<LumpedMarkovAnalysis> LumpedMarkovAnalysis::try_build(
       if (image < best) best.swap(image);
     }
   };
+
+  const MoveClasses moves(table);
 
   // Orbits are numbered in discovery order and expanded in that order
   // (breadth first), so orbit `current` is the next one to expand.
@@ -214,13 +290,15 @@ std::optional<LumpedMarkovAnalysis> LumpedMarkovAnalysis::try_build(
     }
     rep = out.reps_[current];
 
-    // The representative's row.  Known targets go straight in; unseen ones
-    // are merged, then numbered in lexicographic order of their canonical
-    // counts -- the numbering an ordered map of the row would give.
+    // The representative's row, one successor per move class.  Known
+    // targets go straight in; unseen ones are merged, then numbered in
+    // lexicographic order of their canonical counts -- the numbering an
+    // ordered map of the row would give, whatever order the classes are
+    // visited in.
     row.clear();
     unseen.clear();
-    const std::uint64_t effective = for_each_successor(
-        table, rep, next, [&](const pp::Counts& successor, std::uint64_t num) {
+    const std::uint64_t effective = moves.for_each_successor(
+        rep, [&](const pp::Counts& successor, std::uint64_t num) {
           canonicalize(successor);
           const std::uint64_t hash = pp::CountsHash{}(best);
           const std::uint32_t id = index.find(best, hash);
@@ -264,9 +342,8 @@ std::optional<LumpedMarkovAnalysis> LumpedMarkovAnalysis::try_build(
       if (!options.check_lumpability) continue;
       image_row.clear();
       bool known = true;
-      const std::uint64_t image_effective = for_each_successor(
-          table, other, next,
-          [&](const pp::Counts& successor, std::uint64_t num) {
+      const std::uint64_t image_effective = moves.for_each_successor(
+          other, [&](const pp::Counts& successor, std::uint64_t num) {
             canonicalize(successor);
             const std::uint32_t id =
                 index.find(best, pp::CountsHash{}(best));
@@ -343,11 +420,14 @@ LumpedMarkovAnalysis::JumpSystem LumpedMarkovAnalysis::jump_system(
   // within-orbit transitions both fold into L exactly -- no floating
   // accumulation of per-edge probabilities, so every entry is a single
   // exact-integer ratio.  Rows are assembled in place, each sorted by
-  // column.
+  // column.  Every stored rate gives at most one entry, every row one
+  // diagonal, which bounds the entries to reserve.
   util::CsrMatrix& a = sys.a;
   a.rows = a.cols = m;
   a.row_ptr.reserve(m + 1);
   a.row_ptr.push_back(0);
+  a.col.reserve(rates_.size() + m);
+  a.value.reserve(rates_.size() + m);
   sys.leave.reserve(m);
   std::vector<std::pair<std::uint32_t, double>> entries;
   for (std::uint32_t row = 0; row < m; ++row) {
@@ -364,7 +444,16 @@ LumpedMarkovAnalysis::JumpSystem LumpedMarkovAnalysis::jump_system(
       entries.emplace_back(sys.index[target], -static_cast<double>(numerator) /
                                                   static_cast<double>(leave));
     }
-    std::sort(entries.begin(), entries.end());
+    // Rows are short (about 7 entries at k = 3): insertion sort.  Columns
+    // are distinct, so it orders them exactly as std::sort would.
+    for (std::size_t i = 1; i < entries.size(); ++i) {
+      const auto entry = entries[i];
+      std::size_t j = i;
+      for (; j > 0 && entries[j - 1].first > entry.first; --j) {
+        entries[j] = entries[j - 1];
+      }
+      entries[j] = entry;
+    }
     for (const auto& [col, value] : entries) {
       a.col.push_back(col);
       a.value.push_back(value);

@@ -14,9 +14,14 @@
 // integer numerators over the common denominator n*(n-1), and certifies
 // lumpability programmatically: every group image's row must equal the
 // representative's integer for integer, not a trust-the-declaration
-// shortcut.  Exploration allocates nothing per transition: successors
-// are canonicalized in reused buffers and looked up in an open-addressing
-// index keyed by the stored representatives.
+// shortcut.  Exploration evaluates one successor per net move class: the
+// table's effective ordered pairs are grouped by the net count change
+// they cause, all pairs of a class lead to the same successor, and a
+// row visits each class once with the class's summed rate.  Rows are
+// sorted and merged by target and unseen targets numbered by their
+// counts, so this changes no row.  Nothing is allocated per transition:
+// successors are canonicalized in reused buffers and looked up in an
+// open-addressing index keyed by the stored representatives.
 //
 // The resulting linear systems go to the residual-certified sparse
 // Gauss-Seidel of util/csr.hpp instead of dense elimination, assembled
@@ -114,6 +119,21 @@ class LumpedMarkovAnalysis {
   /// Population size n (derived from the initial configuration).
   [[nodiscard]] std::uint64_t population_size() const noexcept { return n_; }
 
+  /// Exact out-rates of one orbit: (target orbit, numerator over n*(n-1))
+  /// pairs sorted by target.  May include the orbit itself (an effective
+  /// transition to another member of the same orbit, or an effective swap).
+  [[nodiscard]] std::span<const std::pair<std::uint32_t, std::uint64_t>> rates(
+      std::size_t orbit) const {
+    return std::span(rates_).subspan(rate_begin_[orbit],
+                                     rate_begin_[orbit + 1] - rate_begin_[orbit]);
+  }
+
+  /// Null-interaction numerator of an orbit over n*(n-1): the ordered
+  /// pairs present in its representative that change no agent.
+  [[nodiscard]] std::uint64_t null_numerator(std::size_t orbit) const {
+    return stay_[orbit];
+  }
+
   /// Exact expected number of interactions (including nulls) from the
   /// initial configuration until `target` is entered; same contract as
   /// MarkovAnalysis::expected_hitting_time (nullopt when the target is not
@@ -165,15 +185,6 @@ class LumpedMarkovAnalysis {
   };
 
   LumpedMarkovAnalysis() = default;
-
-  /// Exact out-rates of one orbit: (target orbit, numerator over denom_)
-  /// pairs sorted by target.  May include the orbit itself (an effective
-  /// transition to another member of the same orbit).
-  [[nodiscard]] std::span<const std::pair<std::uint32_t, std::uint64_t>> rates(
-      std::size_t orbit) const {
-    return std::span(rates_).subspan(rate_begin_[orbit],
-                                     rate_begin_[orbit + 1] - rate_begin_[orbit]);
-  }
 
   /// Evaluates `target` on every group image of each representative,
   /// throwing std::invalid_argument on an orbit-inconsistent predicate.

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "core/kpartition.hpp"
+#include "pp/transition_table.hpp"
+#include "verify/global_fairness.hpp"
 
 namespace ppk::core {
 namespace {
@@ -146,6 +150,44 @@ TEST(MatchesStablePattern, RejectsNearMisses) {
   --counts[protocol.g(1)];
   ++counts[protocol.g(2)];
   EXPECT_FALSE(matches_stable_pattern(protocol, 12, counts));
+}
+
+TEST(MatchesStablePattern, AgreesWithStableCountsOnEveryReachableConfig) {
+  // The predicate compares against the pattern arithmetically; the
+  // reference builds stable_counts and compares against it, with the two
+  // free states merged.
+  struct Case {
+    pp::GroupId k;
+    std::vector<std::uint32_t> ns;  // residues 0, 1 and (k >= 3) 2 and up
+  };
+  for (const Case& c : {Case{2, {4, 5, 6, 7}}, Case{3, {6, 7, 8}},
+                        Case{4, {4, 5, 6, 7}}, Case{5, {5, 6, 7, 8}}}) {
+    const KPartitionProtocol protocol(c.k);
+    const pp::TransitionTable table(protocol);
+    for (const std::uint32_t n : c.ns) {
+      const pp::Counts target = stable_counts(protocol, n);
+      const auto reference = [&](const pp::Counts& config) {
+        if (config[0] + config[1] != target[0] + target[1]) return false;
+        return std::equal(config.begin() + 2, config.end(),
+                          target.begin() + 2);
+      };
+      pp::Counts initial = zero_counts(protocol);
+      initial[protocol.initial_state()] = n;
+      std::size_t mismatches = 0;
+      std::size_t stable = 0;
+      const std::size_t visited = verify::for_each_reachable(
+          table, initial, [&](const pp::Counts& config) {
+            const bool expected = reference(config);
+            if (matches_stable_pattern(protocol, n, config) != expected) {
+              ++mismatches;
+            }
+            if (expected) ++stable;
+          });
+      EXPECT_EQ(mismatches, 0u) << "k=" << int{c.k} << " n=" << n;
+      EXPECT_GT(stable, 0u) << "k=" << int{c.k} << " n=" << n;
+      EXPECT_GT(visited, stable) << "k=" << int{c.k} << " n=" << n;
+    }
+  }
 }
 
 TEST(StablePatternOracle, FiresExactlyOnThePattern) {

@@ -13,10 +13,14 @@
 //    dense agreement across several bottom SCCs;
 //  * the benchmark's k = 2, n = 160 answer;
 //  * golden digests of the exploration (orbits, sizes, rows via the CDF);
+//  * every stored row equal, integer for integer, to a pair-by-pair
+//    reference enumeration (the explorer evaluates one successor per net
+//    move class instead);
 //  * Gauss-Seidel / Jacobi agreement on hitting times and absorption.
 
 #include "verify/lumped_markov.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -378,6 +382,225 @@ TEST(LumpedMarkov, ExplorationMatchesTheGoldenDigests) {
               3639025868792790683ULL)
         << "weak-kpartition k=2 n=12";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Rows against a pair-by-pair reference
+//
+// The explorer groups the table's effective ordered pairs by their net
+// count change and evaluates each class's successor once.  The reference
+// below visits every effective ordered pair on its own, as the explorer
+// once did; every orbit's (target, numerator) row and null numerator must
+// match it integer for integer.
+
+using Rate = std::pair<std::uint32_t, std::uint64_t>;
+
+/// Calls visit(successor, numerator) for every effective ordered pair
+/// present in `config`, with `numerator` its rate over n*(n-1).  Returns
+/// the total effective numerator.
+template <class Visit>
+std::uint64_t for_each_pair_successor(const pp::TransitionTable& table,
+                                      const pp::Counts& config, Visit&& visit) {
+  const pp::StateId num_states = table.num_states();
+  std::uint64_t effective = 0;
+  for (pp::StateId p = 0; p < num_states; ++p) {
+    if (config[p] == 0) continue;
+    for (pp::StateId q = 0; q < num_states; ++q) {
+      if (config[q] == 0) continue;
+      if (p == q && config[p] < 2) continue;
+      if (!table.effective(p, q)) continue;
+      const std::uint64_t numerator =
+          std::uint64_t{config[p]} * (config[q] - (p == q ? 1u : 0u));
+      const pp::Transition& t = table.apply(p, q);
+      pp::Counts next = config;
+      --next[p];
+      --next[q];
+      ++next[t.initiator];
+      ++next[t.responder];
+      visit(next, numerator);
+      effective += numerator;
+    }
+  }
+  return effective;
+}
+
+/// Builds the lumped chain from `initial` and requires every orbit's row
+/// and null numerator to equal the pair-by-pair reference's.
+void expect_rows_match_pairwise(const pp::TransitionTable& table,
+                                const pp::SymmetrySpec& symmetry,
+                                const pp::Counts& initial,
+                                const std::string& label) {
+  std::string why;
+  const auto lumped =
+      LumpedMarkovAnalysis::try_build(table, symmetry, initial, {}, &why);
+  ASSERT_TRUE(lumped.has_value()) << label << ": " << why;
+  const std::vector<std::vector<pp::StateId>> group =
+      pp::expand_symmetry_group(symmetry, 4096);
+  std::map<pp::Counts, std::uint32_t> orbit_of;
+  for (std::uint32_t orbit = 0; orbit < lumped->num_orbits(); ++orbit) {
+    orbit_of.emplace(lumped->representative(orbit), orbit);
+  }
+  pp::Counts image;
+  const auto canonical = [&](const pp::Counts& counts) {
+    pp::Counts best = counts;
+    for (const std::vector<pp::StateId>& element : group) {
+      pp::permute_counts(element, counts, image);
+      best = std::min(best, image);
+    }
+    return best;
+  };
+  const std::uint64_t n = lumped->population_size();
+
+  std::size_t rows_with_rates = 0;
+  for (std::uint32_t orbit = 0; orbit < lumped->num_orbits(); ++orbit) {
+    std::map<std::uint32_t, std::uint64_t> reference;
+    bool known = true;
+    const std::uint64_t effective = for_each_pair_successor(
+        table, lumped->representative(orbit),
+        [&](const pp::Counts& successor, std::uint64_t numerator) {
+          const auto it = orbit_of.find(canonical(successor));
+          if (it == orbit_of.end()) {
+            known = false;
+            return;
+          }
+          reference[it->second] += numerator;
+        });
+    ASSERT_TRUE(known) << label << ": orbit " << orbit
+                       << " leads outside the explored orbits";
+    const auto stored = lumped->rates(orbit);
+    EXPECT_EQ(std::vector<Rate>(stored.begin(), stored.end()),
+              std::vector<Rate>(reference.begin(), reference.end()))
+        << label << ": row of orbit " << orbit;
+    EXPECT_EQ(lumped->null_numerator(orbit), n * (n - 1) - effective)
+        << label << ": null numerator of orbit " << orbit;
+    if (!reference.empty()) ++rows_with_rates;
+  }
+  EXPECT_GT(rows_with_rates, 0u) << label;
+}
+
+/// A protocol given by an explicit list of ordered-pair rules; every other
+/// pair is null.  One output group, trivial symmetry.
+class RuleListProtocol final : public pp::Protocol {
+ public:
+  struct Rule {
+    pp::StateId p, q, p_next, q_next;
+  };
+  RuleListProtocol(pp::StateId num_states, std::vector<Rule> rules)
+      : num_states_(num_states), rules_(std::move(rules)) {}
+
+  [[nodiscard]] std::string name() const override { return "rule-list"; }
+  [[nodiscard]] pp::StateId num_states() const override { return num_states_; }
+  [[nodiscard]] pp::StateId initial_state() const override { return 0; }
+  [[nodiscard]] pp::Transition delta(pp::StateId p,
+                                     pp::StateId q) const override {
+    for (const Rule& r : rules_) {
+      if (r.p == p && r.q == q) return {r.p_next, r.q_next};
+    }
+    return {p, q};
+  }
+  [[nodiscard]] pp::GroupId group(pp::StateId) const override { return 0; }
+  [[nodiscard]] pp::GroupId num_groups() const override { return 1; }
+
+ private:
+  pp::StateId num_states_;
+  std::vector<Rule> rules_;
+};
+
+/// The orbit whose representative is `counts` (the trivial group's orbits
+/// are single configurations).
+std::uint32_t orbit_with(const LumpedMarkovAnalysis& lumped,
+                         const pp::Counts& counts) {
+  for (std::uint32_t orbit = 0; orbit < lumped.num_orbits(); ++orbit) {
+    if (lumped.representative(orbit) == counts) return orbit;
+  }
+  ADD_FAILURE() << "no orbit holds the configuration";
+  return UINT32_MAX;
+}
+
+/// The numerator of `orbit`'s row entry for `target`, or 0.
+std::uint64_t rate_to(const LumpedMarkovAnalysis& lumped, std::uint32_t orbit,
+                      std::uint32_t target) {
+  for (const auto& [to, numerator] : lumped.rates(orbit)) {
+    if (to == target) return numerator;
+  }
+  return 0;
+}
+
+TEST(LumpedMarkov, RowsMatchThePairByPairReference) {
+  for (const auto& [k, n] : {std::pair<pp::GroupId, std::uint32_t>{2, 40},
+                             std::pair<pp::GroupId, std::uint32_t>{3, 14},
+                             std::pair<pp::GroupId, std::uint32_t>{4, 11},
+                             std::pair<pp::GroupId, std::uint32_t>{5, 9}}) {
+    // k = 2 declares the order-4 group, so the lumpability certificate
+    // also enumerates image rows through the move classes.
+    const core::KPartitionProtocol protocol(k);
+    const pp::TransitionTable table(protocol);
+    expect_rows_match_pairwise(
+        table, protocol.symmetry(), initial_counts(protocol, n),
+        "kpartition k=" + std::to_string(k) + " n=" + std::to_string(n));
+  }
+  {
+    const core::BipartitionProtocol protocol;
+    const pp::TransitionTable table(protocol);
+    expect_rows_match_pairwise(table, protocol.symmetry(),
+                               initial_counts(protocol, 15), "bipartition n=15");
+  }
+  for (const pp::GroupId k : {pp::GroupId{2}, pp::GroupId{3}}) {
+    const core::WeakKPartitionProtocol protocol(k);
+    const pp::TransitionTable table(protocol);
+    expect_rows_match_pairwise(table, protocol.symmetry(),
+                               initial_counts(protocol, 8),
+                               "weak-kpartition k=" + std::to_string(k));
+  }
+}
+
+TEST(LumpedMarkov, AnEffectiveSwapLandsOnTheOrbitsOwnEntry) {
+  // a = 0, b = 1, c = 2.  (a, b) and (b, a) swap: effective, but with no
+  // net change, so their rate is a transition back into the orbit itself.
+  const RuleListProtocol protocol(
+      3, {{0, 1, 1, 0}, {1, 0, 0, 1}, {0, 0, 2, 2}, {2, 1, 0, 1}});
+  const pp::TransitionTable table(protocol);
+  ASSERT_TRUE(table.effective(0, 1));
+  const pp::Counts initial{4, 2, 0};
+  expect_rows_match_pairwise(table, protocol.symmetry(), initial,
+                             "swap table");
+
+  std::string why;
+  const auto lumped = LumpedMarkovAnalysis::try_build(
+      table, protocol.symmetry(), initial, {}, &why);
+  ASSERT_TRUE(lumped.has_value()) << why;
+  // From (4, 2, 0): the swaps carry 4*2 + 2*4 = 16 of the 30 ordered
+  // pairs back to the orbit, (a, a) carries 4*3 = 12 on to (2, 2, 2), and
+  // (b, b)'s 2 are nulls.
+  EXPECT_EQ(rate_to(*lumped, 0, 0), 16u);
+  EXPECT_EQ(rate_to(*lumped, 0, orbit_with(*lumped, {2, 2, 2})), 12u);
+  EXPECT_EQ(lumped->null_numerator(0), 2u);
+}
+
+TEST(LumpedMarkov, PairsSharingANetChangeSumIntoOneEntry) {
+  // a = 0, b = 1, c = 2.  A b turns into c whoever it meets: the five
+  // ordered pairs (a, b), (b, a), (c, b), (b, c), (b, b) all move one
+  // agent from b to c.
+  const RuleListProtocol protocol(3, {{0, 1, 0, 2},
+                                      {1, 0, 2, 0},
+                                      {2, 1, 2, 2},
+                                      {1, 2, 2, 2},
+                                      {1, 1, 1, 2},
+                                      {2, 2, 0, 1},
+                                      {0, 2, 1, 2},
+                                      {2, 0, 2, 1}});
+  const pp::TransitionTable table(protocol);
+  const pp::Counts initial{3, 2, 1};
+  expect_rows_match_pairwise(table, protocol.symmetry(), initial,
+                             "shared-change table");
+
+  std::string why;
+  const auto lumped = LumpedMarkovAnalysis::try_build(
+      table, protocol.symmetry(), initial, {}, &why);
+  ASSERT_TRUE(lumped.has_value()) << why;
+  // Every ordered pair with a b in it: 2*5 with b first, 4*2 with b
+  // second only -- 3*2 + 2*3 + 1*2 + 2*1 + 2*1.
+  EXPECT_EQ(rate_to(*lumped, 0, orbit_with(*lumped, {3, 1, 2})), 18u);
 }
 
 // ---------------------------------------------------------------------------
