@@ -1,7 +1,7 @@
 #include "pp/jump_simulator.hpp"
 
-#include <array>
 #include <cmath>
+#include <unordered_map>
 
 #include "obs/sink.hpp"
 
@@ -16,17 +16,47 @@ JumpSimulator::JumpSimulator(const TransitionTable& table, Counts initial,
   PPK_EXPECTS(n_ >= 2);
 
   const std::size_t num_states = table.num_states();
-  eff_by_row_.assign(num_states * num_states, 0);
-  eff_by_col_.assign(num_states * num_states, 0);
+  // Distinct transfers a -> b, numbered in order of first use; the key is
+  // a * |Q| + b.
+  std::unordered_map<std::size_t, std::uint32_t> transfer_id;
+  const auto transfer = [&](StateId from, StateId to) -> std::uint32_t {
+    if (from == to) return kNoTransfer;
+    const auto [it, inserted] = transfer_id.try_emplace(
+        from * num_states + to, static_cast<std::uint32_t>(transfers_.size()));
+    if (inserted) transfers_.push_back({0, from, to, 0, 0});
+    return it->second;
+  };
   row_begin_.assign(num_states + 1, 0);
   for (StateId p = 0; p < num_states; ++p) {
     for (StateId q = 0; q < num_states; ++q) {
       if (!table.effective(p, q)) continue;
-      eff_by_row_[p * num_states + q] = -1;
-      eff_by_col_[q * num_states + p] = -1;
+      const Transition& t = table.apply(p, q);
       columns_of_row_.push_back(q);
+      transfers_of_pair_.push_back(
+          {transfer(p, t.initiator), transfer(q, t.responder)});
     }
     row_begin_[p + 1] = static_cast<std::uint32_t>(columns_of_row_.size());
+  }
+
+  const auto eff = [&table](StateId p, StateId q) -> std::int64_t {
+    return table.effective(p, q) ? 1 : 0;
+  };
+  increments_.assign(2 * transfers_.size() * num_states, 0);
+  for (std::size_t id = 0; id < transfers_.size(); ++id) {
+    Transfer& t = transfers_[id];
+    const StateId a = t.from;
+    const StateId b = t.to;
+    t.weight_const = eff(a, a) + eff(b, b) - eff(a, b) - eff(b, a);
+    std::int8_t* const row_inc = &increments_[2 * id * num_states];
+    std::int8_t* const col_inc = row_inc + num_states;
+    for (StateId x = 0; x < num_states; ++x) {
+      row_inc[x] = static_cast<std::int8_t>(eff(x, b) - eff(x, a));
+      col_inc[x] = static_cast<std::int8_t>(eff(b, x) - eff(a, x));
+      if (row_inc[x] != 0 || col_inc[x] != 0) {
+        if (t.begin == t.end) t.begin = x;  // first nonzero entry
+        t.end = static_cast<StateId>(x + 1);
+      }
+    }
   }
   rebuild_weights();
 }
@@ -48,26 +78,28 @@ void JumpSimulator::rebuild_weights() {
   }
 }
 
-void JumpSimulator::apply_count_change(StateId state, std::int64_t delta) {
-  // W = sum_{p,q} eff(p,q) c_p c_q - sum_p eff(p,p) c_p, so moving c_u by
-  // delta changes it by delta * (col_sum_u + row_sum_u) + delta^2 eff(u,u)
-  // (row_sum_u already carries the -eff(u,u) of the linear term).
+void JumpSimulator::apply_transfer(std::uint32_t id) {
+  // With W = sum_{p,q} eff(p,q) c_p c_q - sum_p eff(p,p) c_p, moving one
+  // agent from a to b changes W by (col_sum_b + row_sum_b) -
+  // (col_sum_a + row_sum_a) plus the constant eff(a,a) + eff(b,b) -
+  // eff(a,b) - eff(b,a), read before the sums move.
+  const Transfer& t = transfers_[id];
+  total_weight_ +=
+      static_cast<std::uint64_t>((col_sum_[t.to] + row_sum_[t.to]) -
+                                 (col_sum_[t.from] + row_sum_[t.from]) +
+                                 t.weight_const);
+  // row_sum_x gains eff(x,b) - eff(x,a) and col_sum_x gains
+  // eff(b,x) - eff(a,x): two branch-free int8 -> int64 passes over the
+  // span outside which both are zero (empty for a free flip).
   const std::size_t num_states = counts_.size();
-  const std::int64_t* const col = &eff_by_col_[state * num_states];
-  const std::int64_t* const row = &eff_by_row_[state * num_states];
-  total_weight_ += static_cast<std::uint64_t>(
-      delta * (col_sum_[state] + row_sum_[state]) +
-      ((delta * delta) & row[state]));
-  // Column `state` feeds row_sum_ of every row p with eff(p, state); row
-  // `state` feeds col_sum_ of every column q with eff(state, q).  The masks
-  // are all-ones or zero, so both updates are one branch-free pass.
+  const std::int8_t* const row_inc = &increments_[2 * id * num_states];
+  const std::int8_t* const col_inc = row_inc + num_states;
   std::int64_t* const row_sum = row_sum_.data();
   std::int64_t* const col_sum = col_sum_.data();
-  for (std::size_t i = 0; i < num_states; ++i) row_sum[i] += delta & col[i];
-  for (std::size_t i = 0; i < num_states; ++i) col_sum[i] += delta & row[i];
-  counts_[state] =
-      static_cast<std::uint32_t>(static_cast<std::int64_t>(counts_[state]) +
-                                 delta);
+  for (std::size_t i = t.begin; i < t.end; ++i) row_sum[i] += row_inc[i];
+  for (std::size_t i = t.begin; i < t.end; ++i) col_sum[i] += col_inc[i];
+  --counts_[t.from];
+  ++counts_[t.to];
 }
 
 bool JumpSimulator::step(StabilityOracle& oracle) {
@@ -117,36 +149,23 @@ Advance JumpSimulator::advance(StabilityOracle& oracle, std::uint64_t budget) {
   // draw (the row weight is an exact multiple of row_sum, so % is
   // unbiased).  c_p >= 1 here, so the diagonal weight c_p - 1 is >= 0.
   std::uint64_t v = u % static_cast<std::uint64_t>(row_sum_[p]);
-  StateId q = 0;
-  for (std::uint32_t i = row_begin_[p]; i < row_begin_[p + 1]; ++i) {
-    const StateId candidate = columns_of_row_[i];
+  std::uint32_t pos = row_begin_[p];
+  for (;; ++pos) {
+    const StateId candidate = columns_of_row_[pos];
     const std::uint64_t w = counts_[candidate] - (candidate == p ? 1u : 0u);
-    if (v < w) {
-      q = candidate;
-      break;
-    }
+    if (v < w) break;
     v -= w;
   }
+  const StateId q = columns_of_row_[pos];
 
-  // Apply the net count change once per distinct state: a rule that moves
-  // one agent, such as the paper's flips (g_i, x) -> (g_i, x'), touches two
-  // states instead of four, and (x, x) -> (y, y) moves two by 2 each.
+  // Apply the pair as its initiator's and its responder's transfers, in
+  // turn; an agent that keeps its state has none.  The paper's flips
+  // (g_i, x) -> (g_i, x') move one agent, so they cost one transfer.
+  const PairTransfers& moves = transfers_of_pair_[pos];
+  if (moves.initiator != kNoTransfer) apply_transfer(moves.initiator);
+  if (moves.responder != kNoTransfer) apply_transfer(moves.responder);
+
   const Transition& t = table_->apply(p, q);
-  std::array<StateId, 4> states = {p, q, t.initiator, t.responder};
-  std::array<std::int64_t, 4> deltas = {-1, -1, +1, +1};
-  for (std::size_t i = 1; i < states.size(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      if (states[j] == states[i]) {
-        deltas[j] += deltas[i];
-        deltas[i] = 0;
-        break;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    if (deltas[i] != 0) apply_count_change(states[i], deltas[i]);
-  }
-
   if (watch_marks_ != nullptr) {
     const int delta = (t.initiator == watch_state_ ? 1 : 0) +
                       (t.responder == watch_state_ ? 1 : 0) -

@@ -18,26 +18,54 @@
 // The bookkeeping is dense and incremental.  Beside the row sums
 // row_sum_p = sum_q eff(p,q) (c_q - [p==q]) the engine keeps column sums
 // col_sum_q = sum_p eff(p,q) c_p, and the total W = sum_p c_p row_sum_p.
-// An effective transition is applied as one net count change per distinct
-// state (two states for a rule that moves one agent, at most four); a
-// change of delta at state u moves W by
+// The initiator scan computes c_p row_sum_p on the fly; the responder scan
+// walks row p's effective columns.
 //
-//   delta (col_sum_u + row_sum_u) + delta^2 eff(u,u)
+// Transfers.  An effective pair (p, q) -> (p', q') is applied as the
+// single-agent transfers p -> p' and q -> q', in turn; an agent that keeps
+// its state has none, so the paper's free flips (g_i, x) -> (g_i, x') cost
+// one.  The constructor lists the table's distinct transfers a -> b and
+// stores, per transfer, the constant
 //
-// in O(1), and the sums by one branch-free, vectorizable pass each over
-// dense |Q|-wide mask rows.  The initiator scan computes c_p row_sum_p on
-// the fly; the responder scan walks row p's effective columns.  So an
-// effective interaction costs O(|Q|) with small constants, independent of
-// how many nulls were skipped.
+//   weight_const = eff(a,a) + eff(b,b) - eff(a,b) - eff(b,a)
+//
+// and two dense |Q|-wide int8 rows, row_inc[x] = eff(x,b) - eff(x,a) and
+// col_inc[x] = eff(b,x) - eff(a,x), each in {-1, 0, 1}; each CSR position
+// of the responder scan carries its pair's two transfer ids.  Applying
+// a -> b moves W by (col_sum_b + row_sum_b) - (col_sum_a + row_sum_a) +
+// weight_const (sums read before they move), adds row_inc to row_sum_ and
+// col_inc to col_sum_ (two branch-free int8 -> int64 passes the compiler
+// vectorizes), then moves one count from a to b.  The passes cover only
+// the span [begin, end) outside which both rows are zero.  That span is
+// empty when a and b have the same effective pairs, as the paper's two
+// free states do, so a free flip moves two counts and no sum.
+//
+// Why it is exact: W and the sums are polynomials in the counts, and each
+// formula above is the exact integer difference of that polynomial across
+// one transfer.  Two transfers in turn therefore land on exactly the
+// values a from-scratch recount would give -- an effective swap
+// (p, q) -> (q, p) nets to zero, (x, x) -> (y, y) applies x -> y twice --
+// and the RNG draws read only those values, so a trajectory does not
+// depend on how an update is split.  W is kept mod 2^64, so the sign of
+// an intermediate step does not matter.
+//
+// Memory: 2 T |Q| bytes of increment rows for T distinct transfers.
+// Measured T: k-partition k = 3: 10, k = 6: 28, k = 16: 88, k = 100: 592,
+// k = 1000: 5992 (about 2 |Q|), weak k-partition k = 4: 23.  At k = 1000
+// that is 36 MB.  The rows are derived from the table alone, rebuilt by
+// the constructor and never snapshotted.
 //
 // Exactness: pair selection uses exact integer weights; only the geometric
 // skip length uses floating point (p_eff as a double), whose rounding is
 // ~1 ulp -- negligible against Monte-Carlo noise, and validated against
 // the exact engines in the test suite.
 //
-// When it wins: the cost per *effective* interaction is O(|Q|) -- about
-// 190-220 ns for the paper's protocol at k = 16 (|Q| = 46) on a 4-vCPU
-// Xeon -- versus the agent engine's O(1) per *drawn* interaction, so the
+// When it wins: the cost per *effective* interaction is O(|Q|) -- for the
+// paper's protocol to stabilization at n = 320, one thread, about 65-80 ns
+// at k = 3 (|Q| = 7), 65-90 ns at k = 6 (|Q| = 16) and 80-90 ns at k = 16
+// (|Q| = 46) on a 4-vCPU Xeon (Sapphire Rapids, KVM; gcc 12.2, -O3, no
+// -march), where the one-transfer free flips are 88-94% of effective
+// pairs -- versus the agent engine's O(1) per *drawn* interaction, so the
 // speedup is roughly (null ratio) / |Q| x (agent step cost).  The null
 // ratio grows with n, so the win does too.  Measured to stabilization (the
 // auto_crossover block of bench/batch_throughput): at n >= 320 this engine
@@ -45,8 +73,9 @@
 // ~1.4x (k = 16) to ~10x (k = 2), the weak-fairness family under the
 // silence oracle by 17-91x, graph bipartition by 4-10x -- which is why
 // kAuto picks it for 320 <= n < 1024 (pp::kJumpCrossover).  Below 320 the
-// small-|Q| protocols still favour it, while at k = 16 the agent engine
-// wins (1.2-1.3x at n = 128-256).  Protocols that keep a large share of
+// small-|Q| protocols still favour it, and so now does k = 16 at n = 256
+// (1.5x in a 3-rep engines smoke); the crossover stays, because moving
+// it changes kAuto's trajectories.  Protocols that keep a large share of
 // draws effective lose: approximate majority (~26% effective) runs
 // 1.4-1.8x faster on the agent engine at n = 320-1000.  For protocols that
 // approach silence (rare effective pairs, e.g. the endgame of leader
@@ -132,21 +161,42 @@ class JumpSimulator : public EngineLoop<JumpSimulator> {
   }
 
  private:
-  void rebuild_weights();
-  /// Moves counts_[state] by `delta` (the net change of one transition at
-  /// that state) and updates row_sum_, col_sum_ and the total in O(|Q|).
-  void apply_count_change(StateId state, std::int64_t delta);
+  /// One agent moving from state `from` to state `to`.  weight_const is
+  /// eff(from,from) + eff(to,to) - eff(from,to) - eff(to,from), the part of
+  /// the total's change that does not depend on the configuration; the
+  /// increment rows are zero outside [begin, end).
+  struct Transfer {
+    std::int64_t weight_const;
+    StateId from;
+    StateId to;
+    StateId begin;
+    StateId end;
+  };
+  /// The transfers of one effective ordered pair: initiator and responder
+  /// (kNoTransfer where that agent keeps its state).
+  struct PairTransfers {
+    std::uint32_t initiator;
+    std::uint32_t responder;
+  };
+  static constexpr std::uint32_t kNoTransfer = UINT32_MAX;
 
-  /// Dense effective masks, all-ones (-1) where eff(p, q) and 0 elsewhere:
-  /// eff_by_row_[p * |Q| + q] and its transpose eff_by_col_[q * |Q| + p].
-  /// A count change at u reads row u of each, so both sum updates are
-  /// contiguous branch-free loops the compiler vectorizes.
-  std::vector<std::int64_t> eff_by_row_;
-  std::vector<std::int64_t> eff_by_col_;
+  void rebuild_weights();
+  /// Moves one agent along transfers_[id]: the total in O(1), row_sum_ and
+  /// col_sum_ by the transfer's increment rows, then the two counts.
+  void apply_transfer(std::uint32_t id);
+
   /// Columns q with eff(p, q), per row p, as CSR (responder scan):
-  /// columns_of_row_[row_begin_[p] .. row_begin_[p + 1]).
+  /// columns_of_row_[row_begin_[p] .. row_begin_[p + 1]), with the pair's
+  /// transfers beside it in transfers_of_pair_.
   std::vector<StateId> columns_of_row_;
+  std::vector<PairTransfers> transfers_of_pair_;
   std::vector<std::uint32_t> row_begin_;
+  /// The distinct transfers of the table's effective pairs.
+  std::vector<Transfer> transfers_;
+  /// Per transfer a -> b, two dense |Q|-wide rows at
+  /// increments_[2 * id * |Q|]: eff(x,b) - eff(x,a) (row_sum_ increments),
+  /// then eff(b,x) - eff(a,x) (col_sum_ increments), each in {-1, 0, 1}.
+  std::vector<std::int8_t> increments_;
 
   const TransitionTable* table_;
   Counts counts_;
@@ -158,7 +208,7 @@ class JumpSimulator : public EngineLoop<JumpSimulator> {
   std::vector<std::int64_t> row_sum_;
   /// col_sum_[q] = sum_p eff(p,q) * c_p.
   std::vector<std::int64_t> col_sum_;
-  /// sum_p c_p * row_sum_p, kept in O(1) per count change.
+  /// sum_p c_p * row_sum_p, kept in O(1) per transfer.
   std::uint64_t total_weight_ = 0;
   StateId watch_state_ = 0;
   std::vector<std::uint64_t>* watch_marks_ = nullptr;

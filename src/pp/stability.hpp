@@ -152,10 +152,19 @@ class CountPatternOracle final : public StabilityOracle {
 
   void on_transition(StateId p, StateId q, StateId p_next,
                      StateId q_next) override {
-    bump(state_class_[p], -1);
-    bump(state_class_[q], -1);
-    bump(state_class_[p_next], +1);
-    bump(state_class_[q_next], +1);
+    const std::uint16_t cp = state_class_[p];
+    const std::uint16_t cq = state_class_[q];
+    const std::uint16_t cp_next = state_class_[p_next];
+    const std::uint16_t cq_next = state_class_[q_next];
+    // The same class multiset before and after moves no class count, so
+    // no verdict can change (flips inside a merged class, swaps).
+    if ((cp == cp_next && cq == cq_next) || (cp == cq_next && cq == cp_next)) {
+      return;
+    }
+    bump(cp, -1);
+    bump(cq, -1);
+    bump(cp_next, +1);
+    bump(cq_next, +1);
   }
 
   [[nodiscard]] bool stable() const override {

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/invariants.hpp"
@@ -15,7 +16,9 @@
 #include "core/weak_kpartition.hpp"
 #include "pp/agent_simulator.hpp"
 #include "pp/transition_table.hpp"
+#include "protocols/exact_majority.hpp"
 #include "protocols/leader_election.hpp"
+#include "rule_list_protocol.hpp"
 #include "verify/markov.hpp"
 
 namespace ppk::pp {
@@ -147,28 +150,59 @@ class MirrorOracle final : public StabilityOracle {
 };
 
 TEST(JumpSimulator, EffectiveWeightTracksConfiguration) {
-  // The engine keeps the total effective weight in O(1) per net count
-  // change (with a delta^2 term for diagonal rules); after every step and
-  // every restore it must equal the from-scratch sum, and the counts must
-  // match the rule the oracle was told about.  From all-initial, every
-  // ordered pair of Algorithm 1 is effective (rule 1): weight n(n-1).
+  // The engine applies each effective pair as up to two single-agent
+  // transfers, each an O(1) update of the total weight; after every step
+  // and every restore it must equal the from-scratch sum, and the counts
+  // must match the rule the oracle was told about.  From all-initial,
+  // every ordered pair of Algorithm 1 is effective (rule 1): weight n(n-1).
   {
     const core::KPartitionProtocol protocol(5);
     const TransitionTable table(protocol);
     const JumpSimulator sim(table, all_initial(protocol, 12), 9);
     EXPECT_EQ(sim.effective_weight(), 12u * 11u);
   }
-  std::vector<std::shared_ptr<const Protocol>> protocols = {
-      std::make_shared<const core::KPartitionProtocol>(2),
-      std::make_shared<const core::KPartitionProtocol>(3),
-      std::make_shared<const core::KPartitionProtocol>(6),
-      std::make_shared<const core::KPartitionProtocol>(16),
-      std::make_shared<const core::WeakKPartitionProtocol>(4),
-      std::make_shared<const protocols::LeaderElectionProtocol>()};
-  for (const auto& protocol : protocols) {
+  struct Case {
+    std::shared_ptr<const Protocol> protocol;
+    Counts initial;
+  };
+  const auto from_all_initial = [](std::shared_ptr<const Protocol> protocol) {
+    Counts initial = all_initial(*protocol, 97);
+    return Case{std::move(protocol), std::move(initial)};
+  };
+  using Rules = std::vector<RuleListProtocol::Rule>;
+  const std::vector<Case> cases = {
+      from_all_initial(std::make_shared<const core::KPartitionProtocol>(2)),
+      from_all_initial(std::make_shared<const core::KPartitionProtocol>(3)),
+      from_all_initial(std::make_shared<const core::KPartitionProtocol>(6)),
+      from_all_initial(std::make_shared<const core::KPartitionProtocol>(16)),
+      from_all_initial(std::make_shared<const core::WeakKPartitionProtocol>(4)),
+      from_all_initial(
+          std::make_shared<const protocols::LeaderElectionProtocol>()),
+      // Hand-built: (0, 1) and (1, 0) are effective swaps with no net
+      // change; (0, 0) -> (2, 2) and (1, 1) -> (0, 0) move two agents along
+      // the same transfer; (2, 1) -> (0, 1) and (1, 2) -> (1, 0) move one
+      // agent, as initiator and as responder.
+      {std::make_shared<const RuleListProtocol>(
+           3, Rules{{0, 1, 1, 0},
+                    {1, 0, 0, 1},
+                    {0, 0, 2, 2},
+                    {1, 1, 0, 0},
+                    {2, 1, 0, 1},
+                    {1, 2, 1, 0}}),
+       Counts{40, 30, 27}},
+      // Only swaps: every step is effective and the weight never moves.
+      {std::make_shared<const RuleListProtocol>(
+           2, Rules{{0, 1, 1, 0}, {1, 0, 0, 1}}),
+       Counts{60, 37}},
+      // Initiator and responder play different roles: (A, B) -> (a, b)
+      // moves both agents, (A, b) -> (A, a) only the responder,
+      // (b, A) -> (a, A) only the initiator.
+      {std::make_shared<const protocols::ExactMajorityProtocol>(),
+       Counts{30, 27, 20, 20}}};
+  for (const auto& [protocol, initial] : cases) {
     const TransitionTable table(*protocol);
     for (const std::uint64_t seed : {1ULL, 2ULL}) {
-      JumpSimulator sim(table, all_initial(*protocol, 97), seed);
+      JumpSimulator sim(table, initial, seed);
       MirrorOracle oracle;
       oracle.reset(sim.counts());
       ASSERT_EQ(sim.effective_weight(), recomputed_weight(table, sim.counts()));

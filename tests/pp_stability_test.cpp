@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/invariants.hpp"
 #include "pp/agent_simulator.hpp"
 #include "core/kpartition.hpp"
@@ -74,6 +77,94 @@ TEST(CountPatternOracle, AgreesWithFreshResetUnderRandomTransitions) {
     ASSERT_EQ(incremental->stable(),
               core::matches_stable_pattern(protocol, n, counts));
   }
+}
+
+TEST(CountPatternOracle, ClassPreservingTransitionsKeepTheFreshVerdict) {
+  // States {0, 1} form class 0 (like the merged initial/initial' class of
+  // the stable-pattern oracle), {3, 4} class 2, state 2 alone class 1.
+  // Transitions that keep the class multiset -- flips inside a merged
+  // class, swaps across classes -- leave the counts per class and hence
+  // the verdict as they were; every other one must still be tracked.
+  // After each step the verdict must equal a freshly reset oracle's.
+  const std::vector<std::uint16_t> state_class = {0, 0, 1, 2, 2};
+  const std::vector<std::uint32_t> target = {2, 2, 2};
+  CountPatternOracle incremental(state_class, target);
+  Counts counts = {1, 1, 2, 1, 1};
+  incremental.reset(counts);
+  ASSERT_TRUE(incremental.stable());
+
+  std::uint64_t verdict_changes = 0;
+  const auto apply = [&](StateId p, StateId q, StateId pn, StateId qn,
+                         const std::string& what) {
+    const bool before = incremental.stable();
+    --counts[p];
+    --counts[q];
+    ++counts[pn];
+    ++counts[qn];
+    incremental.on_transition(p, q, pn, qn);
+    CountPatternOracle fresh(state_class, target);
+    fresh.reset(counts);
+    ASSERT_EQ(incremental.stable(), fresh.stable()) << what;
+    if (incremental.stable() != before) ++verdict_changes;
+  };
+
+  // Scripted: flips inside class 0 and class 2 while stable...
+  apply(2, 0, 2, 1, "initiator flip 0 -> 1 inside class 0");
+  apply(3, 1, 3, 0, "responder flip 1 -> 0 inside class 0");
+  apply(4, 0, 3, 0, "initiator flip 4 -> 3 inside class 2");
+  ASSERT_TRUE(incremental.stable());
+  // ...a cross-class swap, while stable and while not...
+  apply(0, 2, 2, 0, "swap across classes 0 and 1");
+  ASSERT_TRUE(incremental.stable());
+  apply(0, 2, 2, 2, "leaves the pattern");
+  ASSERT_FALSE(incremental.stable());
+  apply(2, 3, 3, 2, "swap across classes 1 and 2");
+  apply(2, 1, 2, 0, "responder flip 1 -> 0 inside class 0, off the pattern");
+  ASSERT_FALSE(incremental.stable());
+  // ...and a class-changing move back onto the pattern.
+  apply(2, 3, 1, 3, "move back onto the pattern");
+  ASSERT_TRUE(incremental.stable());
+
+  // Mixed random sequences: half the steps keep the class multiset (a
+  // flip inside a class, or a swap), half move agents anywhere.
+  const std::vector<std::vector<StateId>> members = {{0, 1}, {2}, {3, 4}};
+  Xoshiro256 rng(7);
+  const auto occupied = [&] {
+    StateId s;
+    do {
+      s = static_cast<StateId>(rng.below(counts.size()));
+    } while (counts[s] == 0);
+    return s;
+  };
+  const auto same_class = [&](StateId s) {
+    const auto& pool = members[state_class[s]];
+    return pool[rng.below(pool.size())];
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const StateId p = occupied();
+    --counts[p];
+    const StateId q = occupied();
+    ++counts[p];
+    StateId pn;
+    StateId qn;
+    switch (rng.below(4)) {
+      case 0:  // flips inside the classes
+        pn = same_class(p);
+        qn = same_class(q);
+        break;
+      case 1:  // swap, landing anywhere inside the swapped classes
+        pn = same_class(q);
+        qn = same_class(p);
+        break;
+      default:
+        pn = static_cast<StateId>(rng.below(counts.size()));
+        qn = static_cast<StateId>(rng.below(counts.size()));
+        break;
+    }
+    apply(p, q, pn, qn, "random step " + std::to_string(step));
+  }
+  // The random walk crossed the pattern both ways many times.
+  EXPECT_GT(verdict_changes, 100u);
 }
 
 TEST(SilenceOracle, LeaderElectionSilentIffAtMostOneLeader) {

@@ -39,6 +39,7 @@
 #include "core/weak_kpartition.hpp"
 #include "pp/symmetry.hpp"
 #include "pp/transition_table.hpp"
+#include "rule_list_protocol.hpp"
 #include "verify/markov.hpp"
 
 namespace ppk::verify {
@@ -478,33 +479,7 @@ void expect_rows_match_pairwise(const pp::TransitionTable& table,
   EXPECT_GT(rows_with_rates, 0u) << label;
 }
 
-/// A protocol given by an explicit list of ordered-pair rules; every other
-/// pair is null.  One output group, trivial symmetry.
-class RuleListProtocol final : public pp::Protocol {
- public:
-  struct Rule {
-    pp::StateId p, q, p_next, q_next;
-  };
-  RuleListProtocol(pp::StateId num_states, std::vector<Rule> rules)
-      : num_states_(num_states), rules_(std::move(rules)) {}
-
-  [[nodiscard]] std::string name() const override { return "rule-list"; }
-  [[nodiscard]] pp::StateId num_states() const override { return num_states_; }
-  [[nodiscard]] pp::StateId initial_state() const override { return 0; }
-  [[nodiscard]] pp::Transition delta(pp::StateId p,
-                                     pp::StateId q) const override {
-    for (const Rule& r : rules_) {
-      if (r.p == p && r.q == q) return {r.p_next, r.q_next};
-    }
-    return {p, q};
-  }
-  [[nodiscard]] pp::GroupId group(pp::StateId) const override { return 0; }
-  [[nodiscard]] pp::GroupId num_groups() const override { return 1; }
-
- private:
-  pp::StateId num_states_;
-  std::vector<Rule> rules_;
-};
+using pp::RuleListProtocol;
 
 /// The orbit whose representative is `counts` (the trivial group's orbits
 /// are single configurations).
