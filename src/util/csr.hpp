@@ -1,5 +1,5 @@
-// Compressed-sparse-row matrices and residual-certified iterative linear
-// solves -- the sparse back end of the lumped Markov analysis
+// Compressed-sparse-row matrices and residual-certified linear solves --
+// the sparse back end of the lumped Markov analysis
 // (verify/lumped_markov.hpp), replacing the O(m^3) dense elimination that
 // capped exact analysis at a few thousand configurations.
 //
@@ -16,14 +16,38 @@
 // downstream-first as well, so an update mostly reads values already
 // refreshed in the same sweep.
 //
+// Gauss-Seidel seeds a small block -- at most kDirectBlockMax rows, each
+// diagonally dominant inside the block (the sum of |a_rj| over in-block
+// j != r is at most |a_rr|, up to the rounding of the entries, which every
+// jump-chain block meets: its diagonal is 1 and its off-diagonals sum to
+// at most 1) -- with its direct solution: Gaussian elimination without
+// pivoting on a dense copy, the columns of earlier blocks, already final,
+// folded into the right-hand side.  Every Schur complement of a
+// diagonally dominant matrix is diagonally dominant again, so no pivot is
+// zero.  The seed is only a starting iterate: the block then sweeps and
+// certifies like any other, usually after a single sweep (its
+// SolveCertificate::sweeps is 1), and sweeps on from the seed should its
+// check fail.  A slow-mixing block of a few rows, which needs thousands of
+// sweeps from zero, costs one small elimination instead.  Jacobi never
+// seeds: it stays pure sweeps, the order-independent reference.
+//
 // A row update is a plain sum, split around the diagonal so the inner
 // loops carry no branch.  It needs no compensation: in these systems every
 // term is non-negative (b >= 0, -A off the diagonal >= 0, x >= 0), so there
 // is no cancellation and the sum's relative error stays within a few ulps
-// per term.  Convergence is never assumed: the solver certifies its answer
-// with an explicitly recomputed global residual, compensated so that the
-// certificate itself is trustworthy, and reports failure honestly instead
-// of returning a half-converged vector.
+// per term.
+//
+// Convergence is never assumed.  A block is declared converged only by its
+// residual, recomputed with compensated summation, and that check (about
+// three sweeps' work) runs only once a sweep shows it can pass.  After a
+// sweep whose largest change of any x_j is `step`, row i's residual is
+// sum_j a_ij * (the change of x_j after row i was updated): the update
+// itself zeroed the row's residual against the values it read.  Hence
+// ||b - A x||_inf <= ||A||_inf * step, and the block is checked when that
+// bound meets the block's residual bound, or at the sweep cap.  The answer
+// itself is certified by the global residual of the returned x, also
+// compensated, and the solver reports failure honestly instead of
+// returning a half-converged vector.
 
 #pragma once
 
@@ -129,6 +153,11 @@ class CsrBuilder {
   std::vector<Entry> entries_;
 };
 
+/// Largest diagonal block that solve_sparse seeds with its direct
+/// solution.  The block's dense copy, right-hand side included, then holds
+/// at most kDirectBlockMax * (kDirectBlockMax + 1) doubles (129 KiB).
+inline constexpr std::uint32_t kDirectBlockMax = 128;
+
 /// Iterative-solver configuration.
 struct SolveOptions {
   /// Sweep kind.
@@ -144,9 +173,6 @@ struct SolveOptions {
   /// Relative residual target: certify when
   /// ||b - A x||_inf <= tolerance * (||A||_inf * ||x||_inf + ||b||_inf).
   double tolerance = 1e-13;
-  /// Residual is recomputed (compensated) after a block's first sweep and
-  /// then every this many sweeps.
-  std::uint32_t check_every = 8;
 };
 
 /// Outcome of a solve: the certificate the caller must inspect.
@@ -155,7 +181,7 @@ struct SolveCertificate {
   /// was met.
   bool converged = false;
   /// Sweeps performed on the block that needed the most (the whole system
-  /// is one block under Jacobi).
+  /// is one block under Jacobi; a seeded block usually needs 1).
   std::uint32_t sweeps = 0;
   /// Final ||b - A x||_inf, recomputed with compensated summation.
   double residual = 0.0;
@@ -166,19 +192,94 @@ struct SolveCertificate {
   std::uint32_t blocks = 0;
 };
 
-/// Solves A x = b iteratively, overwriting `x` (whose incoming contents
-/// seed the iteration; zeros are a fine start).  Every row of A must carry
-/// a nonzero diagonal entry.  Returns the convergence certificate --
-/// callers must check `converged` and treat failure as an error, never as
-/// an approximate answer.
+namespace detail {
+
+/// True iff rows [begin, end) of `a` are diagonally dominant inside the
+/// block: the sum of |a_rj| over in-block j != r is at most |a_rr|, up to
+/// one epsilon of |a_rr| per stored entry of the row.  That slack admits
+/// the rounding of entries that are exact fractions: a jump-chain row
+/// whose w_j / L all stay in the block sums to exactly 1 in exact
+/// arithmetic, but its rounded entries can sum to 1 + 2^-52.  The rows may
+/// not reach past `end` (true of every diagonal block).
+[[nodiscard]] inline bool dominant_block(const CsrMatrix& a,
+                                         const std::vector<std::size_t>& diag,
+                                         std::uint32_t begin,
+                                         std::uint32_t end) {
+  for (std::uint32_t r = begin; r < end; ++r) {
+    double off = 0.0;
+    for (std::size_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
+      if (a.col[i] >= begin && i != diag[r]) off += std::abs(a.value[i]);
+    }
+    const double slack =
+        static_cast<double>(a.row_ptr[r + 1] - a.row_ptr[r]) *
+        std::numeric_limits<double>::epsilon();
+    if (off > std::abs(a.value[diag[r]]) * (1.0 + slack)) return false;
+  }
+  return true;
+}
+
+/// Overwrites x[begin, end) with the direct solution of the diagonal block
+/// [begin, end) of A x = b, taking x below `begin` as final: Gaussian
+/// elimination without pivoting on `dense` (reused scratch), valid for a
+/// block that dominant_block accepts.  An entry that comes out non-finite
+/// keeps its incoming value.
+inline void seed_block(const CsrMatrix& a, const std::vector<double>& b,
+                       std::uint32_t begin, std::uint32_t end,
+                       std::vector<double>& x, std::vector<double>& dense) {
+  // The block row-major, with the right-hand side as column m.
+  const std::uint32_t m = end - begin;
+  const std::size_t stride = std::size_t{m} + 1;
+  dense.assign(m * stride, 0.0);
+  for (std::uint32_t r = begin; r < end; ++r) {
+    double* row = &dense[(r - begin) * stride];
+    double rhs = b[r];
+    for (std::size_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
+      if (a.col[i] < begin) {
+        rhs -= a.value[i] * x[a.col[i]];
+      } else {
+        row[a.col[i] - begin] = a.value[i];
+      }
+    }
+    row[m] = rhs;
+  }
+  for (std::uint32_t k = 0; k < m; ++k) {
+    const double* pivot = &dense[k * stride];
+    for (std::uint32_t i = k + 1; i < m; ++i) {
+      double* row = &dense[i * stride];
+      if (row[k] == 0.0) continue;
+      const double factor = row[k] / pivot[k];
+      for (std::uint32_t j = k + 1; j <= m; ++j) row[j] -= factor * pivot[j];
+    }
+  }
+  // Back substitution; the solution replaces column m.
+  for (std::uint32_t i = m; i-- > 0;) {
+    double* row = &dense[i * stride];
+    double sum = row[m];
+    for (std::uint32_t j = i + 1; j < m; ++j) {
+      sum -= row[j] * dense[j * stride + m];
+    }
+    row[m] = sum / row[i];
+    if (std::isfinite(row[m])) x[begin + i] = row[m];
+  }
+}
+
+}  // namespace detail
+
+/// Solves A x = b iteratively, overwriting `x` (whose incoming contents,
+/// which must be finite, seed the iteration; zeros are a fine start).
+/// Every row of A must carry a nonzero diagonal entry.  Returns the
+/// convergence certificate -- callers must check `converged` and treat
+/// failure as an error, never as an approximate answer.
 ///
 /// Gauss-Seidel first splits the rows into the diagonal blocks of a
 /// block-lower-triangular order: a block ends after row r when no row
 /// <= r has a column > r (a prefix max over the column indices).  Each
 /// block then iterates to its own residual bound in turn, earliest first,
-/// with the columns of the blocks before it already final.  A block that
-/// misses its bound within `max_sweeps` ends the solve as not converged.
-/// Either way the certificate is the global residual of the returned x.
+/// with the columns of the blocks before it already final; a small,
+/// diagonally dominant block starts from its direct solution.  A block that
+/// misses its bound within `max_sweeps`, or whose iterate stops being
+/// finite, ends the solve as not converged.  Either way the certificate is
+/// the global residual of the returned x.
 [[nodiscard]] inline SolveCertificate solve_sparse(
     const CsrMatrix& a, const std::vector<double>& b, std::vector<double>& x,
     const SolveOptions& options = {}) {
@@ -246,20 +347,28 @@ struct SolveCertificate {
 
   SolveCertificate cert;
   cert.blocks = static_cast<std::uint32_t>(block_end.size());
-  std::vector<double> next;  // Jacobi scratch
+  std::vector<double> next;   // Jacobi scratch
+  std::vector<double> dense;  // direct-seed scratch
   if (jacobi) next = x;
-  const std::uint32_t stride = std::max(options.check_every, 1u);
   double solved_norm = 0.0;  // ||x||_inf over the blocks already final
   std::uint32_t begin = 0;
   bool blocks_converged = true;
   for (const std::uint32_t end : block_end) {
+    if (!jacobi && end - begin <= kDirectBlockMax &&
+        detail::dominant_block(a, diag, begin, end)) {
+      detail::seed_block(a, b, begin, end, x, dense);
+    }
     // The block's bound takes ||x|| over the blocks solved so far, so it
     // never exceeds the global bound of the returned x.  With the later
-    // blocks seeded at zero it equals that bound when this block is the
+    // blocks still at zero it equals that bound when this block is the
     // one that fails.
     std::uint32_t sweeps = 0;
     bool met = false;
+    double block_norm = 0.0;
     while (!met && sweeps < options.max_sweeps) {
+      // The sweep's largest change of any x_r, and ||x||_inf of the block.
+      double step = 0.0;
+      block_norm = 0.0;
       for (std::uint32_t r = begin; r < end; ++r) {
         // A plain sum, split around the diagonal entry.
         double acc = b[r];
@@ -269,17 +378,22 @@ struct SolveCertificate {
         for (std::size_t i = diag[r] + 1; i < a.row_ptr[r + 1]; ++i) {
           acc -= a.value[i] * x[a.col[i]];
         }
-        (jacobi ? next[r] : x[r]) = acc / a.value[diag[r]];
+        const double value = acc / a.value[diag[r]];
+        // A NaN change sticks (std::max would skip it), so a non-finite
+        // value anywhere leaves `step` non-finite.
+        const double change = std::abs(value - x[r]);
+        step = change > step || std::isnan(change) ? change : step;
+        block_norm = std::max(block_norm, std::abs(value));
+        (jacobi ? next[r] : x[r]) = value;
       }
       if (jacobi) x.swap(next);
       ++sweeps;
-      if (sweeps == 1 || sweeps % stride == 0 ||
-          sweeps == options.max_sweeps) {
-        const double block_norm = max_abs(begin, end);
-        // A diverged iterate cannot recover: end the block unconverged.
-        if (!std::isfinite(block_norm)) break;
-        met = meets(residual_inf(begin, end),
-                    bound(std::max(solved_norm, block_norm)));
+      // A diverged iterate cannot recover: end the block unconverged.
+      if (!std::isfinite(step)) break;
+      // ||b - A x|| <= ||A|| * step: check only once that can pass.
+      const double block_bound = bound(std::max(solved_norm, block_norm));
+      if (norm_a * step <= block_bound || sweeps == options.max_sweeps) {
+        met = meets(residual_inf(begin, end), block_bound);
       }
     }
     cert.sweeps = std::max(cert.sweeps, sweeps);
@@ -287,7 +401,7 @@ struct SolveCertificate {
       blocks_converged = false;
       break;
     }
-    solved_norm = std::max(solved_norm, max_abs(begin, end));
+    solved_norm = std::max(solved_norm, block_norm);
     begin = end;
   }
 

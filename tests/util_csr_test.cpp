@@ -1,9 +1,11 @@
 // Tests of the CSR sparse-matrix kit (util/csr.hpp): builder canonical
 // form, both iterative solvers against hand-solvable systems, the
-// block-by-block Gauss-Seidel of a block-lower-triangular system, and the
-// residual certificate's refusal to bless a non-converged answer.
+// block-by-block Gauss-Seidel of a block-lower-triangular system, the
+// direct seed of small diagonally dominant blocks, and the residual
+// certificate's refusal to bless a non-converged answer.
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -162,6 +164,34 @@ TEST(CsrSolve, ADivergedBlockStopsBeforeTheSweepCap) {
   }
 }
 
+TEST(CsrSolve, ANaNFromFiniteValuesStopsTheBlock) {
+  // Gauss-Seidel diverges here, and after 300 sweeps row 0 adds two
+  // finite products that overflow with opposite signs: its value is NaN
+  // while every entry it read was finite.  That must end the block as
+  // promptly as an overflow to infinity does.
+  CsrBuilder builder(3, 3);
+  builder.add(0, 0, 1.0);
+  builder.add(0, 1, -3.0);
+  builder.add(0, 2, -3.0);
+  builder.add(1, 0, -3.0);
+  builder.add(1, 1, 1.0);
+  builder.add(1, 2, -3.0);
+  builder.add(2, 0, -2.0);
+  builder.add(2, 1, 2.0);
+  builder.add(2, 2, 1.0);
+  const CsrMatrix a = builder.build();
+  const std::vector<double> b = {1.0, 2.0, 3.0};
+
+  std::vector<double> x;
+  SolveOptions options;
+  options.max_sweeps = 100'000;
+  const SolveCertificate cert = solve_sparse(a, b, x, options);
+  EXPECT_FALSE(cert.converged);
+  EXPECT_LT(cert.sweeps, 1000u);
+  EXPECT_TRUE(std::isfinite(cert.residual_bound));
+  EXPECT_GT(cert.residual, cert.residual_bound);
+}
+
 /// A two-block lower-triangular system: rows 0-1 a fast block, rows 2-3 a
 /// slow-mixing one (off-diagonals -0.995) fed by column 0.
 CsrMatrix two_block_system() {
@@ -187,8 +217,9 @@ TEST(CsrSolve, GaussSeidelSolvesTwoBlocksInTurnAndMatchesJacobi) {
   ASSERT_TRUE(gs_cert.converged) << "residual " << gs_cert.residual;
   EXPECT_LE(gs_cert.residual, gs_cert.residual_bound);
   EXPECT_EQ(gs_cert.blocks, 2u);
-  // The slow block sets the sweep count; the fast one needs far fewer.
-  EXPECT_GT(gs_cert.sweeps, 100u);
+  // Both blocks are small and diagonally dominant: each starts from its
+  // direct solution and certifies after one sweep.
+  EXPECT_EQ(gs_cert.sweeps, 1u);
 
   std::vector<double> jacobi(4, 0.0);
   SolveOptions jacobi_options;
@@ -203,6 +234,138 @@ TEST(CsrSolve, GaussSeidelSolvesTwoBlocksInTurnAndMatchesJacobi) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_NEAR(gs[i], jacobi[i], 1e-10) << "component " << i;
   }
+}
+
+/// One irreducible block of `rows` rows: a directed ring, row r feeding
+/// on row r + 1 (and the last on the first) with weight `feed`, plus a
+/// right-hand side of 1 - feed, so x = 1 solves it.  The ring's mixing
+/// slows as feed approaches 1.
+CsrMatrix ring_system(std::uint32_t rows, double feed) {
+  CsrBuilder builder(rows, rows);
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    builder.add(r, r, 1.0);
+    builder.add(r, (r + 1) % rows, -feed);
+  }
+  return builder.build();
+}
+
+/// Solves with both methods and checks that each certifies and that they
+/// agree to 1e-10.  Returns the Gauss-Seidel certificate.
+SolveCertificate solve_both_and_compare(const CsrMatrix& a,
+                                        const std::vector<double>& b) {
+  std::vector<double> gs;
+  const SolveCertificate gs_cert = solve_sparse(a, b, gs);
+  EXPECT_TRUE(gs_cert.converged) << "residual " << gs_cert.residual;
+  std::vector<double> jacobi;
+  SolveOptions jacobi_options;
+  jacobi_options.method = SolveOptions::Method::kJacobi;
+  const SolveCertificate jacobi_cert =
+      solve_sparse(a, b, jacobi, jacobi_options);
+  EXPECT_TRUE(jacobi_cert.converged) << "residual " << jacobi_cert.residual;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_NEAR(gs[i], jacobi[i], 1e-10) << "component " << i;
+  }
+  return gs_cert;
+}
+
+TEST(CsrSolve, ASlowBlockAboveTheDirectSizeSweepsAndMatchesJacobi) {
+  // Too large to seed: the ring mixes slowly, so Gauss-Seidel needs many
+  // sweeps, and still meets the reference.
+  constexpr std::uint32_t rows = 200;
+  static_assert(rows > kDirectBlockMax);
+  const CsrMatrix a = ring_system(rows, 0.995);
+  const std::vector<double> b(rows, 0.005);
+  const SolveCertificate cert = solve_both_and_compare(a, b);
+  EXPECT_EQ(cert.blocks, 1u);
+  EXPECT_GT(cert.sweeps, 100u);
+}
+
+TEST(CsrSolve, BlocksAtAndJustAboveTheDirectSizeBothCertify) {
+  // At kDirectBlockMax rows the block is seeded and certifies after one
+  // sweep; one row more and it sweeps from zero.  Both meet Jacobi.
+  for (const std::uint32_t rows : {kDirectBlockMax, kDirectBlockMax + 1}) {
+    const CsrMatrix a = ring_system(rows, 0.9);
+    const std::vector<double> b(rows, 0.1);
+    const SolveCertificate cert = solve_both_and_compare(a, b);
+    EXPECT_EQ(cert.blocks, 1u);
+    if (rows == kDirectBlockMax) {
+      EXPECT_EQ(cert.sweeps, 1u);
+    } else {
+      EXPECT_GT(cert.sweeps, 1u);
+    }
+  }
+}
+
+TEST(CsrSolve, TheDirectSeedIsGaussianElimination) {
+  // Row 0 is a block of its own (x0 = 1); rows 1-3 are the block
+  //   [ 4 -1 -2 ]       [ 1 ]
+  //   [-1  5 -3 ] y  =  [ 2 ]
+  //   [-2 -1  6 ]       [ 3 ]
+  // once column 0 is folded into the right-hand side.  By hand:
+  // eliminating y1 leaves [19/4 -7/2 | 9/4; -3/2 5 | 7/2], eliminating y2
+  // leaves 74/19 y3 = 80/19, so y3 = 40/37, y2 = (9/4 + 7/2 y3) 4/19 =
+  // 47/37 and y1 = (1 + y2 + 2 y3) / 4 = 41/37.
+  CsrBuilder builder(4, 4);
+  builder.add(0, 0, 2.0);
+  builder.add(1, 0, -1.0);
+  builder.add(1, 1, 4.0);
+  builder.add(1, 2, -1.0);
+  builder.add(1, 3, -2.0);
+  builder.add(2, 1, -1.0);
+  builder.add(2, 2, 5.0);
+  builder.add(2, 3, -3.0);
+  builder.add(3, 0, -2.0);
+  builder.add(3, 1, -2.0);
+  builder.add(3, 2, -1.0);
+  builder.add(3, 3, 6.0);
+  const CsrMatrix a = builder.build();
+  const std::vector<double> b = {2.0, 0.0, 2.0, 1.0};
+
+  std::vector<double> seeded = {1.0, 0.0, 0.0, 0.0};
+  std::vector<double> dense;
+  detail::seed_block(a, b, 1, 4, seeded, dense);
+  EXPECT_EQ(seeded[0], 1.0);  // earlier blocks are read, never written
+  EXPECT_NEAR(seeded[1], 41.0 / 37.0, 1e-15);
+  EXPECT_NEAR(seeded[2], 47.0 / 37.0, 1e-15);
+  EXPECT_NEAR(seeded[3], 40.0 / 37.0, 1e-15);
+
+  // The solve seeds both blocks, so one sweep each certifies.
+  std::vector<double> x;
+  const SolveCertificate cert = solve_sparse(a, b, x);
+  ASSERT_TRUE(cert.converged) << "residual " << cert.residual;
+  EXPECT_EQ(cert.blocks, 2u);
+  EXPECT_EQ(cert.sweeps, 1u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_NEAR(x[i], seeded[i], 1e-15) << "component " << i;
+  }
+}
+
+TEST(CsrSolve, AJumpChainRowSummingToOnePlusRoundingIsStillSeeded) {
+  // Row 0 jumps to rows 1-3 with probabilities 9/28, 18/28 and 1/28: they
+  // sum to exactly 1, but as doubles to 1 + 2^-52.  Rows 1-3 jump back
+  // with probability 1/2 and leave the chain otherwise, so x = 1.  The
+  // block is diagonally dominant but for rounding, and is seeded.
+  const std::vector<double> jump = {9.0 / 28.0, 18.0 / 28.0, 1.0 / 28.0};
+  double rounded_sum = 0.0;
+  for (const double p : jump) rounded_sum += p;
+  ASSERT_GT(rounded_sum, 1.0);
+
+  CsrBuilder builder(4, 4);
+  builder.add(0, 0, 1.0);
+  for (std::uint32_t j = 0; j < 3; ++j) builder.add(0, j + 1, -jump[j]);
+  for (std::uint32_t r = 1; r < 4; ++r) {
+    builder.add(r, 0, -0.5);
+    builder.add(r, r, 1.0);
+  }
+  const CsrMatrix a = builder.build();
+  const std::vector<double> b = {0.0, 0.5, 0.5, 0.5};
+
+  std::vector<double> x;
+  const SolveCertificate cert = solve_sparse(a, b, x);
+  ASSERT_TRUE(cert.converged) << "residual " << cert.residual;
+  EXPECT_EQ(cert.blocks, 1u);
+  EXPECT_EQ(cert.sweeps, 1u);
+  for (const double v : x) EXPECT_NEAR(v, 1.0, 1e-12);
 }
 
 TEST(CsrSolve, ADivergentLaterBlockFailsTheWholeSolve) {
