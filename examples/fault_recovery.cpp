@@ -2,7 +2,8 @@
 // changes *after* stabilization?  (The paper's motivation cites
 // fault-tolerance [14]; this example shows precisely how far the protocol
 // gets for free, where it genuinely breaks, and what the repo's recovery
-// layer adds.)  Built on the fault-injection subsystem (pp/faults.hpp).
+// layer adds.)  Built on the fault grammar (pp/faults.hpp) and the churn
+// rule of the agent-array engine (pp/agent_simulator.hpp).
 //
 //  * Part 1 -- agents JOINING in the designated initial state are absorbed
 //    gracefully: a locked-in group set is never undone, the newcomers run
@@ -28,6 +29,7 @@
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "core/recovery.hpp"
+#include "pp/agent_simulator.hpp"
 #include "pp/faults.hpp"
 #include "pp/transition_table.hpp"
 #include "util/cli.hpp"
@@ -85,11 +87,6 @@ int main(int argc, char** argv) {
 
   std::printf("=== Part 1: %u agents join after stabilization ===\n", joiners);
   {
-    ppk::pp::ChurnSimulator sim(
-        table,
-        ppk::pp::Population(n, protocol.num_states(),
-                            protocol.initial_state()),
-        seed);
     std::vector<ppk::pp::FaultEvent> schedule;
     for (std::uint32_t i = 0; i < joiners; ++i) {
       ppk::pp::FaultEvent event;
@@ -97,7 +94,11 @@ int main(int argc, char** argv) {
       event.kind = ppk::pp::FaultKind::kJoin;
       schedule.push_back(event);
     }
-    sim.set_schedule(std::move(schedule));
+    ppk::pp::AgentSimulator sim(
+        table,
+        ppk::pp::Population(n, protocol.num_states(),
+                            protocol.initial_state()),
+        seed, std::move(schedule));
     sim.set_default_join_state(protocol.initial_state());
     const auto oracle = ppk::core::churn_aware_stable_oracle(protocol);
     const auto result = sim.run(*oracle, kBudget);
@@ -111,12 +112,11 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== Part 2: %u agents crash, bare protocol ===\n", crashers);
   {
-    ppk::pp::ChurnSimulator sim(
+    ppk::pp::AgentSimulator sim(
         table,
         ppk::pp::Population(n, protocol.num_states(),
                             protocol.initial_state()),
-        seed + 1);
-    sim.set_schedule(crash_burst(kFaultAt, crashers));
+        seed + 1, crash_burst(kFaultAt, crashers));
     const auto oracle = ppk::core::churn_aware_stable_oracle(protocol);
     const auto result = sim.run(*oracle, kBudget);
     std::printf("recovery attempt: %s after %llu interactions\n",
@@ -139,11 +139,11 @@ int main(int argc, char** argv) {
   {
     const ppk::core::SelfHealingKPartitionProtocol healing(k);
     const ppk::pp::TransitionTable healing_table(healing);
-    ppk::pp::ChurnSimulator sim(
+    ppk::pp::AgentSimulator sim(
         healing_table,
         ppk::pp::Population(n, healing.num_states(), healing.initial_state()),
-        seed + 1);  // same pair stream as part 2
-    sim.set_schedule(crash_burst(kFaultAt, crashers));
+        seed + 1,  // same pair stream as part 2
+        crash_burst(kFaultAt, crashers));
     ppk::core::RecoveryManager manager(healing, sim);
     const auto result = sim.run(manager.oracle(), kBudget);
     std::printf("recovery: %s after %llu interactions "

@@ -14,9 +14,15 @@ namespace ppk::analysis {
 
 namespace {
 
-/// Stream index 2 for the schedule; the ChurnSimulator itself consumes
+/// Stream index 2 for the schedule; the churn engine itself consumes
 /// streams 0 (pairs) and 1 (fault resolution) of the same trial seed.
 constexpr std::uint64_t kScheduleStream = 2;
+
+std::vector<pp::FaultEvent> schedule(const RecoveryOptions& options,
+                                     std::uint64_t seed) {
+  return pp::make_fault_schedule(options.rates, options.fault_horizon,
+                                 derive_stream_seed(seed, kScheduleStream));
+}
 
 void finish_trial(const core::KPartitionProtocol& base,
                   const pp::Counts& base_counts, const pp::FaultTrace& trace,
@@ -48,10 +54,8 @@ RecoveryTrial run_with_recovery(pp::GroupId k, std::uint32_t n,
   pp::Counts initial(protocol.num_states(), 0);
   initial[protocol.initial_state()] = n;
 
-  pp::ChurnSimulator sim(table, pp::Population(initial), seed);
-  sim.set_schedule(pp::make_fault_schedule(
-      options.rates, options.fault_horizon,
-      derive_stream_seed(seed, kScheduleStream)));
+  pp::AgentSimulator sim(table, pp::Population(initial), seed,
+                         schedule(options, seed));
   core::RecoveryManager manager(protocol, sim);
 
   const pp::SimResult r = sim.run(manager.oracle(), options.max_interactions);
@@ -82,11 +86,9 @@ RecoveryTrial run_without_recovery(pp::GroupId k, std::uint32_t n,
   pp::Counts initial(protocol.num_states(), 0);
   initial[protocol.initial_state()] = n;
 
-  pp::ChurnSimulator sim(table, pp::Population(initial), seed);
+  pp::AgentSimulator sim(table, pp::Population(initial), seed,
+                         schedule(options, seed));
   sim.set_default_join_state(protocol.initial_state());
-  sim.set_schedule(pp::make_fault_schedule(
-      options.rates, options.fault_horizon,
-      derive_stream_seed(seed, kScheduleStream)));
   const auto oracle = core::churn_aware_stable_oracle(protocol);
 
   const pp::SimResult r = sim.run(*oracle, options.max_interactions);

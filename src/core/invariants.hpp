@@ -46,9 +46,10 @@ std::unique_ptr<pp::StabilityOracle> stable_pattern_oracle(
     const KPartitionProtocol& protocol, std::uint32_t n);
 
 /// Like stable_pattern_oracle, but rebuilds its target whenever the
-/// population changes mid-run (ChurnSimulator announces churn through
-/// on_external_change), so a no-recovery run can honestly ask whether the
-/// survivors ever reach the uniform pattern of the *surviving* population.
+/// population changes mid-run (AgentSimulator's churn rule announces churn
+/// through on_external_change), so a no-recovery run can honestly ask
+/// whether the survivors ever reach the uniform pattern of the *surviving*
+/// population.
 /// Never stable while fewer than 3 agents remain.
 std::unique_ptr<pp::StabilityOracle> churn_aware_stable_oracle(
     const KPartitionProtocol& protocol);

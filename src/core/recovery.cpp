@@ -81,7 +81,7 @@ void HealingOracle::configure(std::uint32_t epoch, const pp::Counts& counts) {
 }
 
 void HealingOracle::reset(const pp::Counts& counts) {
-  // reset() arrives from ChurnSimulator::run(); the configuration was last
+  // reset() arrives from the simulator's run(); the configuration was last
   // seen by configure()/on_external_change(), but recount defensively.
   PPK_EXPECTS(counts.size() == protocol_->num_states());
   recount(counts);
@@ -125,7 +125,7 @@ void HealingOracle::on_transition(pp::StateId p, pp::StateId q,
 // --- RecoveryManager -------------------------------------------------------
 
 RecoveryManager::RecoveryManager(const SelfHealingKPartitionProtocol& protocol,
-                                 pp::ChurnSimulator& sim)
+                                 pp::AgentSimulator& sim)
     : protocol_(&protocol), sim_(&sim), oracle_(protocol) {
   sim_->set_default_join_state(
       protocol_->encode(epoch_, protocol_->base().initial_state()));

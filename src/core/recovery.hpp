@@ -19,7 +19,7 @@
 //
 //  - RecoveryManager is the system-side fault handler -- think of the base
 //    station of the paper's motivating sensor deployment, or the harness
-//    of a fault-injection campaign.  It watches a ChurnSimulator's fault
+//    of a fault-injection campaign.  It watches a churn engine's fault
 //    trace, decides when the current epoch's bookkeeping is damaged (a
 //    committed slot lost to a crash, a state corrupted), and then seeds
 //    ONE surviving agent with the next epoch; everything else spreads
@@ -44,7 +44,7 @@
 #include <memory>
 
 #include "core/kpartition.hpp"
-#include "pp/faults.hpp"
+#include "pp/agent_simulator.hpp"
 #include "pp/population.hpp"
 #include "pp/stability.hpp"
 
@@ -144,17 +144,19 @@ class HealingOracle final : public pp::StabilityOracle {
   std::uint32_t mismatch_ = 0;
 };
 
-/// System-side recovery controller.  Wires itself into a ChurnSimulator's
+/// System-side recovery controller.  Wires itself into a churn engine's
 /// fault and transition observer slots (it owns both) and seeds epidemic
 /// reset waves whenever churn damages the current epoch's bookkeeping.
 /// All decisions are deterministic functions of the fault trace, so runs
 /// remain seed-reproducible.
 class RecoveryManager {
  public:
+  /// `sim` must be built with the churn rule (a fault schedule, possibly
+  /// empty) and outlive the manager.
   RecoveryManager(const SelfHealingKPartitionProtocol& protocol,
-                  pp::ChurnSimulator& sim);
+                  pp::AgentSimulator& sim);
 
-  /// The oracle to pass to ChurnSimulator::run(); tracks epoch changes and
+  /// The oracle to pass to the engine's run(); tracks epoch changes and
   /// churn automatically.
   [[nodiscard]] pp::StabilityOracle& oracle() noexcept { return oracle_; }
 
@@ -184,7 +186,7 @@ class RecoveryManager {
   void refresh();
 
   const SelfHealingKPartitionProtocol* protocol_;
-  pp::ChurnSimulator* sim_;
+  pp::AgentSimulator* sim_;
   HealingOracle oracle_;
   std::uint32_t epoch_ = 0;
   /// Agents not yet converted to the current epoch (wave in flight > 0).

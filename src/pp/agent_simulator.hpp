@@ -46,18 +46,30 @@
 //       32-bit index per ordered pair, so the policy is for the
 //       small/medium n where weak-fairness questions live.
 //
-// Snapshots are tagged by rule ("agent", "graph", "adversarial"), so a
-// snapshot restores only into an engine built with the same rule.
+//  - Churn (table, population, seed, schedule): the complete-graph draw
+//    plus a fault schedule (pp/faults.hpp) fired on the interaction clock,
+//    with surgical fault primitives for recovery layers and a complete
+//    fault trace.  Pairs that draw a sleeping agent are null.  Fault
+//    targets have an RNG stream of their own, so a schedule never perturbs
+//    the pair sequence.  Every fault notifies the oracle via
+//    on_external_change() -- oracles built for a fixed population go stale
+//    and fail loudly (stability.hpp) -- and then the fault observer, which
+//    may itself apply surgical writes (core::RecoveryManager's reset waves).
+//
+// Snapshots are tagged by rule ("agent", "graph", "adversarial", "churn"),
+// so a snapshot restores only into an engine built with the same rule.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "pp/engine_loop.hpp"
 #include "pp/fairness.hpp"
+#include "pp/faults.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/population.hpp"
 #include "pp/protocol.hpp"
@@ -73,7 +85,7 @@ class ObsSink;
 
 namespace ppk::pp {
 
-/// The agent-array engine under one of three draw rules (see the file
+/// The agent-array engine under one of four draw rules (see the file
 /// comment), fixed by the constructor.
 class AgentSimulator : public EngineLoop<AgentSimulator> {
  public:
@@ -94,6 +106,12 @@ class AgentSimulator : public EngineLoop<AgentSimulator> {
                  std::uint64_t seed,
                  const InteractionGraph* topology = nullptr);
 
+  /// Churn draw: the complete-graph draw plus `schedule` (stably sorted by
+  /// firing time; may be empty).  Pairs come from stream 0 of `seed`,
+  /// fault targets from stream 1.
+  AgentSimulator(const TransitionTable& table, Population population,
+                 std::uint64_t seed, std::vector<FaultEvent> schedule);
+
   /// Observer invoked after every *effective* interaction.  Null
   /// interactions are invisible to observers (they change nothing).
   void set_observer(std::function<void(const SimEvent&)> observer) {
@@ -111,17 +129,23 @@ class AgentSimulator : public EngineLoop<AgentSimulator> {
 
   /// Attaches an observability sink (obs/sink.hpp); nullptr detaches.  The
   /// sink is notified after every drawn interaction (null or effective)
-  /// and must outlive the simulator.  Totals count from attachment.
+  /// and must outlive the simulator.  Totals count from attachment.  Under
+  /// the churn rule it also counts applied faults per kind (faults.crash,
+  /// faults.join, ...) and tracks the live population size in the
+  /// churn.population gauge.
   void set_obs_sink(obs::ObsSink* sink) noexcept { obs_ = sink; }
 
-  /// Draws one pair and applies the rule.  Returns true iff effective.
+  /// Draws one pair and applies the rule (the churn rule first fires the
+  /// due faults).  Returns true iff the oracle was notified.
   bool step(StabilityOracle& oracle) { return advance(oracle, 1).notified; }
 
   /// Draws pairs for the shared run()/resume() loop (pp/engine_loop.hpp)
   /// up to and including the first effective one, at most `budget`.  The
   /// loop asks the oracle only after an effective draw, so stopping there
   /// is the same run as one draw per advance.  This engine does not detect
-  /// silence, so it always draws.
+  /// silence, so it always draws.  The churn rule first fires the due
+  /// faults; an advance that fired any draws just one pair and reports
+  /// notified, and no advance draws past the next event's firing time.
   Advance advance(StabilityOracle& oracle, std::uint64_t budget);
 
   /// Applies an explicit interaction schedule (pairs of agent indices);
@@ -133,13 +157,17 @@ class AgentSimulator : public EngineLoop<AgentSimulator> {
   /// Serializable mid-run state: per-agent states, RNG position,
   /// interaction counters and, under kWeakRoundRobin, the unscheduled
   /// remainder of the current round (contract in pp/snapshot.hpp).  The
-  /// draw rule, topology and fairness spec are constructor arguments, not
-  /// dynamic state, so they are not serialized.
+  /// churn rule adds the fault stream, the schedule cursor, the default
+  /// join state and the sleep table.  The draw rule, topology, fairness
+  /// spec and fault schedule are constructor arguments, not dynamic state,
+  /// so they are not serialized; neither is the fault trace, an audit log:
+  /// a restored engine records faults from the restore point on.
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Restores a snapshot() taken from an engine constructed with the same
   /// arguments; resuming afterwards is bit-identical to the snapshotted
-  /// engine under the same resume() grants.
+  /// engine under the same resume() grants.  Under the churn rule the
+  /// snapshot may carry a different population size.
   void restore(const Snapshot& snap);
 
   /// Current per-agent configuration.
@@ -152,12 +180,71 @@ class AgentSimulator : public EngineLoop<AgentSimulator> {
     return population_.counts();
   }
 
+  // --- The churn rule only ----------------------------------------------
+  // The fault primitives record a FaultRecord, notify `oracle` (when
+  // non-null) via on_external_change, and invoke the fault observer.
+
+  /// State that kJoin events without an explicit state enter; defaults to
+  /// state 0.  Recovery layers keep this pointed at the current epoch's
+  /// initial state.
+  void set_default_join_state(StateId s);
+
+  /// Observer invoked after every applied fault (including surgical ones).
+  void set_fault_observer(std::function<void(const FaultRecord&)> observer);
+
+  /// Removes an agent (resolved uniformly when `agent` is unset).  Returns
+  /// the removed agent's index, or nullopt if the population is already at
+  /// the minimum size of 2 (the event is dropped).
+  std::optional<std::uint32_t> crash(std::optional<std::uint32_t> agent,
+                                     StabilityOracle* oracle);
+
+  /// Adds an agent in `state` (default join state when unset); returns its
+  /// index.
+  std::uint32_t join(std::optional<StateId> state, StabilityOracle* oracle);
+
+  /// Overwrites an agent's state; an unset `state` draws uniformly among
+  /// the other states (a corrupting fault always corrupts).
+  void corrupt(std::optional<std::uint32_t> agent,
+               std::optional<StateId> state, StabilityOracle* oracle);
+
+  /// Makes an agent unresponsive for `duration` interactions (saturating:
+  /// a duration past the end of the interaction clock sleeps for good).
+  void sleep(std::optional<std::uint32_t> agent, std::uint64_t duration,
+             StabilityOracle* oracle);
+
+  /// Recovery-layer write: sets an agent's state, recorded as kReset.
+  void overwrite_state(std::uint32_t agent, StateId state,
+                       StabilityOracle* oracle);
+
+  /// True while `agent` sleeps (its pairs are null draws).
+  [[nodiscard]] bool asleep(std::uint32_t agent) const {
+    PPK_EXPECTS(agent < churn_.sleep_until.size());
+    return churn_.sleep_until[agent] > interactions_;
+  }
+
+  /// Every applied fault since construction (or restore), in order.
+  [[nodiscard]] const FaultTrace& trace() const noexcept {
+    return churn_.trace;
+  }
+
+  /// Scheduled events not yet fired (or dropped).
+  [[nodiscard]] std::size_t pending_events() const noexcept {
+    return churn_.schedule.size() - churn_.next_event;
+  }
+
+  /// The loop's stop-rule hook (pp/engine_loop.hpp): a scheduled fault
+  /// fires before interaction `end`.  Always false outside the churn rule.
+  [[nodiscard]] bool event_due_before(std::uint64_t end) const noexcept {
+    return pending_events() > 0 && churn_.schedule[churn_.next_event].at < end;
+  }
+
  private:
   enum class DrawRule : std::uint8_t {
     kComplete,
     kEdge,
     kEpsilonFair,
     kWeakRoundRobin,
+    kChurn,
   };
   static constexpr int kProbes = 16;
 
@@ -193,6 +280,15 @@ class AgentSimulator : public EngineLoop<AgentSimulator> {
   [[nodiscard]] bool progresses(const Pair& pair) const;
   [[nodiscard]] const char* snapshot_tag() const noexcept;
 
+  /// The churn rule's advance() (see advance()).
+  Advance advance_churn(StabilityOracle& oracle, std::uint64_t budget);
+  /// Fires every scheduled event due at the current interaction; true iff
+  /// the schedule cursor moved.
+  bool fire_due_faults(StabilityOracle& oracle);
+  std::uint32_t resolve_agent(const std::optional<std::uint32_t>& agent);
+  void record(FaultKind kind, std::uint32_t agent, StateId old_state,
+              StateId new_state, StabilityOracle* oracle);
+
   const TransitionTable* table_;
   Population population_;
   Xoshiro256 rng_;
@@ -206,6 +302,20 @@ class AgentSimulator : public EngineLoop<AgentSimulator> {
   obs::ObsSink* obs_ = nullptr;
   StateId watch_state_ = 0;
   std::vector<std::uint64_t>* watch_marks_ = nullptr;
+
+  /// The churn rule's state; empty under every other rule.
+  struct Churn {
+    Xoshiro256 rng;                    // fault-target stream
+    std::vector<FaultEvent> schedule;  // sorted by firing time
+    std::size_t next_event = 0;        // cursor into schedule
+    /// Per-agent wake time; kept index-aligned with the population across
+    /// crash swap-removals.
+    std::vector<std::uint64_t> sleep_until;
+    StateId default_join_state = 0;
+    FaultTrace trace;
+    std::function<void(const FaultRecord&)> observer;
+  };
+  Churn churn_;
 };
 
 extern template class EngineLoop<AgentSimulator>;

@@ -24,9 +24,12 @@
 // the callbacks received, and null draws -- single ones, or a skipped run
 // truncated at the budget -- make none.
 //
-// ChurnSimulator (pp/faults.hpp) keeps a loop of its own: faults change the
-// verdict without any effective interaction, and it keeps drawing past
-// stability while scheduled events remain.
+// The loop stops on oracle.stable() && !engine.event_due_before(grant_end),
+// grant_end being the interaction index one past the grant (saturated).
+// Only AgentSimulator's churn rule has scheduled events: a fault changes
+// the verdict without an effective draw, so a stable population keeps
+// drawing until the last fault the grant reaches has fired.  Every other
+// engine keeps the constant-false default, asked only once stable.
 //
 // The build has no link-time optimization, so each engine with a .cpp
 // instantiates its loop there (`template class EngineLoop<AgentSimulator>;`)
@@ -35,6 +38,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "pp/sim_result.hpp"
@@ -47,8 +51,8 @@ struct Advance {
   /// Interactions drawn, null included; 0 only when the engine proves
   /// the configuration silent (it then never advances again).
   std::uint64_t interactions = 0;
-  /// True iff the oracle received a callback (on_transition / on_batch),
-  /// so its verdict may have changed.
+  /// True iff the oracle received a callback (on_transition / on_batch /
+  /// on_external_change), so its verdict may have changed.
   bool notified = false;
 };
 
@@ -57,9 +61,10 @@ struct Advance {
 template <class Engine>
 class EngineLoop {
  public:
-  /// Runs until the oracle reports stability, `max_interactions` pairs have
-  /// been drawn, or the configuration is provably silent without satisfying
-  /// the oracle (stabilized = false with interactions short of the budget).
+  /// Runs until the oracle reports stability (and no event is due within
+  /// the budget), `max_interactions` pairs have been drawn, or the
+  /// configuration is provably silent without satisfying the oracle
+  /// (stabilized = false with interactions short of the budget).
   /// The budget is exact: interactions() never advances past it.  The
   /// oracle is reset from the current configuration.
   SimResult run(StabilityOracle& oracle,
@@ -79,6 +84,11 @@ class EngineLoop {
     return interactions_;
   }
 
+  /// The stop rule's hook (see the file comment): no scheduled events.
+  [[nodiscard]] constexpr bool event_due_before(std::uint64_t) const noexcept {
+    return false;
+  }
+
  protected:
   std::uint64_t interactions_ = 0;  // drawn pairs, null included
   std::uint64_t effective_ = 0;     // pairs whose rule changed a state
@@ -89,9 +99,12 @@ SimResult EngineLoop<Engine>::resume(StabilityOracle& oracle,
                                      std::uint64_t max_interactions) {
   Engine& engine = static_cast<Engine&>(*this);
   const std::uint64_t start_effective = effective_;
+  const std::uint64_t grant_end =
+      interactions_ + std::min(max_interactions, UINT64_MAX - interactions_);
   std::uint64_t drawn = 0;
   bool stable = oracle.stable();
-  while (!stable && drawn < max_interactions) {
+  while ((!stable || engine.event_due_before(grant_end)) &&
+         drawn < max_interactions) {
     const Advance step = engine.advance(oracle, max_interactions - drawn);
     if (step.interactions == 0) break;  // silent, oracle unsatisfied
     drawn += step.interactions;

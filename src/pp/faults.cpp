@@ -3,31 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/sink.hpp"
+#include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace ppk::pp {
-
-namespace {
-
-/// Metric name of an applied fault ("faults.<kind>"); static literals so
-/// the obs hook never allocates.
-const char* fault_metric_name(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "faults.crash";
-    case FaultKind::kJoin:
-      return "faults.join";
-    case FaultKind::kCorrupt:
-      return "faults.corrupt";
-    case FaultKind::kSleep:
-      return "faults.sleep";
-    case FaultKind::kReset:
-      return "faults.reset";
-  }
-  return "faults.unknown";
-}
-
-}  // namespace
 
 const char* fault_kind_name(FaultKind kind) noexcept {
   switch (kind) {
@@ -91,222 +70,6 @@ std::vector<FaultEvent> make_fault_schedule(const FaultRates& rates,
               return static_cast<int>(a.kind) < static_cast<int>(b.kind);
             });
   return events;
-}
-
-void ChurnSimulator::set_schedule(std::vector<FaultEvent> schedule) {
-  std::stable_sort(schedule.begin(), schedule.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) {
-                     return a.at < b.at;
-                   });
-  schedule_ = std::move(schedule);
-  next_event_ = 0;
-}
-
-std::uint32_t ChurnSimulator::resolve_agent(
-    const std::optional<std::uint32_t>& agent) {
-  if (agent) {
-    PPK_EXPECTS(*agent < population_.size());
-    return *agent;
-  }
-  return static_cast<std::uint32_t>(fault_rng_.below(population_.size()));
-}
-
-void ChurnSimulator::record(FaultKind kind, std::uint32_t agent,
-                            StateId old_state, StateId new_state,
-                            StabilityOracle* oracle) {
-  FaultRecord rec;
-  rec.at = interactions_;
-  rec.kind = kind;
-  rec.agent = agent;
-  rec.old_state = old_state;
-  rec.new_state = new_state;
-  rec.population_after = population_.size();
-  trace_.push_back(rec);
-  PPK_OBS_HOOK(obs_, on_event(fault_metric_name(kind)));
-  PPK_OBS_HOOK(obs_, set_gauge("churn.population",
-                               static_cast<std::int64_t>(population_.size())));
-  if (oracle != nullptr) oracle->on_external_change(population_.counts());
-  if (fault_observer_) fault_observer_(rec);
-}
-
-std::optional<std::uint32_t> ChurnSimulator::crash(
-    std::optional<std::uint32_t> agent, StabilityOracle* oracle) {
-  if (population_.size() <= 2) return std::nullopt;  // keep pairs drawable
-  const std::uint32_t target = resolve_agent(agent);
-  const StateId old_state = population_.remove_agent(target);
-  // remove_agent moved the last agent into the hole; mirror in the sleep
-  // bookkeeping.
-  sleep_until_[target] = sleep_until_.back();
-  sleep_until_.pop_back();
-  record(FaultKind::kCrash, target, old_state, old_state, oracle);
-  return target;
-}
-
-std::uint32_t ChurnSimulator::join(std::optional<StateId> state,
-                                   StabilityOracle* oracle) {
-  const StateId s = state.value_or(default_join_state_);
-  PPK_EXPECTS(s < table_->num_states());
-  const std::uint32_t agent = population_.add_agent(s);
-  sleep_until_.push_back(0);
-  record(FaultKind::kJoin, agent, s, s, oracle);
-  return agent;
-}
-
-void ChurnSimulator::corrupt(std::optional<std::uint32_t> agent,
-                             std::optional<StateId> state,
-                             StabilityOracle* oracle) {
-  const std::uint32_t target = resolve_agent(agent);
-  const StateId old_state = population_.state_of(target);
-  StateId new_state;
-  if (state) {
-    PPK_EXPECTS(*state < table_->num_states());
-    new_state = *state;
-  } else {
-    // Uniform among the *other* states: a corruption always corrupts.
-    auto draw = static_cast<StateId>(
-        fault_rng_.below(static_cast<std::uint64_t>(table_->num_states()) - 1));
-    if (draw >= old_state) ++draw;
-    new_state = draw;
-  }
-  population_.set_state(target, new_state);
-  record(FaultKind::kCorrupt, target, old_state, new_state, oracle);
-}
-
-void ChurnSimulator::sleep(std::optional<std::uint32_t> agent,
-                           std::uint64_t duration, StabilityOracle* oracle) {
-  const std::uint32_t target = resolve_agent(agent);
-  sleep_until_[target] = interactions_ + duration;
-  const StateId s = population_.state_of(target);
-  record(FaultKind::kSleep, target, s, s, oracle);
-}
-
-void ChurnSimulator::overwrite_state(std::uint32_t agent, StateId state,
-                                     StabilityOracle* oracle) {
-  PPK_EXPECTS(agent < population_.size());
-  PPK_EXPECTS(state < table_->num_states());
-  const StateId old_state = population_.state_of(agent);
-  population_.set_state(agent, state);
-  record(FaultKind::kReset, agent, old_state, state, oracle);
-}
-
-void ChurnSimulator::apply_due_faults(StabilityOracle& oracle) {
-  while (next_event_ < schedule_.size() &&
-         schedule_[next_event_].at <= interactions_) {
-    // Copy: observers may install further schedules in principle, and the
-    // surgical calls below can reallocate the trace.
-    const FaultEvent event = schedule_[next_event_++];
-    switch (event.kind) {
-      case FaultKind::kCrash:
-        crash(event.agent, &oracle);
-        break;
-      case FaultKind::kJoin:
-        join(event.state, &oracle);
-        break;
-      case FaultKind::kCorrupt:
-        corrupt(event.agent, event.state, &oracle);
-        break;
-      case FaultKind::kSleep:
-        sleep(event.agent, event.duration, &oracle);
-        break;
-      case FaultKind::kReset:
-        PPK_EXPECTS(event.agent.has_value() && event.state.has_value());
-        overwrite_state(*event.agent, *event.state, &oracle);
-        break;
-    }
-  }
-}
-
-bool ChurnSimulator::step(StabilityOracle& oracle) {
-  apply_due_faults(oracle);
-  const std::uint32_t n = population_.size();
-  const auto i = static_cast<std::uint32_t>(pair_rng_.below(n));
-  auto j = static_cast<std::uint32_t>(pair_rng_.below(n - 1));
-  if (j >= i) ++j;  // uniform over ordered pairs of distinct agents
-  ++interactions_;
-  if (asleep(i) || asleep(j)) {  // stuck agent: null interaction
-    PPK_OBS_HOOK(obs_, on_step(population_.counts(), interactions_, false));
-    return false;
-  }
-  const StateId p = population_.state_of(i);
-  const StateId q = population_.state_of(j);
-  if (!table_->effective(p, q)) {
-    PPK_OBS_HOOK(obs_, on_step(population_.counts(), interactions_, false));
-    return false;
-  }
-  const Transition& t = table_->apply(p, q);
-  population_.apply(i, j, t);
-  ++effective_;
-  oracle.on_transition(p, q, t.initiator, t.responder);
-  if (observer_) {
-    observer_(SimEvent{interactions_, i, j, p, q, t.initiator, t.responder});
-  }
-  PPK_OBS_HOOK(obs_, on_step(population_.counts(), interactions_, true));
-  return true;
-}
-
-Snapshot ChurnSimulator::snapshot() const {
-  SnapshotWriter w("churn");
-  w.rng(pair_rng_);
-  w.rng(fault_rng_);
-  w.u64(interactions_);
-  w.u64(effective_);
-  w.u64(next_event_);
-  w.u64(default_join_state_);
-  w.states(population_.states());
-  w.u64(sleep_until_.size());
-  for (const std::uint64_t until : sleep_until_) w.u64(until);
-  return std::move(w).take();
-}
-
-void ChurnSimulator::restore(const Snapshot& snap) {
-  SnapshotReader r(snap, "churn");
-  r.rng(pair_rng_);
-  r.rng(fault_rng_);
-  interactions_ = r.u64();
-  effective_ = r.u64();
-  const std::uint64_t next_event = r.u64();
-  PPK_EXPECTS(next_event <= schedule_.size());
-  const std::uint64_t join_state = r.u64();
-  PPK_EXPECTS(join_state < table_->num_states());
-  auto states = r.states(table_->num_states());
-  const std::uint64_t sleep_len = r.u64();
-  PPK_EXPECTS(sleep_len == states.size());
-  std::vector<std::uint64_t> sleep_until(sleep_len, 0);
-  for (auto& until : sleep_until) until = r.u64();
-  r.finish();
-  next_event_ = next_event;
-  default_join_state_ = static_cast<StateId>(join_state);
-  population_.restore_states(std::move(states));
-  sleep_until_ = std::move(sleep_until);
-}
-
-SimResult ChurnSimulator::run(StabilityOracle& oracle,
-                              std::uint64_t max_interactions) {
-  oracle.reset(population_.counts());
-  return resume(oracle, max_interactions);
-}
-
-SimResult ChurnSimulator::resume(StabilityOracle& oracle,
-                                 std::uint64_t max_interactions) {
-  SimResult result;
-  const std::uint64_t start = interactions_;
-  const std::uint64_t start_effective = effective_;
-  while (interactions_ - start < max_interactions) {
-    if (oracle.stable()) {
-      if (next_event_ >= schedule_.size()) break;
-      // Events fire at the top of a step, so the last one reachable under
-      // this budget has at <= start + max_interactions - 1.  A stable
-      // population whose remaining events all lie beyond that would only
-      // draw null pairs until the budget runs out -- stop now instead.
-      const std::uint64_t next_at = schedule_[next_event_].at;
-      if (next_at >= start && next_at - start >= max_interactions) break;
-    }
-    step(oracle);
-  }
-  result.interactions = interactions_ - start;
-  result.effective = effective_ - start_effective;
-  result.stabilized = oracle.stable();
-  return result;
 }
 
 }  // namespace ppk::pp

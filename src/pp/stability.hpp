@@ -72,7 +72,7 @@ class StabilityOracle {
   /// that made a callback.
   [[nodiscard]] virtual bool stable() const = 0;
 
-  /// Called by churn-capable engines (see pp/faults.hpp) when the
+  /// Called by AgentSimulator's churn rule (pp/agent_simulator.hpp) when the
   /// configuration changes by something *other* than a protocol transition:
   /// an agent crashed, joined, or had its state corrupted.  `counts` is the
   /// complete new count vector; the population size may have changed.

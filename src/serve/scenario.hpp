@@ -129,8 +129,9 @@ struct ScenarioSpec {
   /// Per-trial interaction budget.
   std::uint64_t budget = 10'000'000ULL;
   /// Declarative fault schedule (pp/faults.hpp grammar).  Parsed and
-  /// validated; the campaign layer cannot yet schedule churn, so the
-  /// server fails fast on non-empty schedules (docs/ppkd.md).
+  /// validated; the campaign layer cannot yet schedule churn (no schedule
+  /// field in MonteCarloOptions), so the server fails fast on non-empty
+  /// schedules (docs/ppkd.md).
   std::vector<pp::FaultEvent> faults;
 };
 

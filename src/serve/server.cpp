@@ -189,8 +189,9 @@ void ScenarioService::handle_submit(const io::JsonValue& request,
   }
   if (!spec->faults.empty()) {
     // The schedule parsed and validated; honour it honestly or not at all
-    // (the campaign layer cannot drive the churn engine yet -- docs/ppkd.md
-    // tracks this as the open fault-injection item).
+    // (MonteCarloOptions has no schedule field, so the engine factory the
+    // campaign layer builds from cannot construct the churn rule yet --
+    // docs/ppkd.md tracks this as the open fault-injection item).
     emit(error_frame(id,
                      "scenario: faults: fault schedules are not yet "
                      "schedulable through the campaign layer"));

@@ -12,7 +12,7 @@
 #include "core/kpartition.hpp"
 #include "core/weak_kpartition.hpp"
 #include "io/snapshot_io.hpp"
-#include "pp/faults.hpp"
+#include "pp/agent_simulator.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/stability.hpp"
 #include "pp/trial.hpp"
@@ -426,7 +426,7 @@ void with_engine(ConformanceEngine engine, const CaseContext& ctx,
     return;
   }
   PPK_ASSERT(engine == ConformanceEngine::kChurnNoFaults);  // kModel: no engine
-  pp::ChurnSimulator sim(table, pp::Population(ctx.initial), seed);
+  pp::AgentSimulator sim(table, pp::Population(ctx.initial), seed, {});
   fn(sim);
 }
 

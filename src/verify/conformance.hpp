@@ -6,7 +6,7 @@
 // uniform-random pairwise scheduler): the agent array, the jump and batch
 // aggregators, the restricted-scheduler simulators specialized to
 // unrestricted parameters (the agent array's topology draw on the complete
-// graph and its fairness draw with epsilon = 1, ChurnSimulator with an
+// graph, its fairness draw with epsilon = 1 and its churn draw with an
 // empty fault schedule).  Any future sharding or parallelism PR adds more.
 // Sparse topologies are covered too: the per-draw topology draw and the
 // live-edge GraphJumpSimulator each run on the ring, star, path and a

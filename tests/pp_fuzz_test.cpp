@@ -174,15 +174,15 @@ TEST_P(FuzzedProtocols, ChurnEngineStaysConsistentUnderRandomFaults) {
   // count vector, and the sleep bookkeeping must stay mutually consistent.
   const RandomProtocol protocol(6, GetParam(), 0.3);
   const TransitionTable table(protocol);
-  ChurnSimulator sim(table, Population(25, protocol.num_states(), 0),
-                     GetParam() ^ 0xF00D);
   FaultRates rates;
   rates.crash = 3e-3;
   rates.join = 3e-3;
   rates.corrupt = 2e-3;
   rates.sleep = 1e-3;
   rates.sleep_duration = 1'000;
-  sim.set_schedule(make_fault_schedule(rates, 20'000, GetParam() ^ 0xCAFE));
+  AgentSimulator sim(table, Population(25, protocol.num_states(), 0),
+                     GetParam() ^ 0xF00D,
+                     make_fault_schedule(rates, 20'000, GetParam() ^ 0xCAFE));
   NeverStableOracle oracle;
   sim.run(oracle, 20'000);
 
@@ -204,16 +204,15 @@ TEST_P(FuzzedProtocols, RandomFaultsPlusRecoveryRestoreUniformPartition) {
   const auto n = static_cast<std::uint32_t>(12 + GetParam() % 19);
   const core::SelfHealingKPartitionProtocol protocol(k);
   const TransitionTable table(protocol);
-  ChurnSimulator sim(
-      table, Population(n, protocol.num_states(), protocol.initial_state()),
-      GetParam() ^ 0xFA17);
   FaultRates rates;
   rates.crash = 5e-4;
   rates.join = 5e-4;
   rates.corrupt = 3e-4;
   rates.sleep = 3e-4;
   rates.sleep_duration = 2'000;
-  sim.set_schedule(
+  AgentSimulator sim(
+      table, Population(n, protocol.num_states(), protocol.initial_state()),
+      GetParam() ^ 0xFA17,
       make_fault_schedule(rates, 20'000, GetParam() ^ 0x5EED));
   core::RecoveryManager manager(protocol, sim);
   const SimResult result = sim.run(manager.oracle(), 30'000'000);

@@ -167,11 +167,14 @@ class QueryCountingOracle final : public StabilityOracle {
 };
 
 /// One engine behind the shared run()/resume() loop (pp/engine_loop.hpp),
-/// as the engine factory builds it from `mc` over n = 40 agents.
+/// as the engine factory builds it from `mc` over n = 40 agents, or the
+/// agent engine's churn rule with an empty schedule (`churn`), which the
+/// factory does not build.
 struct LoopEngineRow {
   const char* name;
   MonteCarloOptions mc;
   BatchMode batch_mode = BatchMode::kAuto;
+  bool churn = false;
 };
 
 std::vector<LoopEngineRow> loop_engine_rows() {
@@ -199,6 +202,8 @@ std::vector<LoopEngineRow> loop_engine_rows() {
   rows.back().batch_mode = BatchMode::kForceThin;
   rows.push_back(row("batch-sharded", Engine::kBatchSharded));
   rows.back().batch_mode = BatchMode::kForceBatch;
+  rows.push_back(row("churn", Engine::kAgentArray));
+  rows.back().churn = true;
   return rows;
 }
 
@@ -213,6 +218,11 @@ void with_loop_engine(const Protocol& protocol, const TransitionTable& table,
     }
     fn(sim);
   };
+  if (row.churn) {
+    AgentSimulator sim(table, Population(initial), seed, {});
+    visit(sim);
+    return;
+  }
   with_engine(&protocol, table, initial, row.mc, seed, nullptr, nullptr,
               visit);
 }

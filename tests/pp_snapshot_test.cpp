@@ -58,8 +58,8 @@ class NeverStable final : public StabilityOracle {
 /// Runs `make()`-built engines through the snapshot contract:
 /// run(cut) -> snapshot -> text round-trip -> restore into a fresh engine
 /// -> resume both -> demand identical results and identical final
-/// snapshots.  `prepare` reinstalls constructor-time inputs that restore()
-/// does not carry (the churn engine's fault schedule).
+/// snapshots.  `prepare` reapplies settings that restore() does not carry
+/// (the sharded engine's parallel grain).
 template <typename MakeSim, typename Prepare>
 void expect_roundtrip(MakeSim make, Prepare prepare,
                       std::uint64_t cut = kCut, std::uint64_t rest = kRest) {
@@ -219,9 +219,9 @@ TEST_F(SnapshotTest, ChurnSimulatorWithScheduleRoundTrips) {
                       std::nullopt, 0});
     return events;
   };
-  expect_roundtrip(
-      [&] { return ppk::pp::ChurnSimulator(table_, population(26), kSeed); },
-      [&](ppk::pp::ChurnSimulator& sim) { sim.set_schedule(schedule()); });
+  expect_roundtrip([&] {
+    return ppk::pp::AgentSimulator(table_, population(26), kSeed, schedule());
+  });
 }
 
 TEST_F(SnapshotTest, QuiescenceOracleStateSurvivesTheBoundary) {
