@@ -90,8 +90,9 @@ struct CsrMatrix {
   std::uint32_t rows = 0;
   /// Number of columns.
   std::uint32_t cols = 0;
-  /// row_ptr[r] .. row_ptr[r+1] index the entries of row r (size rows+1).
-  std::vector<std::size_t> row_ptr;
+  /// row_ptr[r] .. row_ptr[r+1] index the entries of row r (size rows+1);
+  /// 32 bits, so a matrix holds fewer than 2^32 entries.
+  std::vector<std::uint32_t> row_ptr;
   /// Column index of each stored entry, ascending within a row.
   std::vector<std::uint32_t> col;
   /// Value of each stored entry.
@@ -118,6 +119,7 @@ class CsrBuilder {
   /// Assembles the matrix (sorts, merges duplicates).  The builder is
   /// consumed.
   [[nodiscard]] CsrMatrix build() {
+    PPK_EXPECTS(entries_.size() <= UINT32_MAX);
     std::sort(entries_.begin(), entries_.end(),
               [](const Entry& a, const Entry& b) {
                 return a.row != b.row ? a.row < b.row : a.col < b.col;
@@ -202,7 +204,7 @@ namespace detail {
 /// arithmetic, but its rounded entries can sum to 1 + 2^-52.  The rows may
 /// not reach past `end` (true of every diagonal block).
 [[nodiscard]] inline bool dominant_block(const CsrMatrix& a,
-                                         const std::vector<std::size_t>& diag,
+                                         const std::vector<std::uint32_t>& diag,
                                          std::uint32_t begin,
                                          std::uint32_t end) {
   for (std::uint32_t r = begin; r < end; ++r) {
@@ -290,20 +292,20 @@ inline void seed_block(const CsrMatrix& a, const std::vector<double>& b,
 
   // Locate diagonals, the matrix / rhs norms for the residual bound, and
   // the block boundaries (Jacobi: one block).
-  std::vector<std::size_t> diag(a.rows);
+  std::vector<std::uint32_t> diag(a.rows);
   std::vector<std::uint32_t> block_end;
   double norm_a = 0.0;
   double norm_b = 0.0;
   std::uint32_t reach = 0;  // largest column seen in rows 0..r
   for (std::uint32_t r = 0; r < a.rows; ++r) {
-    std::size_t d = SIZE_MAX;
+    std::uint32_t d = UINT32_MAX;
     double row_sum = 0.0;
-    for (std::size_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
+    for (std::uint32_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
       row_sum += std::abs(a.value[i]);
       if (a.col[i] == r) d = i;
       reach = std::max(reach, a.col[i]);
     }
-    if (d == SIZE_MAX || a.value[d] == 0.0) {
+    if (d == UINT32_MAX || a.value[d] == 0.0) {
       return {false, 0, std::numeric_limits<double>::infinity(), 0.0, 0};
     }
     diag[r] = d;

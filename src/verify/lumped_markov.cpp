@@ -6,6 +6,7 @@
 #include <map>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "pp/symmetry.hpp"
@@ -15,7 +16,10 @@ namespace ppk::verify {
 
 namespace {
 
-using Rate = std::pair<std::uint32_t, std::uint64_t>;
+using Rate = LumpedMarkovAnalysis::Rate;
+
+/// Largest population whose n(n-1) fits a 32-bit numerator.
+constexpr std::uint64_t kMaxPopulation = 65'536;
 
 /// A table's effective ordered pairs grouped by their net count change.
 /// Every pair of a class moves a configuration to the same successor, so a
@@ -135,12 +139,15 @@ void sort_and_merge(std::vector<Rate>& row) {
 }
 
 /// Open-addressing index of the explored orbits.  Slots hold orbit ids and
-/// compare against the stored representatives, so no key is ever copied.
+/// compare against the slices of the flat representative array, so no key
+/// is ever copied.
 class OrbitIndex {
  public:
   static constexpr std::uint32_t kAbsent = UINT32_MAX;
 
-  explicit OrbitIndex(const std::vector<pp::Counts>& reps) : reps_(reps) {
+  /// Index over `reps`, |Q| = `stride` counts per orbit.
+  OrbitIndex(const std::vector<std::uint32_t>& reps, std::size_t stride)
+      : reps_(reps), stride_(stride) {
     rehash(10);
   }
 
@@ -151,13 +158,17 @@ class OrbitIndex {
     for (std::size_t slot = home(hash);; slot = (slot + 1) & mask_) {
       const std::uint32_t id = slots_[slot];
       if (id == kAbsent) return kAbsent;
-      if (hashes_[id] == hash && reps_[id] == counts) return id;
+      if (hashes_[id] == hash &&
+          std::equal(counts.begin(), counts.end(),
+                     reps_.begin() + static_cast<std::ptrdiff_t>(id * stride_))) {
+        return id;
+      }
     }
   }
 
   /// Indexes orbit `id` = the next id, whose representative is stored.
   void insert(std::uint32_t id, std::uint64_t hash) {
-    PPK_ASSERT(id == hashes_.size() && id < reps_.size());
+    PPK_ASSERT(id == hashes_.size() && (id + 1) * stride_ <= reps_.size());
     hashes_.push_back(hash);
     if (2 * hashes_.size() > slots_.size()) {
       rehash(bits_ + 1);
@@ -187,7 +198,8 @@ class OrbitIndex {
     for (std::uint32_t id = 0; id < hashes_.size(); ++id) place(id);
   }
 
-  const std::vector<pp::Counts>& reps_;
+  const std::vector<std::uint32_t>& reps_;
+  std::size_t stride_;
   std::vector<std::uint32_t> slots_;
   std::vector<std::uint64_t> hashes_;  // per orbit
   std::size_t mask_ = 0;
@@ -223,6 +235,19 @@ std::optional<LumpedMarkovAnalysis> LumpedMarkovAnalysis::try_build(
   std::uint64_t n = 0;
   for (const std::uint32_t c : initial) n += c;
   if (n < 2) return fail("lumped: population size must be >= 2");
+  // Row numerators are stored in 32 bits and each is at most n(n-1), which
+  // is below 2^32 exactly for n <= 65,536.
+  if (n > kMaxPopulation) {
+    return fail("lumped: population size " + std::to_string(n) +
+                " exceeds " + std::to_string(kMaxPopulation) +
+                ": n(n-1) does not fit the 32-bit rate numerators");
+  }
+  if (options.max_group_order > UINT16_MAX) {
+    return fail("lumped: max_group_order " +
+                std::to_string(options.max_group_order) + " exceeds " +
+                std::to_string(UINT16_MAX) +
+                ", the largest orbit size 16 bits hold");
+  }
 
   if (const std::string diag = pp::check_symmetry(table, symmetry);
       !diag.empty()) {
@@ -239,9 +264,12 @@ std::optional<LumpedMarkovAnalysis> LumpedMarkovAnalysis::try_build(
   LumpedMarkovAnalysis out;
   out.n_ = n;
   out.denom_ = n * (n - 1);
+  out.num_states_ = initial.size();
   out.group_ = std::move(group);
   out.solver_ = options.solver;
   const std::vector<std::vector<pp::StateId>>& elements = out.group_;
+  const std::size_t stride = out.num_states_;
+  const auto explored = [&] { return out.reps_.size() / stride; };
 
   // Reused buffers: nothing below allocates per transition.
   pp::Counts rep;    // the orbit being expanded; moved to each successor
@@ -258,130 +286,174 @@ std::optional<LumpedMarkovAnalysis> LumpedMarkovAnalysis::try_build(
 
   const MoveClasses moves(table);
 
-  // Orbits are numbered in discovery order and expanded in that order
-  // (breadth first), so orbit `current` is the next one to expand.
-  OrbitIndex index(out.reps_);
-  const auto intern = [&](pp::Counts canonical, std::uint64_t hash) {
-    const auto id = static_cast<std::uint32_t>(out.reps_.size());
-    out.reps_.push_back(std::move(canonical));
-    index.insert(id, hash);
-    return id;
-  };
-  canonicalize(initial);
-  intern(best, pp::CountsHash{}(best));
-  out.rate_begin_.push_back(0);
+  {
+    // The index and the row buffers live only as long as exploration, so
+    // they are gone before the condensation allocates.
+    OrbitIndex index(out.reps_, stride);
+    const auto intern = [&](std::span<const std::uint32_t> canonical,
+                            std::uint64_t hash) {
+      const auto id = static_cast<std::uint32_t>(explored());
+      out.reps_.insert(out.reps_.end(), canonical.begin(), canonical.end());
+      index.insert(id, hash);
+      return id;
+    };
+    canonicalize(initial);
+    intern(best, pp::CountsHash{}(best));
 
-  std::vector<Rate> row;
-  std::vector<Rate> image_row;
-  // A row's canonical successors that are not orbits yet.  Each becomes
-  // one, so its copy of the counts is the storage its representative
-  // needs anyway.
-  struct Unseen {
-    pp::Counts counts;
-    std::uint64_t hash;
-    std::uint64_t numerator;
-  };
-  std::vector<Unseen> unseen;
+    std::vector<Rate> row;
+    std::vector<Rate> image_row;
+    // A row's canonical successors that are not orbits yet.  Their counts
+    // sit in one flat buffer, |Q| per successor, reused from row to row.
+    struct Unseen {
+      std::size_t offset;  // into unseen_counts
+      std::uint64_t hash;
+      std::uint64_t numerator;
+    };
+    std::vector<Unseen> unseen;
+    std::vector<std::uint32_t> unseen_counts;
+    const auto counts_of = [&](const Unseen& u) {
+      return std::span(unseen_counts).subspan(u.offset, stride);
+    };
 
-  for (std::uint32_t current = 0; current < out.reps_.size(); ++current) {
-    if (out.reps_.size() > options.max_orbits) {
-      return fail("lumped: exploration exceeded max_orbits (" +
-                  std::to_string(options.max_orbits) + ")");
-    }
-    rep = out.reps_[current];
+    // Orbits are numbered in discovery order and expanded in that order
+    // (breadth first), so orbit `current` is the next one to expand.
+    for (std::uint32_t current = 0; current < explored(); ++current) {
+      if (explored() > options.max_orbits) {
+        return fail("lumped: exploration exceeded max_orbits (" +
+                    std::to_string(options.max_orbits) + ")");
+      }
+      const auto stored = std::span(out.reps_).subspan(current * stride, stride);
+      rep.assign(stored.begin(), stored.end());
 
-    // The representative's row, one successor per move class.  Known
-    // targets go straight in; unseen ones are merged, then numbered in
-    // lexicographic order of their canonical counts -- the numbering an
-    // ordered map of the row would give, whatever order the classes are
-    // visited in.
-    row.clear();
-    unseen.clear();
-    const std::uint64_t effective = moves.for_each_successor(
-        rep, [&](const pp::Counts& successor, std::uint64_t num) {
-          canonicalize(successor);
-          const std::uint64_t hash = pp::CountsHash{}(best);
-          const std::uint32_t id = index.find(best, hash);
-          if (id != OrbitIndex::kAbsent) {
-            row.emplace_back(id, num);
-            return;
-          }
-          for (Unseen& u : unseen) {
-            if (u.hash == hash && u.counts == best) {
-              u.numerator += num;
+      // The representative's row, one successor per move class.  Known
+      // targets go straight in; unseen ones are merged, then numbered in
+      // lexicographic order of their canonical counts -- the numbering an
+      // ordered map of the row would give, whatever order the classes are
+      // visited in.  Every numerator is at most n(n-1) < 2^32.
+      row.clear();
+      unseen.clear();
+      unseen_counts.clear();
+      const std::uint64_t effective = moves.for_each_successor(
+          rep, [&](const pp::Counts& successor, std::uint64_t num) {
+            canonicalize(successor);
+            const std::uint64_t hash = pp::CountsHash{}(best);
+            const std::uint32_t id = index.find(best, hash);
+            if (id != OrbitIndex::kAbsent) {
+              row.emplace_back(id, static_cast<std::uint32_t>(num));
               return;
             }
-          }
-          unseen.push_back(Unseen{best, hash, num});
-        });
-    PPK_ASSERT(effective <= out.denom_);
-    const std::uint64_t stay = out.denom_ - effective;
-    std::sort(unseen.begin(), unseen.end(),
-              [](const Unseen& a, const Unseen& b) {
-                return a.counts < b.counts;
-              });
-    for (Unseen& u : unseen) {
-      row.emplace_back(intern(std::move(u.counts), u.hash), u.numerator);
-    }
-    sort_and_merge(row);
-
-    // The orbit's size by orbit-stabilizer, and the lumpability
-    // certificate: every other raw configuration in the orbit must carry
-    // exactly the same canonicalized rate row, integer for integer.
-    // check_symmetry already implies this; checking it anyway means a
-    // wrong declaration can never silently corrupt an exact answer.  A
-    // target the representative's row never reached is not a known orbit
-    // of this row, so an unknown target fails the certificate too.
-    std::uint64_t stabilizer = 1;
-    for (std::size_t g = 1; g < elements.size(); ++g) {
-      pp::permute_counts(elements[g], rep, other);
-      if (other == rep) {
-        ++stabilizer;
-        continue;
-      }
-      if (!options.check_lumpability) continue;
-      image_row.clear();
-      bool known = true;
-      const std::uint64_t image_effective = moves.for_each_successor(
-          other, [&](const pp::Counts& successor, std::uint64_t num) {
-            canonicalize(successor);
-            const std::uint32_t id =
-                index.find(best, pp::CountsHash{}(best));
-            if (id == OrbitIndex::kAbsent) known = false;
-            image_row.emplace_back(id, num);
+            for (Unseen& u : unseen) {
+              if (u.hash == hash && std::ranges::equal(counts_of(u), best)) {
+                u.numerator += num;
+                return;
+              }
+            }
+            unseen.push_back(Unseen{unseen_counts.size(), hash, num});
+            unseen_counts.insert(unseen_counts.end(), best.begin(), best.end());
           });
-      sort_and_merge(image_row);
-      if (!known || image_row != row ||
-          out.denom_ - image_effective != stay) {
-        return fail("lumped: rate-sum lumpability check failed at orbit " +
-                    std::to_string(current) + " under group element " +
-                    std::to_string(g));
+      PPK_ASSERT(effective <= out.denom_);
+      const std::uint64_t stay = out.denom_ - effective;
+      std::sort(unseen.begin(), unseen.end(),
+                [&](const Unseen& a, const Unseen& b) {
+                  return std::ranges::lexicographical_compare(counts_of(a),
+                                                              counts_of(b));
+                });
+      for (const Unseen& u : unseen) {
+        row.emplace_back(intern(counts_of(u), u.hash),
+                         static_cast<std::uint32_t>(u.numerator));
       }
-    }
-    const std::uint64_t size = elements.size() / stabilizer;
-    out.sizes_.push_back(size);
-    out.raw_config_count_ += size;
+      sort_and_merge(row);
 
-    out.rates_.insert(out.rates_.end(), row.begin(), row.end());
-    out.rate_begin_.push_back(out.rates_.size());
-    out.stay_.push_back(stay);
+      // The orbit's size by orbit-stabilizer, and the lumpability
+      // certificate: every other raw configuration in the orbit must carry
+      // exactly the same canonicalized rate row, integer for integer.
+      // check_symmetry already implies this; checking it anyway means a
+      // wrong declaration can never silently corrupt an exact answer.  A
+      // target the representative's row never reached is not a known orbit
+      // of this row, so an unknown target fails the certificate too.
+      std::uint64_t stabilizer = 1;
+      for (std::size_t g = 1; g < elements.size(); ++g) {
+        pp::permute_counts(elements[g], rep, other);
+        if (other == rep) {
+          ++stabilizer;
+          continue;
+        }
+        if (!options.check_lumpability) continue;
+        image_row.clear();
+        bool known = true;
+        const std::uint64_t image_effective = moves.for_each_successor(
+            other, [&](const pp::Counts& successor, std::uint64_t num) {
+              canonicalize(successor);
+              const std::uint32_t id =
+                  index.find(best, pp::CountsHash{}(best));
+              if (id == OrbitIndex::kAbsent) known = false;
+              image_row.emplace_back(id, static_cast<std::uint32_t>(num));
+            });
+        sort_and_merge(image_row);
+        if (!known || image_row != row ||
+            out.denom_ - image_effective != stay) {
+          return fail("lumped: rate-sum lumpability check failed at orbit " +
+                      std::to_string(current) + " under group element " +
+                      std::to_string(g));
+        }
+      }
+      const std::uint64_t size = elements.size() / stabilizer;
+      if (elements.size() > 1) {
+        out.sizes_.push_back(static_cast<std::uint16_t>(size));
+      }
+      out.raw_config_count_ += size;
+
+      // Row offsets are 32 bits, and so is every jump system's entry count
+      // (at most the stored entries plus one diagonal per orbit).
+      if (out.rates_.size() + row.size() + explored() > UINT32_MAX) {
+        return fail("lumped: rate rows exceeded 2^32 entries");
+      }
+      out.rates_.insert(out.rates_.end(), row.begin(), row.end());
+      out.rate_begin_.push_back(static_cast<std::uint32_t>(out.rates_.size()));
+    }
   }
+  // Appending left up to half of each array's capacity unused.
+  out.reps_.shrink_to_fit();
+  out.sizes_.shrink_to_fit();
+  out.rates_.shrink_to_fit();
+  out.rate_begin_.shrink_to_fit();
 
   out.sccs_ = condense(
-      static_cast<std::uint32_t>(out.reps_.size()),
+      static_cast<std::uint32_t>(out.num_orbits()),
       [&](std::uint32_t u) { return out.rates(u); },
       [](const Rate& rate) { return rate.first; });
   return out;
 }
 
+std::uint64_t LumpedMarkovAnalysis::null_numerator(std::size_t orbit) const {
+  std::uint64_t effective = 0;
+  for (const auto& [target, numerator] : rates(orbit)) effective += numerator;
+  return denom_ - effective;
+}
+
+std::size_t LumpedMarkovAnalysis::storage_bytes() const noexcept {
+  const auto bytes = [](const auto& v) {
+    return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
+  };
+  std::size_t total = bytes(reps_) + bytes(sizes_) + bytes(rates_) +
+                      bytes(rate_begin_) + bytes(group_) + bytes(sccs_.of) +
+                      bytes(sccs_.bottom) + bytes(sccs_.offsets) +
+                      bytes(sccs_.nodes);
+  for (const std::vector<pp::StateId>& element : group_) total += bytes(element);
+  return total;
+}
+
 std::vector<char> LumpedMarkovAnalysis::target_orbits(
     const ConfigPredicate& target) const {
-  std::vector<char> is_target(reps_.size(), 0);
+  std::vector<char> is_target(num_orbits(), 0);
+  pp::Counts config;
   pp::Counts image;
-  for (std::size_t orbit = 0; orbit < reps_.size(); ++orbit) {
-    const bool value = target(reps_[orbit]);
+  for (std::size_t orbit = 0; orbit < num_orbits(); ++orbit) {
+    const auto rep = representative(orbit);
+    config.assign(rep.begin(), rep.end());
+    const bool value = target(config);
     for (std::size_t g = 1; g < group_.size(); ++g) {
-      pp::permute_counts(group_[g], reps_[orbit], image);
+      pp::permute_counts(group_[g], config, image);
       if (target(image) != value) {
         throw std::invalid_argument(
             "lumped: target predicate is not constant on orbit " +
@@ -394,26 +466,29 @@ std::vector<char> LumpedMarkovAnalysis::target_orbits(
 }
 
 std::uint64_t LumpedMarkovAnalysis::self_numerator(std::size_t orbit) const {
-  std::uint64_t self = stay_[orbit];
+  std::uint64_t leaving = 0;
   for (const auto& [target, numerator] : rates(orbit)) {
-    if (target == orbit) self += numerator;
+    if (target != orbit) leaving += numerator;
   }
-  return self;
+  return denom_ - leaving;
 }
 
 LumpedMarkovAnalysis::JumpSystem LumpedMarkovAnalysis::jump_system(
     const std::vector<char>& excluded) const {
   JumpSystem sys;
-  sys.index.assign(reps_.size(), UINT32_MAX);
+  // index[orbit] = its unknown, or UINT32_MAX for an excluded orbit.
+  std::vector<std::uint32_t> index(num_orbits(), UINT32_MAX);
   for (std::uint32_t scc = 0; scc < sccs_.size(); ++scc) {
     const auto members = sccs_.members(scc);
     for (auto it = members.rbegin(); it != members.rend(); ++it) {
       if (excluded[*it]) continue;
-      sys.index[*it] = static_cast<std::uint32_t>(sys.orbits.size());
+      index[*it] = static_cast<std::uint32_t>(sys.orbits.size());
       sys.orbits.push_back(*it);
     }
   }
   const auto m = static_cast<std::uint32_t>(sys.orbits.size());
+  PPK_ASSERT(index[0] != UINT32_MAX);
+  sys.initial = index[0];
 
   // Embedded jump chain: with L = denom - self_numerator (the leave rate),
   // row `orbit` is x[orbit] - sum_{j != orbit} (w_j / L) x[j].  Nulls and
@@ -436,13 +511,13 @@ LumpedMarkovAnalysis::JumpSystem LumpedMarkovAnalysis::jump_system(
     // A zero leave rate would mean an absorbing unknown: its singleton SCC
     // is bottom, and callers exclude (or reject) every bottom SCC.
     PPK_ASSERT(leave > 0);
-    sys.leave.push_back(leave);
+    sys.leave.push_back(static_cast<std::uint32_t>(leave));
     entries.clear();
     entries.emplace_back(row, 1.0);
     for (const auto& [target, numerator] : rates(orbit)) {
-      if (target == orbit || sys.index[target] == UINT32_MAX) continue;
-      entries.emplace_back(sys.index[target], -static_cast<double>(numerator) /
-                                                  static_cast<double>(leave));
+      if (target == orbit || index[target] == UINT32_MAX) continue;
+      entries.emplace_back(index[target], -static_cast<double>(numerator) /
+                                              static_cast<double>(leave));
     }
     // Rows are short (about 7 entries at k = 3): insertion sort.  Columns
     // are distinct, so it orders them exactly as std::sort would.
@@ -458,7 +533,7 @@ LumpedMarkovAnalysis::JumpSystem LumpedMarkovAnalysis::jump_system(
       a.col.push_back(col);
       a.value.push_back(value);
     }
-    a.row_ptr.push_back(a.col.size());
+    a.row_ptr.push_back(static_cast<std::uint32_t>(a.col.size()));
   }
   return sys;
 }
@@ -471,7 +546,7 @@ std::optional<double> LumpedMarkovAnalysis::expected_hitting_time(
   // Hit with probability 1 iff every bottom SCC contains a target orbit
   // (lumping preserves bottom SCCs: orbits of raw bottom SCCs).
   std::vector<char> scc_has_target(sccs_.size(), 0);
-  for (std::size_t orbit = 0; orbit < reps_.size(); ++orbit) {
+  for (std::size_t orbit = 0; orbit < num_orbits(); ++orbit) {
     if (is_target[orbit]) scc_has_target[sccs_.of[orbit]] = 1;
   }
   for (std::uint32_t scc = 0; scc < sccs_.size(); ++scc) {
@@ -481,23 +556,27 @@ std::optional<double> LumpedMarkovAnalysis::expected_hitting_time(
   // Unknowns: the non-target orbits.  E[orbit] = denom/L + sum_j (w_j/L)
   // E[j], and solve_sparse takes the block-lower-triangular system one SCC
   // block at a time, absorbing side first.
-  const JumpSystem sys = jump_system(is_target);
+  JumpSystem sys = jump_system(is_target);
   std::vector<double> b(sys.orbits.size());
   for (std::size_t row = 0; row < b.size(); ++row) {
     b[row] = static_cast<double>(denom_) / static_cast<double>(sys.leave[row]);
   }
+  // The solve needs only the matrix: free the rest before it allocates.
+  std::vector<std::uint32_t>().swap(sys.orbits);
+  std::vector<std::uint32_t>().swap(sys.leave);
   std::vector<double> x;
   const util::SolveCertificate cert = util::solve_sparse(sys.a, b, x, solver_);
   if (!cert.converged) throw_uncertified(cert, "");
-  return x[sys.index[0]];
+  return x[sys.initial];
 }
 
 std::vector<LumpedMarkovAnalysis::Absorption>
 LumpedMarkovAnalysis::absorption_probabilities() const {
   // The first orbit of each bottom SCC names the absorption outcome.
   const std::vector<std::uint32_t> bottoms = sccs_.bottoms();
-  const auto first_rep = [&](std::uint32_t scc) -> const pp::Counts& {
-    return reps_[sccs_.members(scc).front()];
+  const auto first_rep = [&](std::uint32_t scc) {
+    const auto rep = representative(sccs_.members(scc).front());
+    return pp::Counts(rep.begin(), rep.end());
   };
 
   // A finite chain ends in some bottom SCC with probability 1, so a lone
@@ -512,8 +591,8 @@ LumpedMarkovAnalysis::absorption_probabilities() const {
 
   // Unknowns: the transient orbits.  One matrix, one rhs per bottom SCC:
   // (I - Q) x = r with r[orbit] = P(jump from orbit directly into the SCC).
-  std::vector<char> in_bottom(reps_.size(), 0);
-  for (std::size_t orbit = 0; orbit < reps_.size(); ++orbit) {
+  std::vector<char> in_bottom(num_orbits(), 0);
+  for (std::size_t orbit = 0; orbit < num_orbits(); ++orbit) {
     in_bottom[orbit] = sccs_.bottom[sccs_.of[orbit]];
   }
   const JumpSystem sys = jump_system(in_bottom);
@@ -533,7 +612,7 @@ LumpedMarkovAnalysis::absorption_probabilities() const {
     if (!cert.converged) {
       throw_uncertified(cert, " for SCC " + std::to_string(scc));
     }
-    result.push_back(Absorption{scc, first_rep(scc), x[sys.index[0]]});
+    result.push_back(Absorption{scc, first_rep(scc), x[sys.initial]});
   }
   return result;
 }
@@ -545,9 +624,9 @@ std::vector<double> LumpedMarkovAnalysis::hitting_time_cdf(
   // Step the full lumped chain (self-loops as stay mass) with target
   // orbits absorbing; F[t] is then exactly the absorbed mass after t
   // interactions.
-  std::vector<double> dist(reps_.size(), 0.0);
+  std::vector<double> dist(num_orbits(), 0.0);
   dist[0] = 1.0;
-  std::vector<double> next(reps_.size(), 0.0);
+  std::vector<double> next(num_orbits(), 0.0);
   std::vector<double> cdf(horizon + 1, 0.0);
 
   const auto absorbed = [&](const std::vector<double>& d) {
@@ -569,12 +648,17 @@ std::vector<double> LumpedMarkovAnalysis::hitting_time_cdf(
         next[orbit] += mass;  // absorbing
         continue;
       }
-      next[orbit] +=
-          mass * (static_cast<double>(self_numerator(orbit)) / denom);
+      // One pass over the row: the off-orbit entries move mass on, and
+      // denom_ minus their sum is the self-loop numerator.  The self term
+      // is this row's only addition to next[orbit], so adding it last
+      // leaves every sum in its order.
+      std::uint64_t leaving = 0;
       for (const auto& [target_orbit, numerator] : rates(orbit)) {
         if (target_orbit == orbit) continue;
+        leaving += numerator;
         next[target_orbit] += mass * (static_cast<double>(numerator) / denom);
       }
+      next[orbit] += mass * (static_cast<double>(denom_ - leaving) / denom);
     }
     dist.swap(next);
     cdf[t] = absorbed(dist);

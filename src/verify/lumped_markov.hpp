@@ -23,6 +23,18 @@
 // successors are canonicalized in reused buffers and looked up in an
 // open-addressing index keyed by the stored representatives.
 //
+// Storage is sized for the ceiling, where memory runs out before time
+// does.  Representatives sit in one flat array, |Q| counts per orbit; a
+// row entry is 8 bytes, a uint32 target and a uint32 numerator, which
+// holds because n(n-1) < 2^32 for n <= 65,536; rows are found by uint32
+// offsets.  Null numerators are not stored but derived from the row
+// (denom - the row's sum), orbit sizes are 16 bits wide and not stored at
+// all for the trivial group, the orbit index is freed before the SCC
+// condensation, and every stored array is trimmed to its size once
+// exploration ends.  At k = 3 (|Q| = 7, 7.2 to 8.4 entries per row) that
+// is 98 to 107 bytes per orbit for n = 36 to 120, condensation included;
+// storage_bytes() reports it.
+//
 // The resulting linear systems go to the residual-certified sparse
 // Gauss-Seidel of util/csr.hpp instead of dense elimination, assembled
 // row by row in the order of the orbit graph's SCCs (verify/scc.hpp):
@@ -64,7 +76,8 @@ struct LumpedOptions {
   /// many orbits.
   std::size_t max_orbits = 5'000'000;
   /// Cap on the expanded symmetry-group order (guards bogus specs; the
-  /// groups this repo declares have order <= 4).
+  /// groups this repo declares have order <= 4).  Orbit sizes are stored
+  /// in 16 bits, so try_build refuses a cap above 65,535.
   std::size_t max_group_order = 4096;
   /// Run the exact integer rate-sum lumpability certificate per orbit.
   /// Default on; the check is O(group order) per orbit and is the module's
@@ -80,10 +93,15 @@ struct LumpedOptions {
 /// `why` out-parameter rather than aborting the process.
 class LumpedMarkovAnalysis {
  public:
+  /// A stored rate: (target orbit, numerator over n*(n-1)).
+  using Rate = std::pair<std::uint32_t, std::uint32_t>;
+
   /// Builds the lumped chain reachable from `initial`.  Returns nullopt --
-  /// with a one-line reason in `*why` when non-null -- if the spec fails
-  /// pp::check_symmetry, the group exceeds max_group_order, exploration
-  /// exceeds max_orbits, or the exact rate-sum lumpability check fails.
+  /// with a one-line reason in `*why` when non-null -- if n(n-1) does not
+  /// fit the 32-bit numerators (n > 65,536), max_group_order exceeds the
+  /// 16-bit orbit sizes, the spec fails pp::check_symmetry, the group
+  /// exceeds max_group_order, exploration exceeds max_orbits, or the exact
+  /// rate-sum lumpability check fails.
   [[nodiscard]] static std::optional<LumpedMarkovAnalysis> try_build(
       const pp::TransitionTable& table, const pp::SymmetrySpec& symmetry,
       const pp::Counts& initial, LumpedOptions options = {},
@@ -91,17 +109,19 @@ class LumpedMarkovAnalysis {
 
   /// Number of orbits explored (orbit 0 is the initial configuration's).
   [[nodiscard]] std::size_t num_orbits() const noexcept {
-    return reps_.size();
+    return rate_begin_.size() - 1;
   }
 
-  /// Canonical (lex-min) representative configuration of an orbit.
-  [[nodiscard]] const pp::Counts& representative(std::size_t orbit) const {
-    return reps_[orbit];
+  /// Canonical (lex-min) representative configuration of an orbit: its
+  /// slice of the flat representative array.
+  [[nodiscard]] std::span<const std::uint32_t> representative(
+      std::size_t orbit) const {
+    return std::span(reps_).subspan(orbit * num_states_, num_states_);
   }
 
   /// Number of raw configurations in an orbit (1 .. group order).
   [[nodiscard]] std::uint64_t orbit_size(std::size_t orbit) const {
-    return sizes_[orbit];
+    return sizes_.empty() ? 1 : sizes_[orbit];
   }
 
   /// Total raw configurations covered: the sum of orbit sizes.  This is
@@ -122,17 +142,20 @@ class LumpedMarkovAnalysis {
   /// Exact out-rates of one orbit: (target orbit, numerator over n*(n-1))
   /// pairs sorted by target.  May include the orbit itself (an effective
   /// transition to another member of the same orbit, or an effective swap).
-  [[nodiscard]] std::span<const std::pair<std::uint32_t, std::uint64_t>> rates(
-      std::size_t orbit) const {
+  [[nodiscard]] std::span<const Rate> rates(std::size_t orbit) const {
     return std::span(rates_).subspan(rate_begin_[orbit],
                                      rate_begin_[orbit + 1] - rate_begin_[orbit]);
   }
 
   /// Null-interaction numerator of an orbit over n*(n-1): the ordered
-  /// pairs present in its representative that change no agent.
-  [[nodiscard]] std::uint64_t null_numerator(std::size_t orbit) const {
-    return stay_[orbit];
-  }
+  /// pairs present in its representative that change no agent, derived as
+  /// denom minus the row's sum.
+  [[nodiscard]] std::uint64_t null_numerator(std::size_t orbit) const;
+
+  /// Bytes held by the stored arrays (their summed capacities): the
+  /// representatives, rows, row offsets, orbit sizes, group elements and
+  /// the SCC condensation.  Solves allocate their systems on top of this.
+  [[nodiscard]] std::size_t storage_bytes() const noexcept;
 
   /// Exact expected number of interactions (including nulls) from the
   /// initial configuration until `target` is entered; same contract as
@@ -176,10 +199,11 @@ class LumpedMarkovAnalysis {
   struct JumpSystem {
     /// Unknown r is orbit `orbits[r]`.
     std::vector<std::uint32_t> orbits;
-    /// index[orbit] = its unknown, or UINT32_MAX for an excluded orbit.
-    std::vector<std::uint32_t> index;
-    /// Leave rate of each unknown: denom_ minus its self-loop numerator.
-    std::vector<std::uint64_t> leave;
+    /// Leave rate of each unknown: denom_ minus its self-loop numerator,
+    /// below 2^32 like every numerator.
+    std::vector<std::uint32_t> leave;
+    /// The unknown of orbit 0, which holds the initial configuration.
+    std::uint32_t initial = 0;
     /// I - Q, Q the jump chain restricted to the unknowns.
     util::CsrMatrix a;
   };
@@ -191,7 +215,8 @@ class LumpedMarkovAnalysis {
   [[nodiscard]] std::vector<char> target_orbits(
       const ConfigPredicate& target) const;
 
-  /// Total self-loop numerator of an orbit (nulls + within-orbit rates).
+  /// Total self-loop numerator of an orbit (nulls + within-orbit rates):
+  /// denom_ minus the row's off-orbit entries, in one pass.
   [[nodiscard]] std::uint64_t self_numerator(std::size_t orbit) const;
 
   /// The embedded jump chain's system (I - Q) x = b over every orbit not
@@ -205,14 +230,15 @@ class LumpedMarkovAnalysis {
 
   std::uint64_t n_ = 0;
   std::uint64_t denom_ = 0;  // n * (n - 1), the common rate denominator
+  std::size_t num_states_ = 0;  // |Q|, the stride of reps_
   std::vector<std::vector<pp::StateId>> group_;
-  std::vector<pp::Counts> reps_;
-  std::vector<std::uint64_t> sizes_;
+  /// Orbit u's representative is reps_[u * |Q| .. (u + 1) * |Q|).
+  std::vector<std::uint32_t> reps_;
+  /// Orbit sizes; empty for the trivial group, where every size is 1.
+  std::vector<std::uint16_t> sizes_;
   /// Orbit u's rates are rates_[rate_begin_[u] .. rate_begin_[u + 1]).
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> rates_;
-  std::vector<std::size_t> rate_begin_;
-  /// Null-interaction numerator per orbit: denom_ minus the effective total.
-  std::vector<std::uint64_t> stay_;
+  std::vector<Rate> rates_;
+  std::vector<std::uint32_t> rate_begin_ = {0};
   Condensation sccs_;  // of the orbit graph (verify/scc.hpp)
   std::uint64_t raw_config_count_ = 0;
   util::SolveOptions solver_;

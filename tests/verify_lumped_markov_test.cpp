@@ -16,7 +16,9 @@
 //  * every stored row equal, integer for integer, to a pair-by-pair
 //    reference enumeration (the explorer evaluates one successor per net
 //    move class instead);
-//  * Gauss-Seidel / Jacobi agreement on hitting times and absorption.
+//  * Gauss-Seidel / Jacobi agreement on hitting times and absorption;
+//  * recoverable refusal of the sizes the narrowed fields cannot hold, and
+//    a bytes-per-orbit bound on the stored arrays.
 
 #include "verify/lumped_markov.hpp"
 
@@ -28,6 +30,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -425,6 +428,13 @@ std::uint64_t for_each_pair_successor(const pp::TransitionTable& table,
   return effective;
 }
 
+/// An orbit's stored representative as a count vector.
+pp::Counts representative_of(const LumpedMarkovAnalysis& lumped,
+                             std::uint32_t orbit) {
+  const auto rep = lumped.representative(orbit);
+  return pp::Counts(rep.begin(), rep.end());
+}
+
 /// Builds the lumped chain from `initial` and requires every orbit's row
 /// and null numerator to equal the pair-by-pair reference's.
 void expect_rows_match_pairwise(const pp::TransitionTable& table,
@@ -439,7 +449,7 @@ void expect_rows_match_pairwise(const pp::TransitionTable& table,
       pp::expand_symmetry_group(symmetry, 4096);
   std::map<pp::Counts, std::uint32_t> orbit_of;
   for (std::uint32_t orbit = 0; orbit < lumped->num_orbits(); ++orbit) {
-    orbit_of.emplace(lumped->representative(orbit), orbit);
+    orbit_of.emplace(representative_of(*lumped, orbit), orbit);
   }
   pp::Counts image;
   const auto canonical = [&](const pp::Counts& counts) {
@@ -457,7 +467,7 @@ void expect_rows_match_pairwise(const pp::TransitionTable& table,
     std::map<std::uint32_t, std::uint64_t> reference;
     bool known = true;
     const std::uint64_t effective = for_each_pair_successor(
-        table, lumped->representative(orbit),
+        table, representative_of(*lumped, orbit),
         [&](const pp::Counts& successor, std::uint64_t numerator) {
           const auto it = orbit_of.find(canonical(successor));
           if (it == orbit_of.end()) {
@@ -486,7 +496,7 @@ using pp::RuleListProtocol;
 std::uint32_t orbit_with(const LumpedMarkovAnalysis& lumped,
                          const pp::Counts& counts) {
   for (std::uint32_t orbit = 0; orbit < lumped.num_orbits(); ++orbit) {
-    if (lumped.representative(orbit) == counts) return orbit;
+    if (std::ranges::equal(lumped.representative(orbit), counts)) return orbit;
   }
   ADD_FAILURE() << "no orbit holds the configuration";
   return UINT32_MAX;
@@ -682,6 +692,74 @@ TEST(LumpedMarkov, OrbitCapIsARecoverableError) {
       table, protocol.symmetry(), initial_counts(protocol, 8), options, &why);
   EXPECT_FALSE(lumped.has_value());
   EXPECT_NE(why.find("orbit"), std::string::npos) << why;
+}
+
+TEST(LumpedMarkov, APopulationBeyondTheNumeratorWidthIsRefusedAtOnce) {
+  // Row numerators are 32 bits and each is at most n(n-1), which reaches
+  // 2^32 at n = 65,537.  try_build refuses that before exploring; one
+  // below, it starts exploring and stops at the orbit cap instead.
+  const core::KPartitionProtocol protocol(2);
+  const pp::TransitionTable table(protocol);
+  LumpedOptions options;
+  options.max_orbits = 4;
+  std::string why;
+  EXPECT_FALSE(LumpedMarkovAnalysis::try_build(
+                   table, protocol.symmetry(),
+                   initial_counts(protocol, 65'537), {}, &why)
+                   .has_value());
+  EXPECT_NE(why.find("32-bit rate numerators"), std::string::npos) << why;
+  EXPECT_FALSE(LumpedMarkovAnalysis::try_build(
+                   table, protocol.symmetry(),
+                   initial_counts(protocol, 65'536), options, &why)
+                   .has_value());
+  EXPECT_NE(why.find("max_orbits"), std::string::npos) << why;
+}
+
+TEST(LumpedMarkov, AGroupOrderCapBeyondTheOrbitSizeWidthIsRefused) {
+  // Orbit sizes are 16 bits wide, so a cap that admits larger groups is
+  // refused even when the declared group is small.
+  const core::KPartitionProtocol protocol(2);
+  const pp::TransitionTable table(protocol);
+  LumpedOptions options;
+  options.max_group_order = 65'536;
+  std::string why;
+  EXPECT_FALSE(LumpedMarkovAnalysis::try_build(table, protocol.symmetry(),
+                                               initial_counts(protocol, 12),
+                                               options, &why)
+                   .has_value());
+  EXPECT_NE(why.find("max_group_order"), std::string::npos) << why;
+  options.max_group_order = 65'535;
+  EXPECT_TRUE(LumpedMarkovAnalysis::try_build(table, protocol.symmetry(),
+                                              initial_counts(protocol, 12),
+                                              options, &why)
+                  .has_value())
+      << why;
+}
+
+// ---------------------------------------------------------------------------
+// Storage pin: the stored arrays' summed capacities per orbit, a count of
+// bytes and so free of host noise.  An orbit costs 4|Q| bytes of counts, a
+// 4-byte row offset, 2 bytes of size unless the group is trivial and about
+// 8 bytes of SCC condensation, and each of its row entries 8 bytes.
+// Measured: 97.6 bytes at k = 3, n = 36 (|Q| = 7, 7.2 entries per row) and
+// 68.8 at k = 2, n = 160 (|Q| = 4, 4.8 entries per row, order-4 group).  A
+// per-orbit heap vector for each representative or a 16-byte row entry
+// breaks both bounds.
+
+TEST(LumpedMarkov, StorageStaysWithinItsBytesPerOrbit) {
+  for (const auto& [k, n, max_bytes] :
+       {std::tuple<pp::GroupId, std::uint32_t, double>{3, 36, 110.0},
+        std::tuple<pp::GroupId, std::uint32_t, double>{2, 160, 80.0}}) {
+    const core::KPartitionProtocol protocol(k);
+    const pp::TransitionTable table(protocol);
+    std::string why;
+    const auto lumped = LumpedMarkovAnalysis::try_build(
+        table, protocol.symmetry(), initial_counts(protocol, n), {}, &why);
+    ASSERT_TRUE(lumped.has_value()) << why;
+    const double per_orbit = static_cast<double>(lumped->storage_bytes()) /
+                             static_cast<double>(lumped->num_orbits());
+    EXPECT_LE(per_orbit, max_bytes) << "k=" << k << " n=" << n;
+  }
 }
 
 // ---------------------------------------------------------------------------
