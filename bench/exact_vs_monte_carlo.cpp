@@ -135,6 +135,10 @@ struct CeilingRow {
   double expected_interactions;
   double seconds;
   bool solved;
+  /// The hitting solve's work (util::SolveCertificate): exact counts, the
+  /// same on every machine.
+  std::uint32_t sweeps;
+  std::uint64_t row_updates;
 };
 
 /// The dense back end's hard system-size cap (verify/markov.cpp throws
@@ -278,7 +282,7 @@ int main(int argc, char** argv) {
   std::vector<CeilingRow> ceiling;
   ppk::analysis::Table ceiling_table({"family", "k", "n", "configs",
                                       "orbits", "|G|", "E[interactions]",
-                                      "seconds"});
+                                      "sweeps", "row updates", "seconds"});
   for (const Family& family : families) {
     if (ppk::bench::interrupted()) break;
     const auto protocol = family.make();
@@ -299,20 +303,23 @@ int main(int argc, char** argv) {
       }
     }
     CeilingRow row{family.name, family.k, n, configs, 0, 0, -1.0, 0.0,
-                   false};
+                   false, 0, 0};
     if (n != 0) {
       const auto start = std::chrono::steady_clock::now();
       ppk::verify::MarkovOptions options;
       options.symmetry = protocol->symmetry();
       const ppk::verify::MarkovAnalysis lumped(tt, all_initial(*protocol, n),
                                                std::move(options));
-      const auto expected =
-          lumped.expected_hitting_time(family.target(*protocol, tt, n));
+      ppk::util::SolveCertificate cert;
+      const auto expected = lumped.expected_hitting_time(
+          family.target(*protocol, tt, n), &cert);
       row.seconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)
                         .count();
       row.orbits = lumped.lumped().num_orbits();
       row.group_order = lumped.lumped().group_order();
+      row.sweeps = cert.sweeps;
+      row.row_updates = cert.row_updates;
       if (expected.has_value()) {
         row.expected_interactions = *expected;
         row.solved = true;
@@ -321,7 +328,8 @@ int main(int argc, char** argv) {
     ceiling.push_back(row);
     ceiling_table.row(row.family, row.k, row.n, row.reachable_configs,
                       row.orbits, row.group_order,
-                      row.expected_interactions, row.seconds);
+                      row.expected_interactions, row.sweeps, row.row_updates,
+                      row.seconds);
   }
   ceiling_table.print(std::cout);
 
@@ -403,6 +411,8 @@ int main(int argc, char** argv) {
       json.member("expected_interactions", row.expected_interactions);
       json.member("seconds", row.seconds);
       json.member("solved", row.solved);
+      json.member("sweeps", static_cast<std::uint64_t>(row.sweeps));
+      json.member("row_updates", row.row_updates);
       json.end_object();
     }
     json.end_array();

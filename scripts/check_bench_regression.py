@@ -189,7 +189,8 @@ REQUIRED_EXACT_TOP = {"schema", "bench", "git_rev", "smoke", "interrupted",
 REQUIRED_AGREEMENT_ROW = {"family", "k", "n", "dense", "lumped", "rel_error",
                           "configs", "orbits", "group_order"}
 REQUIRED_CEILING_ROW = {"family", "k", "n", "reachable_configs", "orbits",
-                        "group_order", "expected_interactions", "solved"}
+                        "group_order", "expected_interactions", "solved",
+                        "sweeps", "row_updates"}
 
 # Topology-report gates (schema ppk-bench-topology-v1).
 MIN_WEDGE_SPEEDUP = 50.0      # live-edge vs per-draw on the wedged ring
@@ -543,6 +544,10 @@ def check_exact(new_doc, base_doc, new_path, base_path):
         committed BENCH_EXACT.json shares (same family, k, n) must agree
         to EXACT_BASELINE_TOL, and no family's ceiling may shrink below
         the baseline's.  No calibration, no same-machine carve-outs.
+     5. Solver work: a ceiling row the baseline shares (same family, k,
+        n) may not take more sweeps or row updates than the baseline's.
+        Both are exact counts of the hitting solve, with no host noise,
+        so the bound has no slack.
     """
     validate_exact_schema(new_doc, new_path)
     validate_exact_schema(base_doc, base_path)
@@ -590,6 +595,12 @@ def check_exact(new_doc, base_doc, new_path, base_path):
                      f"from the baseline ({row['expected_interactions']!r} "
                      f"vs {base['expected_interactions']!r}); exact answers "
                      f"are machine-independent, so this is a solver change")
+            for count in ("sweeps", "row_updates"):
+                if row[count] > base[count]:
+                    fail(f"{label}: the hitting solve took {row[count]} "
+                         f"{count.replace('_', ' ')}, more than the "
+                         f"baseline's {base[count]}; these are exact "
+                         f"counts, so the solver does more work")
         print(f"ok: {label} solved {row['reachable_configs']} configurations "
               f"as {row['orbits']} orbits (|G|={row['group_order']})")
 

@@ -109,10 +109,15 @@ bool JumpSimulator::step(StabilityOracle& oracle) {
 Advance JumpSimulator::advance(StabilityOracle& oracle, std::uint64_t budget) {
   if (total_weight_ == 0) return {};  // silent configuration
 
-  // Skip the geometric run of null interactions.
-  const double p_eff = static_cast<double>(total_weight_) /
-                       (static_cast<double>(n_) * static_cast<double>(n_ - 1));
-  const std::uint64_t nulls = rng_.geometric(p_eff);
+  // Skip the geometric run of null interactions.  p_eff and its log move
+  // only with the total weight.
+  if (total_weight_ != p_eff_weight_) {
+    p_eff_weight_ = total_weight_;
+    p_eff_ = static_cast<double>(total_weight_) /
+             (static_cast<double>(n_) * static_cast<double>(n_ - 1));
+    log1m_p_eff_ = p_eff_ < 1.0 ? std::log1p(-p_eff_) : 0.0;
+  }
+  const std::uint64_t nulls = rng_.geometric(p_eff_, log1m_p_eff_);
   if (nulls >= budget) {
     // The null run carries past the budget: consume exactly `budget` nulls
     // and stop at the boundary without applying a pair.  Memorylessness
@@ -148,7 +153,12 @@ Advance JumpSimulator::advance(StabilityOracle& oracle, std::uint64_t budget) {
   // u is uniform on [0, c_p * row_sum_p); reduce to a uniform responder
   // draw (the row weight is an exact multiple of row_sum, so % is
   // unbiased).  c_p >= 1 here, so the diagonal weight c_p - 1 is >= 0.
-  std::uint64_t v = u % static_cast<std::uint64_t>(row_sum_[p]);
+  // Both operands usually fit 32 bits, where the remainder is cheaper.
+  const auto row_sum = static_cast<std::uint64_t>(row_sum_[p]);
+  std::uint64_t v = ((u | row_sum) >> 32) == 0
+                        ? static_cast<std::uint32_t>(u) %
+                              static_cast<std::uint32_t>(row_sum)
+                        : u % row_sum;
   std::uint32_t pos = row_begin_[p];
   for (;; ++pos) {
     const StateId candidate = columns_of_row_[pos];

@@ -210,6 +210,12 @@ class JumpSimulator : public EngineLoop<JumpSimulator> {
   std::vector<std::int64_t> col_sum_;
   /// sum_p c_p * row_sum_p, kept in O(1) per transfer.
   std::uint64_t total_weight_ = 0;
+  /// The effective probability total_weight_ / (n (n - 1)) and its
+  /// log1p(-p_eff), as of the total `p_eff_weight_`: a free flip moves no
+  /// pair weight, so most steps reuse them.  0 is never a drawn total.
+  std::uint64_t p_eff_weight_ = 0;
+  double p_eff_ = 0.0;
+  double log1m_p_eff_ = 0.0;
   StateId watch_state_ = 0;
   std::vector<std::uint64_t>* watch_marks_ = nullptr;
   obs::ObsSink* obs_ = nullptr;

@@ -27,14 +27,15 @@ namespace ppk::serve {
 
 /// Schema tag every exact result frame must carry (as member
 /// "exact_schema") to be served from the cache.  Bump it whenever the
-/// meaning, fields or bits of an exact answer change -- v5 came with the
-/// direct seed of small diagonally dominant SCC blocks (answers moved in
-/// their low bits again); v4 with the plain, downstream-first Gauss-Seidel
+/// meaning, fields or bits of an exact answer change -- v6 came with the
+/// line Gauss-Seidel over free-flip lines (answers moved in their low
+/// bits); v5 with the direct seed of small diagonally dominant SCC blocks
+/// (answers moved in their low bits again); v4 with the plain, downstream-first Gauss-Seidel
 /// sweep; v3 with the block-by-block sparse solve and the exact 1
 /// for a lone bottom SCC; v2 introduced the solver-tagged frames of the
 /// lumped Markov back end; v1 frames carried no tag at all and are
 /// therefore recognized (and invalidated) by the tag's absence.
-inline constexpr std::string_view kExactResultSchema = "ppkd-exact-v5";
+inline constexpr std::string_view kExactResultSchema = "ppkd-exact-v6";
 
 /// Schema tag every simulate and conformance result frame must carry (as
 /// member "sim_schema") to be served from the cache.  Bump it whenever the

@@ -16,6 +16,23 @@
 // downstream-first as well, so an update mostly reads values already
 // refreshed in the same sweep.
 //
+// Gauss-Seidel is a line (block) Gauss-Seidel when the caller passes line
+// ends: consecutive runs of rows that are strongly coupled among
+// themselves, such as the configurations of the lumped chain that differ
+// only by free-agent flips.  Each sweep solves a line exactly: it gathers
+// the line's out-of-line terms with the values of the moment, then solves
+// the line's own equations by a band LU factored once per block.  A line
+// qualifies when each row's in-line entries lie within two columns of the
+// diagonal (bandwidth 2); the factorization needs no pivoting, because a
+// line is a principal submatrix of a weakly diagonally dominant M-matrix
+// whose rows leak out of it somewhere, and every Schur complement of such
+// a matrix is again one.  A line that is wider than the band, or whose
+// factorization meets a pivot that is zero or not finite, is solved row by
+// row.  A one-row line is the point update itself, bit for bit, so
+// without lines the sweep is exactly the point Gauss-Seidel.  Lines never
+// cross a block boundary (one that does is cut there), and the factors
+// live only while their block is solved.
+//
 // Gauss-Seidel seeds a small block -- at most kDirectBlockMax rows, each
 // diagonally dominant inside the block (the sum of |a_rj| over in-block
 // j != r is at most |a_rr|, up to the rounding of the entries, which every
@@ -29,33 +46,41 @@
 // SolveCertificate::sweeps is 1), and sweeps on from the seed should its
 // check fail.  A slow-mixing block of a few rows, which needs thousands of
 // sweeps from zero, costs one small elimination instead.  Jacobi never
-// seeds: it stays pure sweeps, the order-independent reference.
+// seeds and ignores lines: it stays pure point sweeps, the
+// order-independent reference.
 //
-// A row update is a plain sum, split around the diagonal so the inner
-// loops carry no branch.  It needs no compensation: in these systems every
-// term is non-negative (b >= 0, -A off the diagonal >= 0, x >= 0), so there
-// is no cancellation and the sum's relative error stays within a few ulps
-// per term.
+// A row update is a plain sum, split around the diagonal (around the
+// in-line run, for a line) so the inner loops carry no branch.  It needs
+// no compensation: in these systems every term is non-negative (b >= 0,
+// -A off the diagonal >= 0, x >= 0), so there is no cancellation and the
+// sum's relative error stays within a few ulps per term.
 //
 // Convergence is never assumed.  A block is declared converged only by its
 // residual, recomputed with compensated summation, and that check (about
 // three sweeps' work) runs only once a sweep shows it can pass.  After a
 // sweep whose largest change of any x_j is `step`, row i's residual is
-// sum_j a_ij * (the change of x_j after row i was updated): the update
-// itself zeroed the row's residual against the values it read.  Hence
-// ||b - A x||_inf <= ||A||_inf * step, and the block is checked when that
-// bound meets the block's residual bound, or at the sweep cap.  The answer
-// itself is certified by the global residual of the returned x, also
-// compensated, and the solver reports failure honestly instead of
-// returning a half-converged vector.
+// sum_j a_ij * (the change of x_j after row i's line was solved): that
+// solve zeroed the residuals of the line's rows against the values it
+// read, its own new values included.  Hence ||b - A x||_inf <=
+// ||A||_inf * step for point and line sweeps alike, and the block is
+// checked when that bound meets the block's residual bound, or at the
+// sweep cap.  The bound only decides when to look: what certifies the
+// block is the compensated residual itself, so the rounding of a line
+// solve can delay a block but never bless it.  The answer itself is
+// certified by the global residual of the returned x, also compensated,
+// and the solver reports failure honestly instead of returning a
+// half-converged vector.
 
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -192,6 +217,9 @@ struct SolveCertificate {
   /// Diagonal blocks solved in turn (1 when the matrix has no block
   /// structure, and always 1 under Jacobi).
   std::uint32_t blocks = 0;
+  /// Rows updated: the sum over blocks of sweeps times rows.  A count of
+  /// work that no host noise moves.
+  std::uint64_t row_updates = 0;
 };
 
 namespace detail {
@@ -265,6 +293,63 @@ inline void seed_block(const CsrMatrix& a, const std::vector<double>& b,
   }
 }
 
+/// One row of a line's band LU factors (see factor_line).
+struct LineRow {
+  /// The row's in-line entries are a.col / a.value [lo, hi).
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+  /// L's multipliers of the line rows one and two before this one.
+  double l1 = 0.0;
+  double l2 = 0.0;
+  /// The reciprocal of U's diagonal, and U's entries one and two columns
+  /// right of the diagonal.
+  double inv_u0 = 0.0;
+  double u1 = 0.0;
+  double u2 = 0.0;
+};
+
+/// Writes into f[0, end - begin) the band LU factors, without pivoting, of
+/// the line of rows [begin, end): the principal submatrix on those rows
+/// and columns.  Returns false, leaving `f` partly written, when some
+/// row's in-line entries reach more than two columns from the diagonal or
+/// a factor comes out non-finite or a pivot zero; the line is then solved
+/// row by row.
+[[nodiscard]] inline bool factor_line(const CsrMatrix& a,
+                                      const std::vector<std::uint32_t>& diag,
+                                      std::uint32_t begin, std::uint32_t end,
+                                      LineRow* f) {
+  for (std::uint32_t r = begin; r < end; ++r) {
+    LineRow& row = f[r - begin];
+    // Columns ascend, so the in-line entries are one run around the
+    // diagonal.
+    row.lo = diag[r];
+    row.hi = diag[r] + 1;
+    while (row.lo > a.row_ptr[r] && a.col[row.lo - 1] >= begin) --row.lo;
+    while (row.hi < a.row_ptr[r + 1] && a.col[row.hi] < end) ++row.hi;
+    std::array<double, 5> band{};  // a_{r, r-2} .. a_{r, r+2}
+    for (std::uint32_t i = row.lo; i < row.hi; ++i) {
+      const std::int64_t offset =
+          static_cast<std::int64_t>(a.col[i]) - static_cast<std::int64_t>(r);
+      if (offset < -2 || offset > 2) return false;
+      band[static_cast<std::size_t>(offset + 2)] = a.value[i];
+    }
+    // The rows before, or zeros at the line's start.
+    const LineRow none;
+    const LineRow& up1 = r > begin ? f[r - begin - 1] : none;
+    const LineRow& up2 = r > begin + 1 ? f[r - begin - 2] : none;
+    row.l2 = band[0] * up2.inv_u0;
+    row.l1 = (band[1] - row.l2 * up2.u1) * up1.inv_u0;
+    const double u0 = band[2] - row.l2 * up2.u2 - row.l1 * up1.u1;
+    row.inv_u0 = 1.0 / u0;
+    row.u1 = band[3] - row.l1 * up1.u2;
+    row.u2 = band[4];
+    for (const double factor : {row.l1, row.l2, u0, row.inv_u0, row.u1}) {
+      if (!std::isfinite(factor)) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace detail
 
 /// Solves A x = b iteratively, overwriting `x` (whose incoming contents,
@@ -282,11 +367,21 @@ inline void seed_block(const CsrMatrix& a, const std::vector<double>& b,
 /// misses its bound within `max_sweeps`, or whose iterate stops being
 /// finite, ends the solve as not converged.  Either way the certificate is
 /// the global residual of the returned x.
+///
+/// `line_end` lists, ascending, where each line of rows ends: line i is
+/// rows [line_end[i - 1], line_end[i]) (line 0 starts at row 0), and rows
+/// past the last end are lines of one row.  Gauss-Seidel solves each line
+/// exactly within a sweep (see the file comment); an empty list, the
+/// default, is point Gauss-Seidel.  Jacobi ignores the lines.
 [[nodiscard]] inline SolveCertificate solve_sparse(
     const CsrMatrix& a, const std::vector<double>& b, std::vector<double>& x,
-    const SolveOptions& options = {}) {
+    const SolveOptions& options = {},
+    std::span<const std::uint32_t> line_end = {}) {
   PPK_EXPECTS(a.rows == a.cols);
   PPK_EXPECTS(b.size() == a.rows);
+  PPK_EXPECTS(std::ranges::adjacent_find(line_end, std::greater_equal<>()) ==
+                  line_end.end() &&
+              (line_end.empty() || line_end.back() <= a.rows));
   x.resize(a.rows, 0.0);
   const bool jacobi = options.method == SolveOptions::Method::kJacobi;
 
@@ -306,7 +401,7 @@ inline void seed_block(const CsrMatrix& a, const std::vector<double>& b,
       reach = std::max(reach, a.col[i]);
     }
     if (d == UINT32_MAX || a.value[d] == 0.0) {
-      return {false, 0, std::numeric_limits<double>::infinity(), 0.0, 0};
+      return {false, 0, std::numeric_limits<double>::infinity(), 0.0, 0, 0};
     }
     diag[r] = d;
     norm_a = std::max(norm_a, row_sum);
@@ -347,6 +442,27 @@ inline void seed_block(const CsrMatrix& a, const std::vector<double>& b,
     return m;
   };
 
+  // The current block's lines of two rows or more that factor: rows
+  // [begin, end), factors from factors[offset].  Block-scoped scratch.
+  struct Line {
+    std::uint32_t begin, end;
+    std::size_t offset;
+  };
+  std::vector<Line> lines;
+  std::vector<detail::LineRow> factors;
+  std::vector<double> work;  // one line's forward and back substitution
+  std::size_t next_line = 0;  // first entry of line_end not yet passed
+  if (!jacobi && !line_end.empty()) {
+    // Room for the largest block at once, so the factors are never copied.
+    std::uint32_t largest = 0;
+    std::uint32_t previous = 0;
+    for (const std::uint32_t end : block_end) {
+      largest = std::max(largest, end - previous);
+      previous = end;
+    }
+    factors.reserve(largest);
+  }
+
   SolveCertificate cert;
   cert.blocks = static_cast<std::uint32_t>(block_end.size());
   std::vector<double> next;   // Jacobi scratch
@@ -360,6 +476,31 @@ inline void seed_block(const CsrMatrix& a, const std::vector<double>& b,
         detail::dominant_block(a, diag, begin, end)) {
       detail::seed_block(a, b, begin, end, x, dense);
     }
+    // The block's lines, cut at its boundaries, factored once.
+    lines.clear();
+    factors.clear();
+    std::size_t longest = 0;
+    for (std::uint32_t first = begin; !jacobi && first < end;) {
+      while (next_line < line_end.size() && line_end[next_line] <= first) {
+        ++next_line;
+      }
+      if (next_line == line_end.size()) break;  // one-row lines from here
+      const std::uint32_t last = std::min(line_end[next_line], end);
+      if (last - first > 1) {
+        const std::size_t offset = factors.size();
+        factors.resize(offset + (last - first));
+        if (detail::factor_line(a, diag, first, last, &factors[offset])) {
+          lines.push_back({first, last, offset});
+          longest = std::max<std::size_t>(longest, last - first);
+        } else {
+          factors.resize(offset);
+        }
+      }
+      first = last;
+    }
+    // Two zeros on either side stand for the rows outside the line.
+    work.assign(longest + 4, 0.0);
+
     // The block's bound takes ||x|| over the blocks solved so far, so it
     // never exceeds the global bound of the returned x.  With the later
     // blocks still at zero it equals that bound when this block is the
@@ -371,8 +512,46 @@ inline void seed_block(const CsrMatrix& a, const std::vector<double>& b,
       // The sweep's largest change of any x_r, and ||x||_inf of the block.
       double step = 0.0;
       block_norm = 0.0;
-      for (std::uint32_t r = begin; r < end; ++r) {
-        // A plain sum, split around the diagonal entry.
+      const auto record = [&](std::uint32_t r, double value) {
+        // A NaN change sticks (std::max would skip it), so a non-finite
+        // value anywhere leaves `step` non-finite.
+        const double change = std::abs(value - x[r]);
+        step = change > step || std::isnan(change) ? change : step;
+        block_norm = std::max(block_norm, std::abs(value));
+        (jacobi ? next[r] : x[r]) = value;
+      };
+      std::size_t line = 0;
+      for (std::uint32_t r = begin; r < end;) {
+        if (line < lines.size() && lines[line].begin == r) {
+          // A line: gather each row's out-of-line terms and eliminate
+          // forward (y in work[2 ..]), then substitute back, new values
+          // replacing y in place.
+          const Line& l = lines[line++];
+          const detail::LineRow* f = &factors[l.offset];
+          const std::uint32_t size = l.end - l.begin;
+          for (std::uint32_t i = 0; i < size; ++i) {
+            const std::uint32_t row = l.begin + i;
+            double acc = b[row];
+            for (std::size_t e = a.row_ptr[row]; e < f[i].lo; ++e) {
+              acc -= a.value[e] * x[a.col[e]];
+            }
+            for (std::size_t e = f[i].hi; e < a.row_ptr[row + 1]; ++e) {
+              acc -= a.value[e] * x[a.col[e]];
+            }
+            work[i + 2] = acc - f[i].l1 * work[i + 1] - f[i].l2 * work[i];
+          }
+          work[size + 2] = 0.0;
+          work[size + 3] = 0.0;
+          for (std::uint32_t i = size; i-- > 0;) {
+            work[i + 2] = (work[i + 2] - f[i].u2 * work[i + 4] -
+                           f[i].u1 * work[i + 3]) *
+                          f[i].inv_u0;
+            record(l.begin + i, work[i + 2]);
+          }
+          r = l.end;
+          continue;
+        }
+        // A point update: a plain sum, split around the diagonal entry.
         double acc = b[r];
         for (std::size_t i = a.row_ptr[r]; i < diag[r]; ++i) {
           acc -= a.value[i] * x[a.col[i]];
@@ -380,13 +559,8 @@ inline void seed_block(const CsrMatrix& a, const std::vector<double>& b,
         for (std::size_t i = diag[r] + 1; i < a.row_ptr[r + 1]; ++i) {
           acc -= a.value[i] * x[a.col[i]];
         }
-        const double value = acc / a.value[diag[r]];
-        // A NaN change sticks (std::max would skip it), so a non-finite
-        // value anywhere leaves `step` non-finite.
-        const double change = std::abs(value - x[r]);
-        step = change > step || std::isnan(change) ? change : step;
-        block_norm = std::max(block_norm, std::abs(value));
-        (jacobi ? next[r] : x[r]) = value;
+        record(r, acc / a.value[diag[r]]);
+        ++r;
       }
       if (jacobi) x.swap(next);
       ++sweeps;
@@ -399,6 +573,7 @@ inline void seed_block(const CsrMatrix& a, const std::vector<double>& b,
       }
     }
     cert.sweeps = std::max(cert.sweeps, sweeps);
+    cert.row_updates += std::uint64_t{sweeps} * (end - begin);
     if (!met) {
       blocks_converged = false;
       break;

@@ -97,12 +97,19 @@ class Xoshiro256 {
   /// single uniform; the only inexactness is ~1 ulp of floating-point
   /// rounding in log space, negligible against Monte-Carlo noise (this is
   /// the same tolerance the jump engine's null-run skipping has always
-  /// accepted).  Requires p in (0, 1]; values >= 1 return 0.
+  /// accepted).  Requires p in (0, 1]; values >= 1 return 0 without a
+  /// draw.
   std::uint64_t geometric(double p) noexcept {
+    return geometric(p, p < 1.0 ? std::log1p(-p) : 0.0);
+  }
+
+  /// geometric(p) with log1m_p = std::log1p(-p) computed by the caller,
+  /// which may keep it across draws at one p (ignored at p >= 1).
+  std::uint64_t geometric(double p, double log1m_p) noexcept {
     PPK_EXPECTS(p > 0.0);
     if (p >= 1.0) return 0;
     const double u = 1.0 - uniform01();  // in (0, 1]
-    const double g = std::floor(std::log(u) / std::log1p(-p));
+    const double g = std::floor(std::log(u) / log1m_p);
     if (g <= 0.0) return 0;
     if (g >= 0x1.0p63) return UINT64_MAX;  // astronomically rare; saturate
     return static_cast<std::uint64_t>(g);

@@ -138,9 +138,9 @@ void sort_and_merge(std::vector<Rate>& row) {
   row.resize(kept);
 }
 
-/// Open-addressing index of the explored orbits.  Slots hold orbit ids and
-/// compare against the slices of the flat representative array, so no key
-/// is ever copied.
+/// Open-addressing index of the explored orbits (or of any count vectors
+/// kept the same way).  Slots hold orbit ids and compare against the
+/// slices of the flat representative array, so no key is ever copied.
 class OrbitIndex {
  public:
   static constexpr std::uint32_t kAbsent = UINT32_MAX;
@@ -206,6 +206,51 @@ class OrbitIndex {
   unsigned bits_ = 0;
 };
 
+/// Each state's merge class, named by its smallest state: the states
+/// joined by the transfers of every effective pair whose each transfer
+/// a -> b joins two states with identical effectiveness rows and columns.
+/// Such a transfer is an empty-span transfer of the jump engine: it moves
+/// no pair weight.
+std::vector<pp::StateId> merge_classes_of(const pp::TransitionTable& table) {
+  const pp::StateId num_states = table.num_states();
+  const auto twins = [&](pp::StateId a, pp::StateId b) {
+    for (pp::StateId x = 0; x < num_states; ++x) {
+      if (table.effective(a, x) != table.effective(b, x) ||
+          table.effective(x, a) != table.effective(x, b)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // Union-find whose root is the class's smallest state.
+  std::vector<pp::StateId> parent(num_states);
+  for (pp::StateId s = 0; s < num_states; ++s) parent[s] = s;
+  const auto find = [&](pp::StateId s) {
+    while (parent[s] != s) s = parent[s];
+    return s;
+  };
+  const auto join = [&](pp::StateId a, pp::StateId b) {
+    const pp::StateId ra = find(a);
+    const pp::StateId rb = find(b);
+    parent[std::max(ra, rb)] = std::min(ra, rb);
+  };
+  for (pp::StateId p = 0; p < num_states; ++p) {
+    for (pp::StateId q = 0; q < num_states; ++q) {
+      if (!table.effective(p, q)) continue;
+      const pp::Transition& t = table.apply(p, q);
+      if (twins(p, t.initiator) && twins(q, t.responder)) {
+        join(p, t.initiator);
+        join(q, t.responder);
+      }
+    }
+  }
+  for (pp::StateId s = 0; s < num_states; ++s) parent[s] = find(s);
+  return parent;
+}
+
+/// The certificate of an answer that needs no solve.
+constexpr util::SolveCertificate kNoSolve{.converged = true};
+
 /// The error of a solve whose certificate did not hold.
 [[noreturn]] void throw_uncertified(const util::SolveCertificate& cert,
                                     const std::string& what) {
@@ -266,6 +311,7 @@ std::optional<LumpedMarkovAnalysis> LumpedMarkovAnalysis::try_build(
   out.denom_ = n * (n - 1);
   out.num_states_ = initial.size();
   out.group_ = std::move(group);
+  out.merge_ = merge_classes_of(table);
   out.solver_ = options.solver;
   const std::vector<std::vector<pp::StateId>>& elements = out.group_;
   const std::size_t stride = out.num_states_;
@@ -436,11 +482,26 @@ std::size_t LumpedMarkovAnalysis::storage_bytes() const noexcept {
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
   std::size_t total = bytes(reps_) + bytes(sizes_) + bytes(rates_) +
-                      bytes(rate_begin_) + bytes(group_) + bytes(sccs_.of) +
+                      bytes(rate_begin_) + bytes(group_) + bytes(merge_) +
+                      bytes(sccs_.of) +
                       bytes(sccs_.bottom) + bytes(sccs_.offsets) +
                       bytes(sccs_.nodes);
   for (const std::vector<pp::StateId>& element : group_) total += bytes(element);
   return total;
+}
+
+std::vector<std::vector<pp::StateId>> LumpedMarkovAnalysis::merge_classes()
+    const {
+  std::vector<std::vector<pp::StateId>> classes;
+  for (pp::StateId s = 0; s < merge_.size(); ++s) {
+    if (merge_[s] != s) continue;
+    std::vector<pp::StateId> members;
+    for (pp::StateId t = s; t < merge_.size(); ++t) {
+      if (merge_[t] == s) members.push_back(t);
+    }
+    if (members.size() > 1) classes.push_back(std::move(members));
+  }
+  return classes;
 }
 
 std::vector<char> LumpedMarkovAnalysis::target_orbits(
@@ -476,17 +537,17 @@ std::uint64_t LumpedMarkovAnalysis::self_numerator(std::size_t orbit) const {
 LumpedMarkovAnalysis::JumpSystem LumpedMarkovAnalysis::jump_system(
     const std::vector<char>& excluded) const {
   JumpSystem sys;
-  // index[orbit] = its unknown, or UINT32_MAX for an excluded orbit.
-  std::vector<std::uint32_t> index(num_orbits(), UINT32_MAX);
   for (std::uint32_t scc = 0; scc < sccs_.size(); ++scc) {
     const auto members = sccs_.members(scc);
     for (auto it = members.rbegin(); it != members.rend(); ++it) {
-      if (excluded[*it]) continue;
-      index[*it] = static_cast<std::uint32_t>(sys.orbits.size());
-      sys.orbits.push_back(*it);
+      if (!excluded[*it]) sys.orbits.push_back(*it);
     }
   }
+  order_lines(sys);
   const auto m = static_cast<std::uint32_t>(sys.orbits.size());
+  // index[orbit] = its unknown, or UINT32_MAX for an excluded orbit.
+  std::vector<std::uint32_t> index(num_orbits(), UINT32_MAX);
+  for (std::uint32_t row = 0; row < m; ++row) index[sys.orbits[row]] = row;
   PPK_ASSERT(index[0] != UINT32_MAX);
   sys.initial = index[0];
 
@@ -538,8 +599,73 @@ LumpedMarkovAnalysis::JumpSystem LumpedMarkovAnalysis::jump_system(
   return sys;
 }
 
+void LumpedMarkovAnalysis::order_lines(JumpSystem& sys) const {
+  // The first merge class's first state orders a line's members.
+  auto first_state = static_cast<pp::StateId>(merge_.size());
+  for (pp::StateId s = 0; s < merge_.size(); ++s) {
+    if (merge_[s] != s) first_state = std::min(first_state, merge_[s]);
+  }
+  if (first_state == merge_.size()) return;  // no classes: one-orbit lines
+
+  // Number the lines in order of their first member.  A line's key is its
+  // summed representative followed by its SCC, kept flat and indexed like
+  // the orbits themselves.
+  const auto m = static_cast<std::uint32_t>(sys.orbits.size());
+  const std::size_t stride = num_states_ + 1;
+  std::vector<std::uint32_t> line_of(m);
+  std::uint32_t lines = 0;
+  {
+    std::vector<std::uint32_t> keys;
+    OrbitIndex index(keys, stride);
+    pp::Counts key(stride);
+    for (std::uint32_t row = 0; row < m; ++row) {
+      const std::uint32_t orbit = sys.orbits[row];
+      std::fill(key.begin(), key.end(), 0);
+      const auto rep = representative(orbit);
+      for (std::size_t s = 0; s < num_states_; ++s) key[merge_[s]] += rep[s];
+      key[num_states_] = sccs_.of[orbit];
+      const std::uint64_t hash = pp::CountsHash{}(key);
+      std::uint32_t line = index.find(key, hash);
+      if (line == OrbitIndex::kAbsent) {
+        line = lines++;
+        keys.insert(keys.end(), key.begin(), key.end());
+        index.insert(line, hash);
+      }
+      line_of[row] = line;
+    }
+  }
+
+  // Group the unknowns by line (a counting sort), each as one integer key,
+  // (count of `first_state`, then descending orbit id), and sort each
+  // line by it.
+  std::vector<std::uint32_t> start(std::size_t{lines} + 1, 0);
+  for (const std::uint32_t line : line_of) ++start[line + 1];
+  for (std::uint32_t line = 0; line < lines; ++line) {
+    start[line + 1] += start[line];
+  }
+  std::vector<std::uint64_t> grouped(m);
+  {
+    std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+    for (std::uint32_t row = 0; row < m; ++row) {
+      const std::uint32_t orbit = sys.orbits[row];
+      grouped[fill[line_of[row]]++] =
+          (std::uint64_t{representative(orbit)[first_state]} << 32) |
+          (UINT32_MAX - orbit);
+    }
+  }
+  std::vector<std::uint32_t>().swap(line_of);
+  for (std::uint32_t line = 0; line < lines; ++line) {
+    std::sort(grouped.begin() + start[line], grouped.begin() + start[line + 1]);
+  }
+  for (std::uint32_t row = 0; row < m; ++row) {
+    sys.orbits[row] = UINT32_MAX - static_cast<std::uint32_t>(grouped[row]);
+  }
+  sys.line_end.assign(start.begin() + 1, start.end());
+}
+
 std::optional<double> LumpedMarkovAnalysis::expected_hitting_time(
-    const ConfigPredicate& target) const {
+    const ConfigPredicate& target, util::SolveCertificate* certificate) const {
+  if (certificate != nullptr) *certificate = kNoSolve;
   const std::vector<char> is_target = target_orbits(target);
   if (is_target[0]) return 0.0;  // orbit 0 holds the initial configuration
 
@@ -555,23 +681,28 @@ std::optional<double> LumpedMarkovAnalysis::expected_hitting_time(
 
   // Unknowns: the non-target orbits.  E[orbit] = denom/L + sum_j (w_j/L)
   // E[j], and solve_sparse takes the block-lower-triangular system one SCC
-  // block at a time, absorbing side first.
+  // block at a time, absorbing side first, and line by line inside it.
   JumpSystem sys = jump_system(is_target);
   std::vector<double> b(sys.orbits.size());
   for (std::size_t row = 0; row < b.size(); ++row) {
     b[row] = static_cast<double>(denom_) / static_cast<double>(sys.leave[row]);
   }
-  // The solve needs only the matrix: free the rest before it allocates.
+  // The solve needs only the matrix and the lines: free the rest before it
+  // allocates.
   std::vector<std::uint32_t>().swap(sys.orbits);
   std::vector<std::uint32_t>().swap(sys.leave);
   std::vector<double> x;
-  const util::SolveCertificate cert = util::solve_sparse(sys.a, b, x, solver_);
+  const util::SolveCertificate cert =
+      util::solve_sparse(sys.a, b, x, solver_, sys.line_end);
+  if (certificate != nullptr) *certificate = cert;
   if (!cert.converged) throw_uncertified(cert, "");
   return x[sys.initial];
 }
 
 std::vector<LumpedMarkovAnalysis::Absorption>
-LumpedMarkovAnalysis::absorption_probabilities() const {
+LumpedMarkovAnalysis::absorption_probabilities(
+    util::SolveCertificate* certificate) const {
+  if (certificate != nullptr) *certificate = kNoSolve;
   // The first orbit of each bottom SCC names the absorption outcome.
   const std::vector<std::uint32_t> bottoms = sccs_.bottoms();
   const auto first_rep = [&](std::uint32_t scc) {
@@ -608,7 +739,15 @@ LumpedMarkovAnalysis::absorption_probabilities() const {
     }
     std::vector<double> x;
     const util::SolveCertificate cert =
-        util::solve_sparse(sys.a, b, x, solver_);
+        util::solve_sparse(sys.a, b, x, solver_, sys.line_end);
+    if (certificate != nullptr) {
+      certificate->converged = certificate->converged && cert.converged;
+      certificate->sweeps = std::max(certificate->sweeps, cert.sweeps);
+      certificate->residual = cert.residual;
+      certificate->residual_bound = cert.residual_bound;
+      certificate->blocks = std::max(certificate->blocks, cert.blocks);
+      certificate->row_updates += cert.row_updates;
+    }
     if (!cert.converged) {
       throw_uncertified(cert, " for SCC " + std::to_string(scc));
     }

@@ -180,10 +180,11 @@ const LumpedMarkovAnalysis& MarkovAnalysis::lumped() const {
 }
 
 std::optional<double> MarkovAnalysis::expected_hitting_time(
-    const ConfigPredicate& target) const {
+    const ConfigPredicate& target, util::SolveCertificate* certificate) const {
   if (method_ == MarkovMethod::kLumped) {
-    return lumped_->expected_hitting_time(target);
+    return lumped_->expected_hitting_time(target, certificate);
   }
+  if (certificate != nullptr) *certificate = {.converged = true};
 
   const ConfigGraph& graph = *graph_;
   const std::size_t num_configs = graph.num_configs();
@@ -243,16 +244,18 @@ std::optional<double> MarkovAnalysis::expected_hitting_time(
 }
 
 std::vector<MarkovAnalysis::Absorption>
-MarkovAnalysis::absorption_probabilities() const {
+MarkovAnalysis::absorption_probabilities(
+    util::SolveCertificate* certificate) const {
   if (method_ == MarkovMethod::kLumped) {
     std::vector<Absorption> result;
-    for (auto& a : lumped_->absorption_probabilities()) {
+    for (auto& a : lumped_->absorption_probabilities(certificate)) {
       result.push_back(
           Absorption{a.scc, std::move(a.representative), a.probability});
     }
     return result;
   }
 
+  if (certificate != nullptr) *certificate = {.converged = true};
   const ConfigGraph& graph = *graph_;
   const std::size_t num_configs = graph.num_configs();
   const std::uint64_t denom = n_ * (n_ - 1);

@@ -92,8 +92,13 @@ class MarkovAnalysis {
   /// target is not reached with probability 1 (some execution can get
   /// absorbed elsewhere).  Throws std::runtime_error if the linear system
   /// exceeds the dense back end's cap or a sparse solve fails to certify.
+  /// When `certificate` is non-null it receives the lumped back end's
+  /// solve certificate (LumpedMarkovAnalysis::expected_hitting_time); the
+  /// dense back end, which eliminates instead of sweeping, reports a
+  /// converged certificate with zero counts.
   [[nodiscard]] std::optional<double> expected_hitting_time(
-      const ConfigPredicate& target) const;
+      const ConfigPredicate& target,
+      util::SolveCertificate* certificate = nullptr) const;
 
   /// One bottom SCC of the chain and the probability of being absorbed
   /// into it.
@@ -110,8 +115,10 @@ class MarkovAnalysis {
   /// Probability, starting from the initial configuration, of eventually
   /// being absorbed in each bottom SCC.  A lone bottom SCC gets exactly
   /// 1.0 without a solve; otherwise throws std::runtime_error under the
-  /// same conditions as expected_hitting_time().
-  [[nodiscard]] std::vector<Absorption> absorption_probabilities() const;
+  /// same conditions as expected_hitting_time().  `certificate` as there
+  /// (LumpedMarkovAnalysis::absorption_probabilities).
+  [[nodiscard]] std::vector<Absorption> absorption_probabilities(
+      util::SolveCertificate* certificate = nullptr) const;
 
   /// The back end actually built (kDense or kLumped, never kAuto).
   [[nodiscard]] MarkovMethod method() const noexcept { return method_; }

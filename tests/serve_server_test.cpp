@@ -360,6 +360,17 @@ TEST(ServeServer, V4TaggedExactCacheEntryIsAMissAndGetsRetagged) {
       "\"expected_interactions\": 17.5}");
 }
 
+TEST(ServeServer, V5TaggedExactCacheEntryIsAMissAndGetsRetagged) {
+  // The v5 daemon: answers from point Gauss-Seidel sweeps, whose low bits
+  // the line sweeps over free-flip lines no longer reproduce.
+  ASSERT_NE(kExactResultSchema, "ppkd-exact-v5");
+  expect_stale_exact_entry_is_recomputed(
+      "markov_mig_v5",
+      "{\"event\": \"result\", \"mode\": \"markov\", "
+      "\"exact_schema\": \"ppkd-exact-v5\", \"solver\": \"lumped\", "
+      "\"expected_interactions\": 17.5}");
+}
+
 /// Stores a simulate result, rewrites its cache entry with `stale_tag` in
 /// place of the current sim_schema member (an empty string drops the
 /// member), and checks that the next submission recomputes the frame and

@@ -1,11 +1,15 @@
 // Tests of the CSR sparse-matrix kit (util/csr.hpp): builder canonical
 // form, both iterative solvers against hand-solvable systems, the
 // block-by-block Gauss-Seidel of a block-lower-triangular system, the
-// direct seed of small diagonally dominant blocks, and the residual
-// certificate's refusal to bless a non-converged answer.
+// direct seed of small diagonally dominant blocks, the line sweeps and
+// their fallback to rows, and the residual certificate's refusal to bless
+// a non-converged answer.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -410,6 +414,234 @@ TEST(CsrSolve, AMatrixWithoutBlockStructureIsOneBlock) {
   EXPECT_EQ(cert.blocks, 1u);
   for (const double v : x) EXPECT_NEAR(v, 1.0, 1e-10);
 }
+
+// ---------------------------------------------------------------------------
+// Line Gauss-Seidel
+
+/// A matrix given by its (row, column, value) entries.
+CsrMatrix from_entries(
+    std::uint32_t rows,
+    const std::vector<std::tuple<std::uint32_t, std::uint32_t, double>>&
+        entries) {
+  CsrBuilder builder(rows, rows);
+  for (const auto& [row, col, value] : entries) builder.add(row, col, value);
+  return builder.build();
+}
+
+/// Every line one row long: the ends 1, 2, ..., rows.
+std::vector<std::uint32_t> one_row_lines(std::uint32_t rows) {
+  std::vector<std::uint32_t> ends(rows);
+  for (std::uint32_t r = 0; r < rows; ++r) ends[r] = r + 1;
+  return ends;
+}
+
+/// Solves without lines and with `lines` from the same start and requires
+/// the same x and certificate, bit for bit.
+void expect_same_solve(const CsrMatrix& a, const std::vector<double>& b,
+                       const SolveOptions& options,
+                       const std::vector<std::uint32_t>& lines,
+                       const std::string& label) {
+  std::vector<double> plain;
+  const SolveCertificate plain_cert = solve_sparse(a, b, plain, options);
+  std::vector<double> lined;
+  const SolveCertificate lined_cert =
+      solve_sparse(a, b, lined, options, lines);
+  ASSERT_EQ(plain.size(), lined.size()) << label;
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(plain[i]),
+              std::bit_cast<std::uint64_t>(lined[i]))
+        << label << ": component " << i;
+  }
+  EXPECT_EQ(plain_cert.converged, lined_cert.converged) << label;
+  EXPECT_EQ(plain_cert.sweeps, lined_cert.sweeps) << label;
+  EXPECT_EQ(plain_cert.blocks, lined_cert.blocks) << label;
+  EXPECT_EQ(plain_cert.row_updates, lined_cert.row_updates) << label;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plain_cert.residual),
+            std::bit_cast<std::uint64_t>(lined_cert.residual))
+      << label;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plain_cert.residual_bound),
+            std::bit_cast<std::uint64_t>(lined_cert.residual_bound))
+      << label;
+}
+
+TEST(CsrLines, OneRowLinesAreThePointSweepBitForBit) {
+  // Every system of the tests above, under the options they solve it
+  // with: one-row lines must change nothing, converged or not.
+  struct System {
+    std::string name;
+    CsrMatrix a;
+    std::vector<double> b;
+    std::uint32_t max_sweeps;
+  };
+  const CsrMatrix divergent =
+      from_entries(2, {{0, 0, 1.0}, {0, 1, 3.0}, {1, 0, 3.0}, {1, 1, 1.0}});
+  const std::vector<System> systems = {
+      {"dominant 3x3",
+       from_entries(3, {{0, 0, 4.0}, {0, 1, -1.0}, {1, 0, -1.0}, {1, 1, 4.0},
+                        {1, 2, -1.0}, {2, 1, -1.0}, {2, 2, 4.0}}),
+       {2.0, 4.0, 10.0}, 100'000},
+      {"jacobi agreement",
+       from_entries(3, {{0, 0, 5.0}, {0, 2, 1.0}, {1, 1, 3.0}, {1, 0, -1.0},
+                        {2, 2, 6.0}, {2, 1, 2.0}}),
+       {7.0, -1.0, 4.0}, 100'000},
+      {"missing diagonal",
+       from_entries(2, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 1.0}}), {1.0, 1.0},
+       100'000},
+      {"divergent, 200 sweeps", divergent, {1.0, 2.0}, 200},
+      {"divergent, 2000 sweeps", divergent, {1.0, 2.0}, 2000},
+      {"divergent, to the cap", divergent, {1.0, 2.0}, 100'000},
+      {"NaN from finite values",
+       from_entries(3, {{0, 0, 1.0}, {0, 1, -3.0}, {0, 2, -3.0}, {1, 0, -3.0},
+                        {1, 1, 1.0}, {1, 2, -3.0}, {2, 0, -2.0}, {2, 1, 2.0},
+                        {2, 2, 1.0}}),
+       {1.0, 2.0, 3.0}, 100'000},
+      {"two blocks", two_block_system(), {3.0, 3.0, 0.01, 0.005}, 100'000},
+      {"slow ring", ring_system(200, 0.995),
+       std::vector<double>(200, 0.005), 100'000},
+      {"ring at the direct size", ring_system(kDirectBlockMax, 0.9),
+       std::vector<double>(kDirectBlockMax, 0.1), 100'000},
+      {"ring past the direct size", ring_system(kDirectBlockMax + 1, 0.9),
+       std::vector<double>(kDirectBlockMax + 1, 0.1), 100'000},
+      {"direct seed",
+       from_entries(4, {{0, 0, 2.0}, {1, 0, -1.0}, {1, 1, 4.0}, {1, 2, -1.0},
+                        {1, 3, -2.0}, {2, 1, -1.0}, {2, 2, 5.0}, {2, 3, -3.0},
+                        {3, 0, -2.0}, {3, 1, -2.0}, {3, 2, -1.0},
+                        {3, 3, 6.0}}),
+       {2.0, 0.0, 2.0, 1.0}, 100'000},
+      {"jump-chain row",
+       from_entries(4, {{0, 0, 1.0}, {0, 1, -9.0 / 28.0},
+                        {0, 2, -18.0 / 28.0}, {0, 3, -1.0 / 28.0},
+                        {1, 0, -0.5}, {1, 1, 1.0}, {2, 0, -0.5}, {2, 2, 1.0},
+                        {3, 0, -0.5}, {3, 3, 1.0}}),
+       {0.0, 0.5, 0.5, 0.5}, 100'000},
+      {"divergent later block",
+       from_entries(3, {{0, 0, 2.0}, {1, 0, -1.0}, {1, 1, 1.0}, {1, 2, 3.0},
+                        {2, 1, 3.0}, {2, 2, 1.0}}),
+       {2.0, 1.0, 2.0}, 200},
+      {"no block structure",
+       from_entries(3, {{0, 0, 4.0}, {0, 2, -1.0}, {1, 0, -1.0}, {1, 1, 4.0},
+                        {2, 1, -1.0}, {2, 2, 4.0}}),
+       {3.0, 3.0, 3.0}, 100'000},
+  };
+  for (const System& system : systems) {
+    for (const auto method : {SolveOptions::Method::kGaussSeidel,
+                              SolveOptions::Method::kJacobi}) {
+      SolveOptions options;
+      options.method = method;
+      options.max_sweeps = system.max_sweeps;
+      expect_same_solve(system.a, system.b, options,
+                        one_row_lines(system.a.rows), system.name);
+    }
+  }
+}
+
+/// One irreducible pentadiagonal block of `rows` rows: row r feeds on its
+/// neighbours within two rows, sharing the weight `feed` among them, with
+/// a right-hand side of 1 - feed, so x = 1 solves it.
+CsrMatrix pentadiagonal_system(std::uint32_t rows, double feed) {
+  CsrBuilder builder(rows, rows);
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    builder.add(r, r, 1.0);
+    std::vector<std::uint32_t> neighbours;
+    for (std::uint32_t c = r >= 2 ? r - 2 : 0; c <= r + 2 && c < rows; ++c) {
+      if (c != r) neighbours.push_back(c);
+    }
+    for (const std::uint32_t c : neighbours) {
+      builder.add(r, c, -feed / static_cast<double>(neighbours.size()));
+    }
+  }
+  return builder.build();
+}
+
+TEST(CsrLines, ALineIsSolvedExactlyInEachSweep) {
+  // A slow-mixing block too large to seed: point sweeps need hundreds,
+  // while one line over the whole block is solved exactly by the first
+  // sweep and certified by the second.  Both meet Jacobi.
+  constexpr std::uint32_t rows = 200;
+  static_assert(rows > kDirectBlockMax);
+  const CsrMatrix a = pentadiagonal_system(rows, 0.995);
+  const std::vector<double> b(rows, 0.005);
+  const std::vector<std::uint32_t> one_line = {rows};
+
+  std::vector<double> lined;
+  const SolveCertificate lined_cert = solve_sparse(a, b, lined, {}, one_line);
+  ASSERT_TRUE(lined_cert.converged) << "residual " << lined_cert.residual;
+  EXPECT_EQ(lined_cert.blocks, 1u);
+  EXPECT_LE(lined_cert.sweeps, 3u);
+  EXPECT_EQ(lined_cert.row_updates, std::uint64_t{lined_cert.sweeps} * rows);
+
+  std::vector<double> point;
+  const SolveCertificate point_cert = solve_sparse(a, b, point);
+  ASSERT_TRUE(point_cert.converged) << "residual " << point_cert.residual;
+  EXPECT_GT(point_cert.sweeps, 100u);
+
+  std::vector<double> jacobi;
+  SolveOptions jacobi_options;
+  jacobi_options.method = SolveOptions::Method::kJacobi;
+  ASSERT_TRUE(solve_sparse(a, b, jacobi, jacobi_options, one_line).converged);
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    EXPECT_NEAR(lined[r], jacobi[r], 1e-10) << "component " << r;
+    EXPECT_NEAR(lined[r], 1.0, 1e-10) << "component " << r;
+  }
+}
+
+TEST(CsrLines, LinesAreCutAtBlockBoundaries) {
+  // The two-block system with one line over all four rows: the line is
+  // cut into one per block, each solved exactly, and the answer meets the
+  // point sweep's.
+  const CsrMatrix a = two_block_system();
+  const std::vector<double> b = {3.0, 3.0, 0.01, 0.005};
+  std::vector<double> lined;
+  const SolveCertificate cert =
+      solve_sparse(a, b, lined, {}, std::vector<std::uint32_t>{4});
+  ASSERT_TRUE(cert.converged) << "residual " << cert.residual;
+  EXPECT_EQ(cert.blocks, 2u);
+  std::vector<double> point;
+  ASSERT_TRUE(solve_sparse(a, b, point).converged);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_NEAR(lined[i], point[i], 1e-10) << "component " << i;
+  }
+}
+
+TEST(CsrLines, ATooWideRunFallsBackToRows) {
+  // The ring's last row reaches back to column 0, 199 columns from its
+  // diagonal: a line over the whole ring is wider than the band, so it is
+  // solved row by row -- exactly the point sweep -- and still certifies.
+  constexpr std::uint32_t rows = 200;
+  const CsrMatrix a = ring_system(rows, 0.995);
+  const std::vector<double> b(rows, 0.005);
+  std::vector<detail::LineRow> factors(rows);
+  std::vector<std::uint32_t> diag(rows);
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    for (std::uint32_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
+      if (a.col[i] == r) diag[r] = i;
+    }
+  }
+  EXPECT_FALSE(detail::factor_line(a, diag, 0, rows, factors.data()));
+  // Rows 0 .. 198 alone are a band: each reaches one column right.
+  EXPECT_TRUE(detail::factor_line(a, diag, 0, rows - 1, factors.data()));
+
+  SolveOptions options;
+  expect_same_solve(a, b, options, {rows}, "ring as one line");
+  std::vector<double> x;
+  const SolveCertificate cert =
+      solve_sparse(a, b, x, options, std::vector<std::uint32_t>{rows});
+  EXPECT_TRUE(cert.converged) << "residual " << cert.residual;
+  for (const double v : x) EXPECT_NEAR(v, 1.0, 1e-10);
+}
+
+TEST(CsrLines, AZeroPivotFallsBackToRows) {
+  // [1 1; 1 1] has a zero second pivot: the line is solved row by row.
+  const CsrMatrix a =
+      from_entries(2, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 1.0}});
+  std::vector<detail::LineRow> factors(2);
+  const std::vector<std::uint32_t> diag = {0, 3};
+  EXPECT_FALSE(detail::factor_line(a, diag, 0, 2, factors.data()));
+  SolveOptions options;
+  options.max_sweeps = 50;
+  expect_same_solve(a, {1.0, 2.0}, options, {2}, "singular line");
+}
+
 
 TEST(CompensatedSumTest, RecoversMassLostToCancellation) {
   // 1 + 1e-16 (x many) naively stays 1; Neumaier keeps the tail.

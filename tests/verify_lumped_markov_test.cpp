@@ -17,6 +17,8 @@
 //    reference enumeration (the explorer evaluates one successor per net
 //    move class instead);
 //  * Gauss-Seidel / Jacobi agreement on hitting times and absorption;
+//  * the merge classes that form the solver's lines, answers left bit for
+//    bit alone where there are none, and the line sweep's work pinned;
 //  * recoverable refusal of the sizes the narrowed fields cannot hold, and
 //    a bytes-per-orbit bound on the stored arrays.
 
@@ -660,6 +662,147 @@ TEST(LumpedMarkov, GaussSeidelAndJacobiAgree) {
   expect_solvers_agree(table, pp::trivial_symmetry(protocol.num_states()),
                        initial_counts(protocol, 9), silent,
                        "basic strategy k=3 n=9");
+}
+
+// ---------------------------------------------------------------------------
+// Lines: merge classes and line Gauss-Seidel
+
+/// The lumped chain of `protocol` from n agents in its initial state.
+std::optional<LumpedMarkovAnalysis> build_lumped(
+    const pp::Protocol& protocol, const pp::TransitionTable& table,
+    const pp::SymmetrySpec& symmetry, std::uint32_t n,
+    LumpedOptions options = {}) {
+  std::string why;
+  auto lumped = LumpedMarkovAnalysis::try_build(
+      table, symmetry, initial_counts(protocol, n), options, &why);
+  EXPECT_TRUE(lumped.has_value()) << why;
+  return lumped;
+}
+
+TEST(LumpedMarkov, KPartitionMergesExactlyTheFreeFlip) {
+  // initial and initial' have one effectiveness row and column, and rules
+  // 1-4 move agents only between them; no other pair's transfers stay
+  // among twins.
+  for (pp::GroupId k = 2; k <= 6; ++k) {
+    const core::KPartitionProtocol protocol(k);
+    const pp::TransitionTable table(protocol);
+    const auto lumped =
+        build_lumped(protocol, table, protocol.symmetry(), 2 * k);
+    ASSERT_TRUE(lumped.has_value());
+    const std::vector<std::vector<pp::StateId>> expected = {
+        {core::KPartitionProtocol::kInitial,
+         core::KPartitionProtocol::kInitialPrime}};
+    EXPECT_EQ(lumped->merge_classes(), expected) << "k=" << int{k};
+  }
+  // At k = 5 the builders m2, m3, m4 are twins as well, but no pair moves
+  // an agent only among them, so the classes above leave them apart.
+  const core::KPartitionProtocol protocol(5);
+  const pp::TransitionTable table(protocol);
+  for (const pp::GroupId i : {pp::GroupId{2}, pp::GroupId{3}}) {
+    for (pp::StateId x = 0; x < protocol.num_states(); ++x) {
+      EXPECT_EQ(table.effective(protocol.m(i), x),
+                table.effective(protocol.m(i + 1), x));
+      EXPECT_EQ(table.effective(x, protocol.m(i)),
+                table.effective(x, protocol.m(i + 1)));
+    }
+  }
+}
+
+TEST(LumpedMarkov, WithoutTwinMovesTheAnswersAreBitIdentical) {
+  // No merge class, so every line is one orbit and the solve is the point
+  // Gauss-Seidel: the answers are the bits the point solver gave.
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  {
+    const core::WeakKPartitionProtocol protocol(3);
+    const pp::TransitionTable table(protocol);
+    const auto lumped = build_lumped(protocol, table, protocol.symmetry(), 12);
+    ASSERT_TRUE(lumped.has_value());
+    EXPECT_TRUE(lumped->merge_classes().empty());
+    const auto expected =
+        lumped->expected_hitting_time(silence_predicate(table));
+    ASSERT_TRUE(expected.has_value());
+    EXPECT_EQ(bits(*expected), bits(0x1.fbbb05a7e0184p+7));
+  }
+  {
+    // Rule (0, 0) -> (1, 1) then (0, 1) -> (2, 2): several silent ends.
+    const pp::RuleListProtocol protocol(3, {{0, 0, 1, 1}, {0, 1, 2, 2}});
+    const pp::TransitionTable table(protocol);
+    const auto lumped = build_lumped(
+        protocol, table, pp::trivial_symmetry(protocol.num_states()), 12);
+    ASSERT_TRUE(lumped.has_value());
+    EXPECT_TRUE(lumped->merge_classes().empty());
+    const auto expected =
+        lumped->expected_hitting_time(silence_predicate(table));
+    ASSERT_TRUE(expected.has_value());
+    EXPECT_EQ(bits(*expected), bits(0x1.dc9d0c37e96e5p+5));
+    const std::vector<std::pair<pp::Counts, double>> pinned = {
+        {{0, 12, 0}, 0x1.808bc7885347bp-8},
+        {{0, 8, 4}, 0x1.d95475ab79fb1p-3},
+        {{0, 4, 8}, 0x1.4653b298c322bp-1},
+        {{0, 0, 12}, 0x1.015861b536df8p-3}};
+    const auto absorption = lumped->absorption_probabilities();
+    ASSERT_EQ(absorption.size(), pinned.size());
+    for (std::size_t i = 0; i < pinned.size(); ++i) {
+      EXPECT_EQ(absorption[i].representative, pinned[i].first) << i;
+      EXPECT_EQ(bits(absorption[i].probability), bits(pinned[i].second)) << i;
+    }
+  }
+}
+
+TEST(LumpedMarkov, LineSweepsMatchJacobiWhereLinesAreLong) {
+  // k = 3, n = 36 and k = 4, n = 28: lines of up to n + 1 orbits.
+  for (const auto& [k, n] : {std::pair<pp::GroupId, std::uint32_t>{3, 36},
+                             std::pair<pp::GroupId, std::uint32_t>{4, 28}}) {
+    const core::KPartitionProtocol protocol(k);
+    const pp::TransitionTable table(protocol);
+    const auto target = [&protocol, n](const pp::Counts& config) {
+      return core::matches_stable_pattern(protocol, n, config);
+    };
+    LumpedOptions jacobi_options;
+    jacobi_options.solver.method = util::SolveOptions::Method::kJacobi;
+    const auto gs = build_lumped(protocol, table, protocol.symmetry(), n);
+    const auto reference = build_lumped(protocol, table, protocol.symmetry(),
+                                        n, jacobi_options);
+    ASSERT_TRUE(gs.has_value() && reference.has_value());
+    const std::optional<double> lines = gs->expected_hitting_time(target);
+    const std::optional<double> jacobi =
+        reference->expected_hitting_time(target);
+    ASSERT_TRUE(lines.has_value() && jacobi.has_value());
+    EXPECT_NEAR(*lines / *jacobi, 1.0, 1e-11)
+        << "k=" << int{k} << " n=" << n << ": lines=" << *lines
+        << " jacobi=" << *jacobi;
+  }
+}
+
+TEST(LumpedMarkov, LineSweepsBoundTheSolversWork) {
+  // k = 3, n = 36: point Gauss-Seidel needs 251 sweeps on the largest
+  // block and about 1.16 M row updates; lines need a few dozen sweeps.
+  const core::KPartitionProtocol protocol(3);
+  const pp::TransitionTable table(protocol);
+  MarkovOptions options;
+  options.symmetry = protocol.symmetry();
+  const MarkovAnalysis markov(table, initial_counts(protocol, 36),
+                              std::move(options));
+  util::SolveCertificate cert;
+  const auto expected = markov.expected_hitting_time(
+      [&protocol](const pp::Counts& config) {
+        return core::matches_stable_pattern(protocol, 36, config);
+      },
+      &cert);
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_TRUE(cert.converged);
+  EXPECT_LE(cert.sweeps, 40u);
+  EXPECT_LE(cert.row_updates, 300'000u);
+  EXPECT_NEAR(*expected / 1346.5513005261539, 1.0, 1e-11);
+
+  // Absorption here needs no solve: a converged, empty certificate.
+  cert.sweeps = 7;
+  (void)markov.absorption_probabilities(&cert);
+  EXPECT_TRUE(cert.converged);
+  EXPECT_EQ(cert.sweeps, 0u);
+  EXPECT_EQ(cert.row_updates, 0u);
 }
 
 // ---------------------------------------------------------------------------
