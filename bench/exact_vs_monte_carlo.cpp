@@ -11,14 +11,17 @@
 // measurement pipeline.  Also prints the *exact* wedge probability of the
 // basic-strategy ablation next to its sampled estimate.
 //
-// The lumped blocks benchmark the symmetry-lumped sparse back end
-// (verify/lumped_markov.hpp) against the dense one:
+// The lumped blocks benchmark the library's one exact solver, the
+// symmetry-lumped sparse chain (verify/lumped_markov.hpp), against the
+// tests' dense-elimination reference over the raw chain
+// (tests/dense_markov_reference.hpp):
 //
-//   agreement  at every size the dense path reaches, both back ends must
+//   agreement  at every size the dense reference reaches, both must
 //              produce the same expectation to <= 1e-9 relative error
 //              (gated by scripts/check_bench_regression.py), and
-//   ceiling    per family, one chain at least 10x past the dense solver's
-//              3000-unknown cap that the lumped path still answers.
+//   ceiling    per family, one chain at least 10x past the dense
+//              reference's 3000-unknown cap that the lumped path still
+//              answers.
 //
 // Every gated figure is exact (a count or a solver answer), so the report
 // needs no timing calibration; --json writes the machine-readable report
@@ -37,6 +40,7 @@
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "core/weak_kpartition.hpp"
+#include "dense_markov_reference.hpp"
 #include "pp/monte_carlo.hpp"
 #include "pp/transition_table.hpp"
 #include "verify/markov.hpp"
@@ -141,16 +145,17 @@ struct CeilingRow {
   std::uint64_t row_updates;
 };
 
-/// The dense back end's hard system-size cap (verify/markov.cpp throws
-/// past it); the ceiling gate requires the lumped rows to sit >= 10x it.
-constexpr std::uint64_t kDenseCap = 3000;
+/// The dense reference's hard system-size cap (it throws past it); the
+/// ceiling gate requires the lumped rows to sit >= 10x it.
+constexpr std::uint64_t kDenseCap =
+    ppk::verify::DenseMarkovReference::kMaxDenseSystem;
 
 }  // namespace
 
 int main(int argc, char** argv) {
   ppk::Cli cli("exact_vs_monte_carlo",
                "Analytic expected stabilization time vs sampled mean, and "
-               "the lumped back end vs the dense one.");
+               "the lumped solver vs the dense reference.");
   ppk::bench::CommonFlags common(cli, /*default_trials=*/2000);
   auto smoke = cli.flag<bool>(
       "smoke", false,
@@ -214,21 +219,20 @@ int main(int argc, char** argv) {
     const double ci = 1.96 * empirical.stddev_interactions() /
                       std::sqrt(static_cast<double>(trials));
     const double a = analytic.value_or(-1.0);
-    table.row(int{c.k}, c.n, a, mean, ci, markov.graph().num_configs(),
+    table.row(int{c.k}, c.n, a, mean, ci, markov.reachable_configs(),
               a > 0 ? std::abs(mean - a) / a : -1.0);
-    mc_rows.push_back(
-        {int{c.k}, c.n, a, mean, ci, markov.graph().num_configs()});
+    mc_rows.push_back({int{c.k}, c.n, a, mean, ci, markov.reachable_configs()});
     if (csv) {
-      csv->row(int{c.k}, c.n, a, mean, ci, markov.graph().num_configs(),
-               trials);
+      csv->row(int{c.k}, c.n, a, mean, ci, markov.reachable_configs(), trials);
     }
   }
   table.print(std::cout);
 
   // --- Lumped vs dense agreement ------------------------------------------
-  // Both back ends over the same chain at dense-reachable sizes; the
-  // regression gate pins every row to <= 1e-9 relative error.
-  std::printf("\n--- symmetry-lumped back end vs dense elimination ---\n");
+  // The lumped solver and the dense reference over the same chain at
+  // dense-reachable sizes; the regression gate pins every row to <= 1e-9
+  // relative error.
+  std::printf("\n--- symmetry-lumped solver vs dense elimination ---\n");
   std::vector<AgreementRow> agreement;
   ppk::analysis::Table agree_table(
       {"family", "k", "n", "dense", "lumped", "rel error", "configs",
@@ -245,9 +249,7 @@ int main(int argc, char** argv) {
       const ppk::pp::Counts initial = all_initial(*protocol, n);
       const ConfigPredicate target = family.target(*protocol, tt, n);
 
-      ppk::verify::MarkovOptions dense_options;
-      dense_options.method = ppk::verify::MarkovMethod::kDense;
-      const ppk::verify::MarkovAnalysis dense(tt, initial, dense_options);
+      const ppk::verify::DenseMarkovReference dense(tt, initial);
       const auto dense_expected = dense.expected_hitting_time(target);
 
       ppk::verify::MarkovOptions lumped_options;
@@ -260,12 +262,11 @@ int main(int argc, char** argv) {
       const double l = lumped_expected.value_or(-1.0);
       const double rel = d > 0 ? std::abs(l - d) / d : -1.0;
       agreement.push_back({family.name, family.k, n, d, l, rel,
-                           static_cast<std::uint64_t>(
-                               dense.graph().num_configs()),
+                           dense.reachable_configs(),
                            lumped.lumped().num_orbits(),
                            lumped.lumped().group_order()});
       agree_table.row(family.name, family.k, n, d, l, rel,
-                      dense.graph().num_configs(),
+                      dense.reachable_configs(),
                       lumped.lumped().num_orbits(),
                       lumped.lumped().group_order());
     }
@@ -274,7 +275,7 @@ int main(int argc, char** argv) {
 
   // --- Lumped ceiling -------------------------------------------------------
   // Per family: walk n upward until the reachable space is >= 10x the
-  // dense cap, then solve that chain with the lumped back end.  Every
+  // dense cap, then solve that chain with the lumped solver.  Every
   // figure here is a count or an exact answer -- no calibration needed.
   std::printf("\n--- lumped ceiling (10x past the dense %llu-unknown cap) "
               "---\n",
@@ -349,7 +350,7 @@ int main(int argc, char** argv) {
       }
       if (!ppk::pp::is_uniform_partition(sizes)) wedge += a.probability;
     }
-    wedge_table.row(int{c.k}, c.n, wedge, markov.graph().num_configs());
+    wedge_table.row(int{c.k}, c.n, wedge, markov.reachable_configs());
   }
   wedge_table.print(std::cout);
 
@@ -428,9 +429,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nReading: the sampled means land within their confidence interval\n"
       "of the exact expectations -- the simulation pipeline measures what\n"
-      "the theory defines.  The lumped back end reproduces every dense\n"
-      "answer to <= 1e-9 relative error and solves chains an order of\n"
-      "magnitude past the dense cap.  The exact wedge probabilities\n"
+      "the theory defines.  The lumped solver reproduces every dense\n"
+      "reference answer to <= 1e-9 relative error and solves chains an\n"
+      "order of magnitude past the dense cap.  The exact wedge probabilities\n"
       "quantify how often the D-state-free ablation fails (cf.\n"
       "ablation_dstates).\n");
   return 0;

@@ -155,8 +155,8 @@ pp::SymmetrySpec KPartitionProtocol::symmetry() const {
   // demolished agents as the specific free state `initial`, so the
   // initial <-> initial' flip is not a table automorphism (check_symmetry
   // rejects it at the (g1, d1) pair), and the builder/demolisher chains
-  // pin every group index.  The trivial spec still routes the exact
-  // analysis through the sparse solver.
+  // pin every group index, so the exact analysis solves the unlumped
+  // chain.
   return spec;
 }
 

@@ -386,7 +386,6 @@ void ScenarioService::run_exact(const ScenarioSpec& spec,
     verify::MarkovOptions options;
     options.symmetry = runtime.protocol().symmetry();
     options.lumped.max_orbits = options_.markov_max_orbits;
-    options.explore.max_configs = options_.markov_max_orbits;
     std::string why;
     const std::optional<verify::MarkovAnalysis> analysis =
         verify::MarkovAnalysis::try_create(runtime.table(), initial,

@@ -1,14 +1,15 @@
 // Symmetry-lumped exact Markov-chain analysis under the uniform-random
 // scheduler.
 //
-// The raw chain of markov.hpp lives on count-vector configurations.  When
-// the protocol declares a state-permutation symmetry group (SymmetrySpec,
-// machine-checked by pp::check_symmetry), the group's action on count
-// vectors commutes with the scheduler, so the orbit partition of the
-// configuration space is *strongly lumpable* (Kemeny-Snell): the process
-// watched on orbits is itself a Markov chain, and every orbit-invariant
-// quantity -- hitting times of symmetric target sets, absorption
-// probabilities, the full hitting-time distribution -- is preserved
+// This is the one exact solver; verify/markov.hpp is its front.  The raw
+// chain lives on count-vector configurations.  When the protocol declares
+// a state-permutation symmetry group (SymmetrySpec, machine-checked by
+// pp::check_symmetry), the group's action on count vectors commutes with
+// the scheduler, so the orbit partition of the configuration space is
+// *strongly lumpable* (Kemeny-Snell): the process watched on orbits is
+// itself a Markov chain, and every orbit-invariant quantity -- hitting
+// times of symmetric target sets, absorption probabilities, the full
+// hitting-time distribution -- is preserved
 // exactly.  This module explores only canonical orbit representatives
 // (lex-min over group images), accumulates transition rates as exact
 // integer numerators over the common denominator n*(n-1), and certifies
@@ -61,8 +62,10 @@
 // The win is twofold: the orbit quotient shrinks the state space by up to
 // the group order, and the sparse solver removes the few-thousand-unknown
 // ceiling of dense elimination -- together they push exact analysis an
-// order of magnitude past where markov.hpp's dense path gives up
-// (bench/exact_vs_monte_carlo measures the ceilings).
+// order of magnitude past where dense elimination over the raw chain gives
+// up (bench/exact_vs_monte_carlo measures the ceilings against the tests'
+// dense reference).  Under the trivial group (no symmetry declared) every
+// orbit is one configuration and this solves the raw chain itself.
 
 #pragma once
 
@@ -141,7 +144,7 @@ class LumpedMarkovAnalysis {
 
   /// Total raw configurations covered: the sum of orbit sizes.  This is
   /// the number the raw chain would have had to explore and is the basis
-  /// for ceiling comparisons against the dense path.
+  /// for ceiling comparisons against dense elimination.
   [[nodiscard]] std::uint64_t raw_config_count() const noexcept {
     return raw_config_count_;
   }

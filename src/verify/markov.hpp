@@ -18,21 +18,22 @@
 //    the exact wedge probability that the ablation bench estimates
 //    empirically.
 //
-// Two back ends, selected by MarkovOptions::method:
-//
-//  * kDense -- the raw reachable configuration graph with dense Gaussian
-//    elimination; simple, battle-tested, capped at a few thousand
-//    unknowns.
-//  * kLumped -- the symmetry-lumped quotient chain with the sparse
-//    residual-certified solver (verify/lumped_markov.hpp); reaches an
-//    order of magnitude further when a SymmetrySpec is supplied.
-//  * kAuto (default) -- lumped when a symmetry is declared in the options,
-//    dense otherwise; falls back to dense if the lumped build fails.
+// One solver does the work: MarkovAnalysis is a thin front over the
+// symmetry-lumped quotient chain and its residual-certified sparse solver
+// (verify/lumped_markov.hpp).  The chain is quotiented by the declared
+// symmetry (MarkovOptions::symmetry, normally pp::Protocol::symmetry()) or,
+// when none is declared, by the trivial group, which leaves every orbit a
+// single configuration, so the solve runs on the raw chain.  Even then it
+// beats dense elimination over the raw graph by one to two orders of
+// magnitude in time (docs/exact.md, "Back-end selection") and has no
+// few-thousand-unknown ceiling, so the library has no dense path.  The
+// tests keep dense elimination as their independent oracle
+// (tests/dense_markov_reference.hpp).
 //
 // Every resource limit is a *recoverable* error: construction is by
-// try_create() returning nullopt with a reason (the convenience
-// constructor throws std::runtime_error instead), and a query whose
-// linear system exceeds the dense cap throws rather than aborting the
+// try_create() returning nullopt with the lumped build's reason (the
+// convenience constructor throws std::runtime_error instead), and a query
+// whose sparse solve fails to certify throws rather than aborting the
 // process -- a too-large analysis request must never take down a server
 // that embeds this module.
 
@@ -41,6 +42,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pp/protocol.hpp"
@@ -50,33 +52,38 @@
 
 namespace ppk::verify {
 
-/// Back-end selection for MarkovAnalysis.
+/// Which symmetry MarkovAnalysis quotients by.  Kept only because
+/// perfbench's exact_ceiling check still names kDense; it goes once that
+/// check stops setting it (ROADMAP item 1).
 enum class MarkovMethod : std::uint8_t {
-  kAuto,    // lumped when MarkovOptions::symmetry is set, else dense
-  kDense,   // raw configuration chain + dense elimination
-  kLumped,  // orbit-quotient chain + sparse solver (requires symmetry)
+  kAuto,   // MarkovOptions::symmetry, or the trivial group when unset
+  kDense,  // the trivial group whatever is declared: the unlumped chain
 };
 
 /// Construction options for MarkovAnalysis.
 struct MarkovOptions {
-  /// Back end (see MarkovMethod).
+  /// See MarkovMethod.
   MarkovMethod method = MarkovMethod::kAuto;
-  /// Exploration limits for the dense back end.
+  /// Read by nothing.  Kept only because perfbench's exact_ceiling
+  /// workload still sets it; it goes with MarkovMethod (ROADMAP item 1).
+  /// The orbit cap is `lumped.max_orbits`.
   ExploreOptions explore = {};
-  /// The protocol's declared symmetry (pp::Protocol::symmetry()); enables
-  /// the lumped back end.  A trivial spec still routes kAuto/kLumped
-  /// through the sparse solver -- only an absent one forces dense.
+  /// The protocol's declared symmetry (pp::Protocol::symmetry()); the
+  /// chain is quotiented by it.  Unset means the trivial group.
   std::optional<pp::SymmetrySpec> symmetry;
-  /// Limits and solver configuration for the lumped back end.
+  /// Limits and solver configuration of the lumped chain.
   LumpedOptions lumped = {};
 };
 
 class MarkovAnalysis {
  public:
+  using Absorption = LumpedMarkovAnalysis::Absorption;
+
   /// Builds the chain reachable from `initial` under `table`.  Returns
-  /// nullopt -- with a one-line reason in `*why` when non-null -- if
-  /// exploration exceeds the configured limits or the requested back end
-  /// cannot be built.  Never aborts the process.
+  /// nullopt -- with the lumped build's one-line reason in `*why` when
+  /// non-null -- if the build fails (a limit of `options.lumped` exceeded,
+  /// or a declared symmetry that is not one; see
+  /// LumpedMarkovAnalysis::try_build).  Never aborts the process.
   [[nodiscard]] static std::optional<MarkovAnalysis> try_create(
       const pp::TransitionTable& table, const pp::Counts& initial,
       MarkovOptions options = {}, std::string* why = nullptr);
@@ -90,69 +97,53 @@ class MarkovAnalysis {
   /// until a configuration satisfying `target` is entered (0 if the
   /// initial configuration already satisfies it).  Returns nullopt if the
   /// target is not reached with probability 1 (some execution can get
-  /// absorbed elsewhere).  Throws std::runtime_error if the linear system
-  /// exceeds the dense back end's cap or a sparse solve fails to certify.
-  /// When `certificate` is non-null it receives the lumped back end's
-  /// solve certificate (LumpedMarkovAnalysis::expected_hitting_time); the
-  /// dense back end, which eliminates instead of sweeping, reports a
-  /// converged certificate with zero counts.
+  /// absorbed elsewhere).  `target` must be constant on each orbit of the
+  /// symmetry (std::invalid_argument otherwise), and a sparse solve that
+  /// fails to certify throws std::runtime_error.  When `certificate` is
+  /// non-null it receives the solve's certificate
+  /// (LumpedMarkovAnalysis::expected_hitting_time).
   [[nodiscard]] std::optional<double> expected_hitting_time(
       const ConfigPredicate& target,
-      util::SolveCertificate* certificate = nullptr) const;
-
-  /// One bottom SCC of the chain and the probability of being absorbed
-  /// into it.
-  struct Absorption {
-    /// SCC id (reverse topological order, per back end).
-    std::uint32_t scc;
-    /// A representative configuration of the SCC (the canonical orbit
-    /// representative under the lumped back end).
-    pp::Counts representative;
-    /// Probability of ending in this SCC; probabilities sum to 1.
-    double probability;
-  };
-
-  /// Probability, starting from the initial configuration, of eventually
-  /// being absorbed in each bottom SCC.  A lone bottom SCC gets exactly
-  /// 1.0 without a solve; otherwise throws std::runtime_error under the
-  /// same conditions as expected_hitting_time().  `certificate` as there
-  /// (LumpedMarkovAnalysis::absorption_probabilities).
-  [[nodiscard]] std::vector<Absorption> absorption_probabilities(
-      util::SolveCertificate* certificate = nullptr) const;
-
-  /// The back end actually built (kDense or kLumped, never kAuto).
-  [[nodiscard]] MarkovMethod method() const noexcept { return method_; }
-
-  /// Stable name of the built back end: "dense" or "lumped".  Used to tag
-  /// cached exact results so answers from different solvers are never
-  /// conflated.
-  [[nodiscard]] const char* method_name() const noexcept {
-    return method_ == MarkovMethod::kLumped ? "lumped" : "dense";
+      util::SolveCertificate* certificate = nullptr) const {
+    return lumped_.expected_hitting_time(target, certificate);
   }
 
-  /// Number of raw reachable configurations covered by the analysis (the
-  /// sum of orbit sizes under the lumped back end).
-  [[nodiscard]] std::uint64_t reachable_configs() const noexcept;
+  /// Probability, starting from the initial configuration, of eventually
+  /// being absorbed in each bottom SCC of the orbit graph, each keyed by
+  /// a canonical orbit representative.  A lone bottom SCC gets exactly
+  /// 1.0 without a solve; otherwise throws std::runtime_error if a solve
+  /// fails to certify.  `certificate` as there
+  /// (LumpedMarkovAnalysis::absorption_probabilities).
+  [[nodiscard]] std::vector<Absorption> absorption_probabilities(
+      util::SolveCertificate* certificate = nullptr) const {
+    return lumped_.absorption_probabilities(certificate);
+  }
 
-  /// True iff the dense back end was built (graph() is then available).
-  [[nodiscard]] bool has_graph() const noexcept { return graph_.has_value(); }
+  /// Stable name of the solver: always "lumped".  Tags cached exact
+  /// results, so answers from different solvers are never conflated.
+  [[nodiscard]] static const char* method_name() noexcept { return "lumped"; }
 
-  /// The raw configuration graph; dense back end only.
-  [[nodiscard]] const ConfigGraph& graph() const;
+  /// Number of raw reachable configurations covered by the analysis: the
+  /// sum of orbit sizes.
+  [[nodiscard]] std::uint64_t reachable_configs() const noexcept {
+    return lumped_.raw_config_count();
+  }
 
-  /// The orbit-quotient analysis; lumped back end only (see has_graph()).
-  [[nodiscard]] const LumpedMarkovAnalysis& lumped() const;
+  /// The orbit-quotient analysis.
+  [[nodiscard]] const LumpedMarkovAnalysis& lumped() const noexcept {
+    return lumped_;
+  }
 
   /// Population size n (derived from the initial configuration).
-  [[nodiscard]] std::uint64_t population_size() const noexcept { return n_; }
+  [[nodiscard]] std::uint64_t population_size() const noexcept {
+    return lumped_.population_size();
+  }
 
  private:
-  MarkovAnalysis() = default;
+  explicit MarkovAnalysis(LumpedMarkovAnalysis lumped)
+      : lumped_(std::move(lumped)) {}
 
-  std::optional<ConfigGraph> graph_;
-  std::optional<LumpedMarkovAnalysis> lumped_;
-  MarkovMethod method_ = MarkovMethod::kDense;
-  std::uint64_t n_ = 0;
+  LumpedMarkovAnalysis lumped_;
 };
 
 }  // namespace ppk::verify

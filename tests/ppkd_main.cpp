@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
       "checkpoint-every", 4, "checkpoint cadence in campaign progress events");
   auto markov_max_orbits = cli.flag<long long>(
       "markov-max-orbits", 1'000'000,
-      "exact-mode exploration cap (orbits lumped, configurations dense); a "
-      "markov/verify job exceeding it fails with an error frame");
+      "markov-mode orbit cap of the lumped chain; a markov job exceeding it "
+      "fails with an error frame");
   cli.parse(argc, argv);
 
   ppk::serve::ServiceOptions options;

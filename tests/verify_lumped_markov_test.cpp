@@ -1,16 +1,17 @@
 // Tests of the symmetry-lumped exact Markov analysis
 // (verify/lumped_markov.hpp) and its wiring through MarkovAnalysis:
 //
-//  * dense/lumped agreement -- both back ends must reproduce the same
-//    hitting times and absorption mass to <= 1e-9 relative error at every
-//    size the dense path can reach, for the k-partition, weak-k-partition
-//    and bipartition families;
+//  * agreement with the dense-elimination reference
+//    (tests/dense_markov_reference.hpp) -- the lumped solve must reproduce
+//    its hitting times and absorption mass to <= 1e-9 relative error at
+//    every size the reference can reach, for the k-partition,
+//    weak-k-partition and bipartition families;
 //  * rejection of a symmetry declaration that is not one;
-//  * the ceiling claim -- for each family, a size where the dense path
-//    refuses (recoverably) and the lumped path answers;
+//  * the ceiling claim -- for each family, a size where the reference
+//    refuses and the lumped path answers;
 //  * exact hand-computed pins of the hitting-time CDF;
-//  * absorption: exactly 1 for a lone bottom SCC on both back ends, and
-//    dense agreement across several bottom SCCs;
+//  * absorption: exactly 1 for a lone bottom SCC in both, and agreement
+//    with the reference across several bottom SCCs;
 //  * the benchmark's k = 2, n = 160 answer;
 //  * golden digests of the exploration (orbits, sizes, rows via the CDF);
 //  * every stored row equal, integer for integer, to a pair-by-pair
@@ -42,6 +43,7 @@
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "core/weak_kpartition.hpp"
+#include "dense_markov_reference.hpp"
 #include "pp/symmetry.hpp"
 #include "pp/transition_table.hpp"
 #include "rule_list_protocol.hpp"
@@ -74,23 +76,20 @@ ConfigPredicate silence_predicate(const pp::TransitionTable& table) {
   };
 }
 
-/// Builds both back ends over the same chain and requires their hitting
-/// time and their absorption mass on `target` to agree to 1e-9 relative.
+/// Builds the dense reference and the lumped analysis over the same chain
+/// and requires their hitting time and their absorption mass on `target`
+/// to agree to 1e-9 relative.
 void expect_backends_agree(const pp::Protocol& protocol,
                            const pp::TransitionTable& table, std::uint32_t n,
                            const ConfigPredicate& target,
                            const std::string& label) {
   const pp::Counts initial = initial_counts(protocol, n);
 
-  MarkovOptions dense_options;
-  dense_options.method = MarkovMethod::kDense;
-  const MarkovAnalysis dense(table, initial, dense_options);
-  ASSERT_EQ(dense.method(), MarkovMethod::kDense) << label;
+  const DenseMarkovReference dense(table, initial);
 
   MarkovOptions lumped_options;
   lumped_options.symmetry = protocol.symmetry();
   const MarkovAnalysis lumped(table, initial, std::move(lumped_options));
-  ASSERT_EQ(lumped.method(), MarkovMethod::kLumped) << label;
 
   const std::optional<double> dense_time = dense.expected_hitting_time(target);
   const std::optional<double> lumped_time =
@@ -101,7 +100,7 @@ void expect_backends_agree(const pp::Protocol& protocol,
         << label << ": dense=" << *dense_time << " lumped=" << *lumped_time;
   }
 
-  // Bottom-SCC identities differ across back ends (the lumped quotient
+  // Bottom-SCC identities differ between the two (the lumped quotient
   // merges symmetric bottoms), so compare the symmetry-invariant summary:
   // total mass and the mass absorbed on target-satisfying bottoms.
   double dense_total = 0.0;
@@ -122,7 +121,7 @@ void expect_backends_agree(const pp::Protocol& protocol,
 }
 
 // ---------------------------------------------------------------------------
-// Dense/lumped agreement at every size the dense path reaches
+// Agreement with the dense reference at every size it reaches
 
 TEST(LumpedMarkov, AgreesWithDenseForKPartition) {
   struct Case {
@@ -143,7 +142,7 @@ TEST(LumpedMarkov, AgreesWithDenseForKPartition) {
 }
 
 TEST(LumpedMarkov, AgreesWithDenseForWeakKPartition) {
-  // Trivial symmetry group: the lumped back end degenerates to the sparse
+  // Trivial symmetry group: the lumped analysis degenerates to the sparse
   // solver over the raw chain, which must still match dense elimination.
   for (std::uint32_t n : {4u, 5u, 6u}) {
     const core::WeakKPartitionProtocol protocol(2);
@@ -229,39 +228,37 @@ TEST(LumpedMarkov, LoneBottomSccAbsorbsWithProbabilityExactlyOne) {
   const pp::TransitionTable table(protocol);
   const pp::Counts initial = initial_counts(protocol, 7);
 
-  MarkovOptions dense_options;
-  dense_options.method = MarkovMethod::kDense;
-  MarkovOptions lumped_options;
-  lumped_options.method = MarkovMethod::kLumped;
-  lumped_options.symmetry = protocol.symmetry();
-  for (const MarkovOptions& options : {dense_options, lumped_options}) {
-    const MarkovAnalysis markov(table, initial, options);
-    const auto absorption = markov.absorption_probabilities();
-    ASSERT_EQ(absorption.size(), 1u) << markov.method_name();
-    EXPECT_EQ(absorption[0].probability, 1.0) << markov.method_name();
+  const auto expect_lone_bottom = [&](const auto& absorption,
+                                      const char* label) {
+    ASSERT_EQ(absorption.size(), 1u) << label;
+    EXPECT_EQ(absorption[0].probability, 1.0) << label;
     EXPECT_TRUE(
         core::matches_stable_pattern(protocol, 7, absorption[0].representative))
-        << markov.method_name();
-  }
+        << label;
+  };
+  expect_lone_bottom(
+      DenseMarkovReference(table, initial).absorption_probabilities(),
+      "dense");
+  MarkovOptions options;
+  options.symmetry = protocol.symmetry();
+  expect_lone_bottom(
+      MarkovAnalysis(table, initial, options).absorption_probabilities(),
+      "lumped");
 }
 
 TEST(LumpedMarkov, SeveralBottomSccsAgreeWithDense) {
-  // The basic strategy wedges: several bottom SCCs, so the lumped back end
-  // (here over the trivial group, i.e. the raw chain) must solve one
-  // system per bottom SCC.
+  // The basic strategy wedges: several bottom SCCs, so the lumped analysis
+  // (here over the trivial group, i.e. the raw chain, as no symmetry is
+  // declared) must solve one system per bottom SCC.
   const core::BasicStrategyProtocol protocol(3);
   const pp::TransitionTable table(protocol);
   const pp::Counts initial = initial_counts(protocol, 6);
 
-  const MarkovAnalysis dense(table, initial);
-  ASSERT_EQ(dense.method(), MarkovMethod::kDense);
-  MarkovOptions lumped_options;
-  lumped_options.method = MarkovMethod::kLumped;
-  lumped_options.symmetry = pp::trivial_symmetry(protocol.num_states());
-  const MarkovAnalysis lumped(table, initial, std::move(lumped_options));
-  ASSERT_EQ(lumped.method(), MarkovMethod::kLumped);
+  const DenseMarkovReference dense(table, initial);
+  const MarkovAnalysis lumped(table, initial);
+  ASSERT_EQ(lumped.lumped().group_order(), 1u);
 
-  // Bottom-SCC ids and representatives are back-end specific: key the
+  // Bottom-SCC ids and representatives differ between the two: key the
   // dense answer by every configuration of each bottom SCC.
   std::map<pp::Counts, double> dense_by_config;
   const auto dense_absorption = dense.absorption_probabilities();
@@ -292,7 +289,6 @@ TEST(LumpedMarkov, KPartitionK2N160MatchesThePinnedAnswer) {
   options.symmetry = protocol.symmetry();
   const MarkovAnalysis markov(table, initial_counts(protocol, 160),
                               std::move(options));
-  ASSERT_EQ(markov.method(), MarkovMethod::kLumped);
   const auto expected =
       markov.expected_hitting_time([&](const pp::Counts& config) {
         return core::matches_stable_pattern(protocol, 160, config);
@@ -906,10 +902,10 @@ TEST(LumpedMarkov, StorageStaysWithinItsBytesPerOrbit) {
 }
 
 // ---------------------------------------------------------------------------
-// The ceiling claim: beyond the dense path's reach, per family
+// The ceiling claim: beyond the dense reference's reach, per family
 
 /// Smallest n in [lo, hi] whose reachable configuration count exceeds the
-/// dense back end's 3000-unknown cap (0 if none): the dense hitting-time
+/// dense reference's 3000-unknown cap (0 if none): the dense hitting-time
 /// query must throw there, and the lumped one must answer.
 std::uint32_t first_beyond_dense(const pp::Protocol& protocol,
                                  const pp::TransitionTable& table,
@@ -918,7 +914,10 @@ std::uint32_t first_beyond_dense(const pp::Protocol& protocol,
     ExploreOptions explore;
     explore.max_configs = 200'000;
     const ConfigGraph graph(table, initial_counts(protocol, n), explore);
-    if (graph.complete() && graph.num_configs() > 3000) return n;
+    if (graph.complete() &&
+        graph.num_configs() > DenseMarkovReference::kMaxDenseSystem) {
+      return n;
+    }
   }
   return 0;
 }
@@ -931,11 +930,10 @@ void expect_lumped_outreaches_dense(const pp::Protocol& protocol,
   const pp::Counts initial = initial_counts(protocol, n);
 
   // Dense: exploration still completes, but the hitting-time system
-  // exceeds the cap -- a recoverable exception, not an abort.
-  MarkovOptions dense_options;
-  dense_options.method = MarkovMethod::kDense;
-  const MarkovAnalysis dense(table, initial, dense_options);
-  EXPECT_GT(dense.reachable_configs(), 3000u) << label;
+  // exceeds the cap -- an exception, not an abort.
+  const DenseMarkovReference dense(table, initial);
+  EXPECT_GT(dense.reachable_configs(), DenseMarkovReference::kMaxDenseSystem)
+      << label;
   EXPECT_THROW((void)dense.expected_hitting_time(target), std::runtime_error)
       << label;
 
@@ -943,7 +941,6 @@ void expect_lumped_outreaches_dense(const pp::Protocol& protocol,
   MarkovOptions lumped_options;
   lumped_options.symmetry = protocol.symmetry();
   const MarkovAnalysis lumped(table, initial, std::move(lumped_options));
-  ASSERT_EQ(lumped.method(), MarkovMethod::kLumped) << label;
   const auto expected = lumped.expected_hitting_time(target);
   ASSERT_TRUE(expected.has_value()) << label;
   EXPECT_GT(*expected, 0.0) << label;
@@ -998,33 +995,59 @@ TEST(LumpedMarkov, ReachesBeyondTheDenseCapForBipartition) {
 // MarkovAnalysis routing
 
 TEST(LumpedMarkov, AutoRoutesBySymmetryPresence) {
-  const core::KPartitionProtocol protocol(3);
+  // Every route is the lumped chain: kAuto quotients by the declared
+  // symmetry, or by the trivial group when none is declared, and kDense
+  // ignores the declared symmetry.  k = 2 declares an order-4 group, so
+  // the group order tells the routes apart.
+  const core::KPartitionProtocol protocol(2);
   const pp::TransitionTable table(protocol);
   const pp::Counts initial = initial_counts(protocol, 6);
 
-  const MarkovAnalysis dense(table, initial);  // no symmetry declared
-  EXPECT_EQ(dense.method(), MarkovMethod::kDense);
-  EXPECT_STREQ(dense.method_name(), "dense");
+  const MarkovAnalysis unlumped(table, initial);  // no symmetry declared
+  EXPECT_STREQ(unlumped.method_name(), "lumped");
+  EXPECT_EQ(unlumped.lumped().group_order(), 1u);
+  EXPECT_EQ(unlumped.lumped().num_orbits(), unlumped.reachable_configs());
 
   MarkovOptions with_symmetry;
   with_symmetry.symmetry = protocol.symmetry();
-  const MarkovAnalysis lumped(table, initial, std::move(with_symmetry));
-  EXPECT_EQ(lumped.method(), MarkovMethod::kLumped);
+  const MarkovAnalysis lumped(table, initial, with_symmetry);
   EXPECT_STREQ(lumped.method_name(), "lumped");
+  EXPECT_EQ(lumped.lumped().group_order(), 4u);
+  EXPECT_LT(lumped.lumped().num_orbits(), lumped.reachable_configs());
+  EXPECT_EQ(lumped.reachable_configs(), unlumped.reachable_configs());
+
+  with_symmetry.method = MarkovMethod::kDense;
+  const MarkovAnalysis ignored(table, initial, std::move(with_symmetry));
+  EXPECT_STREQ(ignored.method_name(), "lumped");
+  EXPECT_EQ(ignored.lumped().group_order(), 1u);
+  EXPECT_EQ(ignored.lumped().num_orbits(), unlumped.lumped().num_orbits());
 }
 
 TEST(LumpedMarkov, TryCreateReportsLumpedFailureRecoverably) {
   const core::KPartitionProtocol protocol(3);
   const pp::TransitionTable table(protocol);
   MarkovOptions options;
-  options.method = MarkovMethod::kLumped;
   options.symmetry = protocol.symmetry();
   options.lumped.max_orbits = 2;
   std::string why;
   const auto markov = MarkovAnalysis::try_create(
       table, initial_counts(protocol, 8), std::move(options), &why);
   EXPECT_FALSE(markov.has_value());
-  EXPECT_FALSE(why.empty());
+  EXPECT_NE(why.find("orbit"), std::string::npos) << why;
+
+  // A declared symmetry that is not one (see
+  // RejectsADeclaredSymmetryThatIsNotOne) fails the build, with the lumped
+  // reason and no other solver to fall back to.
+  MarkovOptions bogus;
+  bogus.symmetry = pp::SymmetrySpec{
+      protocol.num_states(),
+      {pp::transposition(protocol.num_states(), protocol.g(1),
+                         protocol.g(2))}};
+  why.clear();
+  const auto refused = MarkovAnalysis::try_create(
+      table, initial_counts(protocol, 6), std::move(bogus), &why);
+  EXPECT_FALSE(refused.has_value());
+  EXPECT_EQ(why.rfind("lumped: ", 0), 0u) << why;
 }
 
 TEST(LumpedMarkov, NonInvariantPredicateThrows) {

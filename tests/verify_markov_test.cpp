@@ -1,16 +1,20 @@
 // Tests for the exact Markov-chain analysis, including closed-form cases
-// worked out by hand and the flagship cross-validation: the analytic
-// expected stabilization time matches the Monte-Carlo estimate.
+// worked out by hand, agreement with the dense-elimination reference, and
+// the flagship cross-validation: the analytic expected stabilization time
+// matches the Monte-Carlo estimate.
 
 #include "verify/markov.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/bipartition.hpp"
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
+#include "dense_markov_reference.hpp"
 #include "pp/agent_simulator.hpp"
 #include "pp/monte_carlo.hpp"
 #include "pp/transition_table.hpp"
@@ -37,8 +41,8 @@ TEST(MarkovAnalysis, LeaderElectionHittingTimeMatchesClosedForm) {
     const auto expected = markov.expected_hitting_time(
         [](const pp::Counts& config) { return config[0] == 1; });
     ASSERT_TRUE(expected.has_value()) << "n=" << n;
-    // Partial-pivoted elimination on a chain this small is exact to
-    // rounding: pin the closed form at 1e-9 *relative*.
+    // The certified solve on a chain this small is exact to well below
+    // 1e-9: pin the closed form at 1e-9 *relative*.
     const auto closed_form = static_cast<double>((n - 1) * (n - 1));
     EXPECT_NEAR(*expected / closed_form, 1.0, 1e-9) << "n=" << n;
   }
@@ -49,7 +53,8 @@ TEST(MarkovAnalysis, BipartitionHandComputedExpectationIsExact) {
   // six ordered draws go back with probability 1/3 and pair off into the
   // stable (0,1,1,1) with probability 2/3.  E_A = 1 + E_B and
   // E_B = 1 + E_A/3 give E_A = 3 exactly -- a pin on both the dense
-  // elimination and the lumped solve, at solver-roundoff tolerance.
+  // reference and the lumped solve (with and without the declared
+  // symmetry), at solver-roundoff tolerance.
   const core::BipartitionProtocol protocol;
   const pp::TransitionTable table(protocol);
   pp::Counts start(protocol.num_states(), 0);
@@ -59,20 +64,84 @@ TEST(MarkovAnalysis, BipartitionHandComputedExpectationIsExact) {
            config[core::BipartitionProtocol::kG2] == 1;
   };
 
-  MarkovOptions dense_options;
-  dense_options.method = MarkovMethod::kDense;
-  const MarkovAnalysis dense(table, start, dense_options);
+  const DenseMarkovReference dense(table, start);
   const auto dense_expected = dense.expected_hitting_time(target);
   ASSERT_TRUE(dense_expected.has_value());
   EXPECT_NEAR(*dense_expected, 3.0, 1e-12);
 
+  const MarkovAnalysis unlumped(table, start);
+  const auto unlumped_expected = unlumped.expected_hitting_time(target);
+  ASSERT_TRUE(unlumped_expected.has_value());
+  EXPECT_NEAR(*unlumped_expected, 3.0, 1e-12);
+
   MarkovOptions lumped_options;
   lumped_options.symmetry = protocol.symmetry();
   const MarkovAnalysis lumped(table, start, std::move(lumped_options));
-  ASSERT_EQ(lumped.method(), MarkovMethod::kLumped);
   const auto lumped_expected = lumped.expected_hitting_time(target);
   ASSERT_TRUE(lumped_expected.has_value());
   EXPECT_NEAR(*lumped_expected, 3.0, 1e-12);
+}
+
+TEST(MarkovAnalysis, WithoutASymmetryAnswersPastTheDenseCap) {
+  // k = 3, n = 36: 9,289 reachable configurations, three times the dense
+  // reference's 3,000-unknown cap.  With no symmetry declared the chain is
+  // quotiented by the trivial group, which is exactly what k >= 3
+  // declares, so both answers are the same bits.
+  const core::KPartitionProtocol protocol(3);
+  const pp::TransitionTable table(protocol);
+  const pp::Counts start = initial_counts(protocol, 36);
+  const auto target = [&](const pp::Counts& config) {
+    return core::matches_stable_pattern(protocol, 36, config);
+  };
+
+  const MarkovAnalysis unlumped(table, start);
+  EXPECT_EQ(unlumped.reachable_configs(), 9289u);
+  EXPECT_STREQ(unlumped.method_name(), "lumped");
+  const auto expected = unlumped.expected_hitting_time(target);
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_NEAR(*expected / 1346.5513005263306, 1.0, 1e-12);
+
+  MarkovOptions options;
+  options.symmetry = protocol.symmetry();
+  const MarkovAnalysis declared(table, start, std::move(options));
+  const auto declared_expected = declared.expected_hitting_time(target);
+  ASSERT_TRUE(declared_expected.has_value());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(*expected),
+            std::bit_cast<std::uint64_t>(*declared_expected));
+}
+
+TEST(MarkovAnalysis, AgreesWithTheDenseReferenceAtK2N40) {
+  // The instance on which perfbench's exact_ceiling check compares the
+  // declared order-4 quotient with the unlumped chain.  Every route must
+  // match dense elimination over the raw chain to 1e-9 relative.
+  const core::KPartitionProtocol protocol(2);
+  const pp::TransitionTable table(protocol);
+  const pp::Counts start = initial_counts(protocol, 40);
+  const auto target = [&](const pp::Counts& config) {
+    return core::matches_stable_pattern(protocol, 40, config);
+  };
+
+  const DenseMarkovReference dense(table, start);
+  const auto reference = dense.expected_hitting_time(target);
+  ASSERT_TRUE(reference.has_value());
+
+  MarkovOptions declared;
+  declared.symmetry = protocol.symmetry();
+  MarkovOptions ignored = declared;
+  ignored.method = MarkovMethod::kDense;
+  for (const MarkovOptions& options : {MarkovOptions{}, declared, ignored}) {
+    const MarkovAnalysis markov(table, start, options);
+    EXPECT_EQ(markov.reachable_configs(), dense.reachable_configs());
+    EXPECT_EQ(markov.lumped().group_order(),
+              options.symmetry.has_value() &&
+                      options.method == MarkovMethod::kAuto
+                  ? 4u
+                  : 1u);
+    const auto expected = markov.expected_hitting_time(target);
+    ASSERT_TRUE(expected.has_value());
+    EXPECT_NEAR(*expected / *reference, 1.0, 1e-9)
+        << "group order " << markov.lumped().group_order();
+  }
 }
 
 TEST(MarkovAnalysis, HittingTimeIsZeroWhenAlreadyInTarget) {
