@@ -4,6 +4,12 @@
 // Section 3.2) genuinely fails, which is why the D states exist.
 //
 //   ./verify_exhaustive [--n 8] [--k 4]
+//
+// Each verdict is printed with its wall time and the process's peak
+// resident set so far (getrusage), so the example doubles as the record of
+// the verifier's cost (docs/theory.md, "Scale").
+
+#include <sys/resource.h>
 
 #include <cstdio>
 
@@ -26,6 +32,10 @@ void report(const char* label, const ppk::verify::Verdict& verdict,
                                "fairness"
                              : "DOES NOT SOLVE the problem",
               seconds);
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  std::printf("  peak RSS so far: %.1f MiB\n",
+              static_cast<double>(usage.ru_maxrss) / 1024.0);
   if (!verdict.solves) {
     std::printf("  witness: %s\n", verdict.failure.c_str());
   }
@@ -41,13 +51,17 @@ int main(int argc, char** argv) {
   cli.parse(argc, argv);
   const auto n = static_cast<std::uint32_t>(*n_flag);
   const auto k = static_cast<ppk::pp::GroupId>(*k_flag);
+  // Memory, about 100 bytes per configuration at k = 3, bounds the reach
+  // rather than the default cap: k = 3, n = 240 has 12.4 M configurations.
+  ppk::verify::ExploreOptions explore;
+  explore.max_configs = 100'000'000;
 
   {
     const ppk::core::KPartitionProtocol protocol(k);
     const ppk::pp::TransitionTable table(protocol);
     ppk::Stopwatch timer;
     const auto verdict =
-        ppk::verify::verify_uniform_partition(protocol, table, n);
+        ppk::verify::verify_uniform_partition(protocol, table, n, explore);
     report(protocol.name().c_str(), verdict, timer.seconds());
   }
 
@@ -56,7 +70,8 @@ int main(int argc, char** argv) {
     const ppk::core::BasicStrategyProtocol basic(k);
     const ppk::pp::TransitionTable table(basic);
     ppk::Stopwatch timer;
-    const auto verdict = ppk::verify::verify_uniform_partition(basic, table, n);
+    const auto verdict =
+        ppk::verify::verify_uniform_partition(basic, table, n, explore);
     report(basic.name().c_str(), verdict, timer.seconds());
     std::printf(
         "\n(The basic strategy wedges when >= ceil(n/k) builders appear;\n"

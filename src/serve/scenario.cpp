@@ -274,11 +274,14 @@ std::string validate_scenario(const ScenarioSpec& spec) {
         if (spec.topology != ScenarioTopology::kComplete) {
           return field_error("topology.kind",
                              "verify(kpartition) is the complete-graph "
-                             "config-graph checker");
+                             "count-graph checker");
         }
-        if (spec.n > 10) {
-          return field_error("n", "verify(kpartition) explores counts "
-                                  "exhaustively; need n <= 10");
+        // As for markov, the real guard is the server's
+        // --markov-max-orbits exploration cap (an error frame).
+        if (spec.n > 512) {
+          return field_error("n", "verify(kpartition) explores the "
+                                  "reachable count graph exhaustively; need "
+                                  "n <= 512");
         }
       } else {
         // The per-agent checkers (weak fairness; arbitrary topology).

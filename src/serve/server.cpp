@@ -349,10 +349,13 @@ void ScenarioService::run_exact(const ScenarioSpec& spec,
   if (spec.mode == ScenarioMode::kVerify) {
     verify::Verdict verdict;
     switch (spec.family) {
-      case ScenarioFamily::kKPartition:
-        verdict = verify::verify_uniform_partition(runtime.protocol(),
-                                                   runtime.table(), spec.n);
+      case ScenarioFamily::kKPartition: {
+        verify::ExploreOptions explore;
+        explore.max_configs = options_.markov_max_orbits;
+        verdict = verify::verify_uniform_partition(
+            runtime.protocol(), runtime.table(), spec.n, explore);
         break;
+      }
       case ScenarioFamily::kWeakKPartition:
         verdict = verify::verify_weak_uniform_partition(
             runtime.protocol(), runtime.table(), spec.n);
@@ -363,6 +366,12 @@ void ScenarioService::run_exact(const ScenarioSpec& spec,
             runtime.protocol(), runtime.table(), topology);
         break;
       }
+    }
+    if (!verdict.exploration_complete) {
+      // The verdict is unknown and its counts depend on the cap: fail the
+      // job, as markov does, rather than cache an answer.
+      emit(error_frame(id, verdict.failure));
+      return;
     }
     result_line = frame([&](io::JsonWriter& w) {
       w.member("event", "result");

@@ -63,8 +63,9 @@ struct ServiceOptions {
   std::uint64_t chunk_interactions = 1ULL << 16;
   /// Checkpoint cadence in progress events (see core/campaign.hpp).
   std::uint32_t checkpoint_every_chunks = 4;
-  /// Orbit cap for markov jobs (the lumped chain's memory bound).  A job
-  /// whose reachable orbit space exceeds it gets an `error` frame -- the
+  /// Orbit cap for markov jobs and configuration cap for verify(kpartition)
+  /// jobs: both explore the lumped chain, and this is its memory bound.  A
+  /// job whose reachable space exceeds it gets an `error` frame -- the
   /// daemon itself must never die on a too-large exact request.
   std::size_t markov_max_orbits = 1'000'000;
 };

@@ -1,7 +1,8 @@
 // Exhaustive exploration of the PER-AGENT configuration space.
 //
-// The count-vector graph (config_graph.hpp) is the right object under
-// global fairness on the complete graph, where agents are interchangeable.
+// The count-vector graph (global_fairness.hpp explores it as the lumped
+// chain under the trivial group) is the right object under global
+// fairness on the complete graph, where agents are interchangeable.
 // Two verification questions break that symmetry:
 //
 //  - WEAK fairness quantifies over agent *pairs* ("every pair interacts
@@ -13,8 +14,8 @@
 //
 // This graph therefore keys configurations by the full state *tuple*
 // (one state per agent), restricted to an optional topology.  The space is
-// |Q|^n, so this is strictly a small-(n, k) ground-truth tool -- the same
-// role config_graph plays for the complete-graph/global case, one
+// |Q|^n, so this is strictly a small-(n, k) ground-truth tool -- the
+// count-vector graph's role for the complete-graph/global case, one
 // symmetry-reduction rung down.  Tuples are packed into a single 64-bit
 // key (n * ceil(log2 |Q|) <= 64, checked), which keeps exploration at
 // hash-map speed.
@@ -37,7 +38,7 @@
 namespace ppk::verify {
 
 /// Exploration limits and topology for AgentConfigGraph.  (Namespace scope
-/// like ExploreOptions: a nested struct with default member initializers
+/// like global_fairness.hpp's ExploreOptions: a nested struct with default member initializers
 /// cannot be a `= {}` default argument inside its own enclosing class.)
 struct AgentExploreOptions {
   /// Abort threshold on distinct reachable state tuples.

@@ -18,7 +18,6 @@
 #include "pp/trial.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
-#include "verify/config_graph.hpp"
 #include "verify/global_fairness.hpp"
 #include "verify/lumped_markov.hpp"
 
@@ -787,6 +786,46 @@ void compare_distributions(const ConformanceCase& c, const CaseContext& ctx,
   }
 }
 
+/// The storage a Reference points into; it must outlive the Reference.
+struct ReferenceStorage {
+  std::set<pp::Counts> reachable;
+  std::unique_ptr<pp::TransitionTable> true_table;
+};
+
+/// Builds the Reference (and its backing storage) for a case.  At
+/// n <= ground_truth_max_n one exploration of the true protocol's
+/// configuration graph gives the reachable set and, when `verdict` is
+/// non-null, the model checker's global-fairness verdict on the same graph.
+Reference build_reference(const CaseContext& ctx,
+                          const ConformanceOptions& options,
+                          ReferenceStorage* storage,
+                          std::optional<Verdict>* verdict = nullptr) {
+  Reference ref;
+  ref.kpartition = ctx.kpartition.get();
+  if (ctx.n <= options.ground_truth_max_n) {
+    storage->true_table =
+        std::make_unique<pp::TransitionTable>(*ctx.true_protocol);
+    ExploreOptions explore;
+    explore.max_configs = options.ground_truth_max_configs;
+    const std::optional<LumpedMarkovAnalysis> graph =
+        explore_configurations(*storage->true_table, ctx.initial, explore);
+    if (graph.has_value()) {
+      pp::Counts config;
+      for (std::size_t i = 0; i < graph->num_orbits(); ++i) {
+        const auto rep = graph->representative(i);
+        config.assign(rep.begin(), rep.end());
+        storage->reachable.insert(config);
+      }
+      ref.reachable = &storage->reachable;
+      if (verdict != nullptr) {
+        *verdict = verify_uniform_partition(*ctx.true_protocol,
+                                            *storage->true_table, *graph);
+      }
+    }
+  }
+  return ref;
+}
+
 }  // namespace
 
 const char* conformance_engine_name(ConformanceEngine engine) {
@@ -852,43 +891,28 @@ ConformanceReport check_conformance(const ConformanceCase& c,
   ConformanceReport report;
 
   // --- Reference models --------------------------------------------------
-  Reference ref;
-  ref.kpartition = ctx.kpartition.get();
-
-  std::set<pp::Counts> reachable;
-  std::unique_ptr<pp::TransitionTable> true_table;
-  if (c.n <= options.ground_truth_max_n) {
-    true_table = std::make_unique<pp::TransitionTable>(*ctx.true_protocol);
-    ConfigGraph::Options explore;
-    explore.max_configs = options.ground_truth_max_configs;
-    const ConfigGraph graph(*true_table, ctx.initial, explore);
-    if (graph.complete()) {
-      for (std::size_t i = 0; i < graph.num_configs(); ++i) {
-        reachable.insert(graph.config(i));
-      }
-      ref.reachable = &reachable;
-
-      // Model checker ground truth.  Every named family promises uniform
-      // partition under global fairness on the complete graph (the paper's
-      // Theorem 1 for kpartition; the silence argument for the weak
-      // variant; the signal-conservation argument for the graph
-      // bipartition): a refutation means the protocol (or a mutation the
-      // caller injected into the *reference*) is broken.  Candidates make
-      // no such promise and are exempt.
-      if (ctx.candidate == nullptr) {
-        const Verdict verdict = verify_uniform_partition(
-            *ctx.true_protocol, *true_table, c.n, explore);
-        ++report.checks_run;
-        if (!verdict.solves) {
-          add_divergence(
-              &report, options,
-              Divergence{ConformanceCheck::kGroundTruth,
-                         ConformanceEngine::kModel, 0,
-                         "model checker refutes the family's correctness "
-                         "theorem at n=" +
-                             std::to_string(c.n) + ": " + verdict.failure});
-        }
-      }
+  // Model checker ground truth.  Every named family promises uniform
+  // partition under global fairness on the complete graph (the paper's
+  // Theorem 1 for kpartition; the silence argument for the weak variant;
+  // the signal-conservation argument for the graph bipartition): a
+  // refutation means the protocol (or a mutation the caller injected into
+  // the *reference*) is broken.  Candidates make no such promise and are
+  // exempt.
+  ReferenceStorage storage;
+  std::optional<Verdict> verdict;
+  const Reference ref = build_reference(
+      ctx, options, &storage, ctx.candidate == nullptr ? &verdict : nullptr);
+  std::unique_ptr<pp::TransitionTable>& true_table = storage.true_table;
+  if (verdict.has_value()) {
+    ++report.checks_run;
+    if (!verdict->solves) {
+      add_divergence(&report, options,
+                     Divergence{ConformanceCheck::kGroundTruth,
+                                ConformanceEngine::kModel, 0,
+                                "model checker refutes the family's "
+                                "correctness theorem at n=" +
+                                    std::to_string(c.n) + ": " +
+                                    verdict->failure});
     }
   }
 
@@ -1218,34 +1242,6 @@ InterpreterResult interpret(
     }
   }
   return out;
-}
-
-/// Builds the Reference (and its backing storage) for the interpreter /
-/// shrinker.  `storage` must outlive the returned Reference.
-struct ReferenceStorage {
-  std::set<pp::Counts> reachable;
-  std::unique_ptr<pp::TransitionTable> true_table;
-};
-
-Reference build_reference(const CaseContext& ctx,
-                          const ConformanceOptions& options,
-                          ReferenceStorage* storage) {
-  Reference ref;
-  ref.kpartition = ctx.kpartition.get();
-  if (ctx.n <= options.ground_truth_max_n) {
-    storage->true_table =
-        std::make_unique<pp::TransitionTable>(*ctx.true_protocol);
-    ConfigGraph::Options explore;
-    explore.max_configs = options.ground_truth_max_configs;
-    const ConfigGraph graph(*storage->true_table, ctx.initial, explore);
-    if (graph.complete()) {
-      for (std::size_t i = 0; i < graph.num_configs(); ++i) {
-        storage->reachable.insert(graph.config(i));
-      }
-      ref.reachable = &storage->reachable;
-    }
-  }
-  return ref;
 }
 
 bool schedule_still_fails(

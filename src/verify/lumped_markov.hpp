@@ -165,6 +165,10 @@ class LumpedMarkovAnalysis {
                                      rate_begin_[orbit + 1] - rate_begin_[orbit]);
   }
 
+  /// The SCC condensation of the orbit graph (verify/scc.hpp).  Under the
+  /// trivial group its bottom SCCs are those of the configuration graph.
+  [[nodiscard]] const Condensation& sccs() const noexcept { return sccs_; }
+
   /// Null-interaction numerator of an orbit over n*(n-1): the ordered
   /// pairs present in its representative that change no agent, derived as
   /// denom minus the row's sum.

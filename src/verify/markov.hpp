@@ -47,7 +47,7 @@
 
 #include "pp/protocol.hpp"
 #include "pp/transition_table.hpp"
-#include "verify/config_graph.hpp"
+#include "verify/global_fairness.hpp"
 #include "verify/lumped_markov.hpp"
 
 namespace ppk::verify {

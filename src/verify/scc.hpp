@@ -1,6 +1,7 @@
-// The SCC condensation shared by every graph in the verify layer: the count
-// graph (config_graph.hpp), the per-agent graph (agent_graph.hpp) and the
-// lumped orbit graph (lumped_markov.hpp).  condense() runs one iterative
+// The SCC condensation shared by every graph in the verify layer: the
+// lumped orbit graph (lumped_markov.hpp), which under the trivial group is
+// the count graph the global-fairness verifier decides on, and the
+// per-agent graph (agent_graph.hpp).  condense() runs one iterative
 // Tarjan and returns what every caller reads next: the bottom SCCs and the
 // members of each SCC.
 //

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config_graph_reference.hpp"
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
 #include "pp/transition_table.hpp"
@@ -14,6 +15,20 @@
 
 namespace ppk::core {
 namespace {
+
+/// A failing verdict agrees with the ConfigGraph reference, witness
+/// included (verify::reference_disagreement).
+void expect_matches_reference(const pp::Protocol& protocol,
+                              const pp::TransitionTable& table,
+                              const pp::Counts& initial,
+                              const verify::Verdict& verdict) {
+  EXPECT_EQ(verify::reference_disagreement(
+                protocol, table, initial, verdict,
+                [](const pp::Counts&, const std::vector<std::uint32_t>& sizes) {
+                  return pp::is_uniform_partition(sizes);
+                }),
+            "");
+}
 
 TEST(ArbitraryInitialStates, AllCommittedToOneGroupIsAStableFailure) {
   // Everyone starts in g1: no rule applies to (g, g) pairs, so the
@@ -27,6 +42,10 @@ TEST(ArbitraryInitialStates, AllCommittedToOneGroupIsAStableFailure) {
   ASSERT_TRUE(verdict.exploration_complete);
   EXPECT_FALSE(verdict.solves);
   EXPECT_EQ(verdict.reachable_configs, 1u);  // it is already wedged
+  EXPECT_EQ(verdict.failure,
+            "bottom SCC stabilizes to a bad output: configuration {g1:8}, "
+            "group sizes (8,0,0,0)");
+  expect_matches_reference(protocol, table, initial, verdict);
 }
 
 TEST(ArbitraryInitialStates, CorruptedCountsViolateLemma1AndStayWrong) {
@@ -43,6 +62,10 @@ TEST(ArbitraryInitialStates, CorruptedCountsViolateLemma1AndStayWrong) {
       protocol, table, initial);
   ASSERT_TRUE(verdict.exploration_complete);
   EXPECT_FALSE(verdict.solves);
+  EXPECT_EQ(verdict.failure,
+            "bottom SCC stabilizes to a bad output: configuration "
+            "{g1:2, g4:2, d2:2}, group sizes (4,0,0,2)");
+  expect_matches_reference(protocol, table, initial, verdict);
 }
 
 TEST(ArbitraryInitialStates, ReachableConfigurationsAlwaysRecover) {

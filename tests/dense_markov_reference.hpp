@@ -4,7 +4,7 @@
 // chain and its residual-certified sparse Gauss-Seidel
 // (verify/lumped_markov.hpp).  This header keeps the independent oracle it
 // is checked against: the raw reachable configuration graph
-// (verify/config_graph.hpp) with its linear systems assembled from exact
+// (config_graph_reference.hpp) with its linear systems assembled from exact
 // integer rate numerators and solved by dense Gaussian elimination with
 // partial pivoting.  It shares nothing with the lumped path but the
 // transition table -- no orbits, no sparse storage, no iterative sweeps --
@@ -31,7 +31,7 @@
 #include "pp/population.hpp"
 #include "pp/transition_table.hpp"
 #include "util/assert.hpp"
-#include "verify/config_graph.hpp"
+#include "config_graph_reference.hpp"
 
 namespace ppk::verify {
 

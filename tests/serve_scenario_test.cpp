@@ -265,7 +265,7 @@ TEST(ServeScenario, ValidationCrossChecksTheAxes) {
 
   spec = ScenarioSpec{};
   spec.mode = ScenarioMode::kVerify;
-  spec.n = 64;  // exhaustive exploration cap
+  spec.n = 513;  // past the static bound it shares with markov
   EXPECT_NE(validate_scenario(spec).find("n"), std::string::npos);
 
   spec = ScenarioSpec{};

@@ -216,6 +216,67 @@ TEST(ServeServer, ExactModesCacheSeedIndependently) {
   EXPECT_EQ(second[1], results[0]);
 }
 
+TEST(ServeServer, VerifyResultLinesArePinned) {
+  // verify(kpartition) explores the lumped chain under the trivial group;
+  // its result lines are the ones the ConfigGraph verifier produced.
+  ServiceOptions options;
+  options.state_dir = temp_dir("verify_pin");
+  ScenarioService service(options);
+  FrameLog log;
+
+  const auto result_of = [&](pp::GroupId k, std::uint32_t n) {
+    ScenarioSpec spec;
+    spec.k = k;
+    spec.n = n;
+    spec.mode = ScenarioMode::kVerify;
+    EXPECT_TRUE(service.handle_line(submit_line("v", spec), log.emit()));
+    const std::vector<std::string> results = of_kind(log.take(), "result");
+    return results.size() == 1 ? results[0] : std::string();
+  };
+  EXPECT_EQ(result_of(2, 9),
+            "{\"event\": \"result\",\"scenario\": \"785614a526aeef39\","
+            "\"mode\": \"verify\",\"exact_schema\": \"ppkd-exact-v6\","
+            "\"solves\": true,\"exploration_complete\": true,"
+            "\"reachable_configs\": 25,\"num_sccs\": 5,\"bottom_sccs\": 1,"
+            "\"failure\": \"\"}");
+  EXPECT_EQ(result_of(3, 10),
+            "{\"event\": \"result\",\"scenario\": \"8d0455f5031171ee\","
+            "\"mode\": \"verify\",\"exact_schema\": \"ppkd-exact-v6\","
+            "\"solves\": true,\"exploration_complete\": true,"
+            "\"reachable_configs\": 147,\"num_sccs\": 4,\"bottom_sccs\": 1,"
+            "\"failure\": \"\"}");
+  // Past the old n <= 10 bound: Theorem 1 at k = 3, n = 36.
+  const std::string n36 = result_of(3, 36);
+  EXPECT_NE(n36.find("\"solves\": true"), std::string::npos) << n36;
+  EXPECT_NE(n36.find("\"reachable_configs\": 9289,"), std::string::npos)
+      << n36;
+}
+
+TEST(ServeServer, VerifyConfigurationCapIsAnErrorFrame) {
+  // verify(kpartition) explores under --markov-max-orbits.  Over the cap
+  // the verdict is unknown, so the job fails like markov's instead of
+  // caching an answer that depends on the cap.
+  ServiceOptions options;
+  options.state_dir = temp_dir("verify_cap");
+  options.markov_max_orbits = 4;
+  ScenarioService service(options);
+  FrameLog log;
+
+  ScenarioSpec spec;
+  spec.k = 2;
+  spec.n = 8;
+  spec.mode = ScenarioMode::kVerify;
+
+  EXPECT_TRUE(service.handle_line(submit_line("cap", spec), log.emit()));
+  const std::vector<std::string> frames = log.take();
+  EXPECT_TRUE(of_kind(frames, "result").empty());
+  const std::vector<std::string> errors = of_kind(frames, "error");
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("max_configs"), std::string::npos) << errors[0];
+  EXPECT_FALSE(
+      file_exists(service.cache().exact_entry_path(scenario_hash_hex(spec))));
+}
+
 TEST(ServeServer, MarkovModeReportsTheExactExpectation) {
   ServiceOptions options;
   options.state_dir = temp_dir("markov");

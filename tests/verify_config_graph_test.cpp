@@ -1,7 +1,8 @@
-// Tests of the reachable-configuration explorer and SCC machinery on
-// protocols whose graphs are small enough to reason about by hand.
+// Tests of the reference configuration-graph explorer
+// (config_graph_reference.hpp) and the SCC machinery on protocols whose
+// graphs are small enough to reason about by hand.
 
-#include "verify/config_graph.hpp"
+#include "config_graph_reference.hpp"
 
 #include <gtest/gtest.h>
 

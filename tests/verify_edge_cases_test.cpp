@@ -25,6 +25,30 @@ TEST(VerifierEdgeCases, IncompleteExplorationYieldsUnknownVerdict) {
   EXPECT_NE(verdict.failure.find("max_configs"), std::string::npos);
 }
 
+TEST(VerifierEdgeCases, OneAgentIsItsOwnBottomScc) {
+  // One agent: no pair is ever enabled, so the initial configuration is
+  // the whole reachable graph and its only, bottom, SCC.
+  const core::KPartitionProtocol protocol(3);
+  const pp::TransitionTable table(protocol);
+  const auto verdict = verify::verify_uniform_partition(protocol, table, 1);
+  EXPECT_TRUE(verdict.exploration_complete);
+  EXPECT_TRUE(verdict.solves) << verdict.failure;  // group sizes (1,0,0)
+  EXPECT_EQ(verdict.reachable_configs, 1u);
+  EXPECT_EQ(verdict.num_sccs, 1u);
+  EXPECT_EQ(verdict.bottom_sccs, 1u);
+
+  pp::Counts initial(protocol.num_states(), 0);
+  initial[protocol.initial_state()] = 1;
+  std::size_t visits = 0;
+  EXPECT_EQ(verify::for_each_reachable(table, initial,
+                                       [&](const pp::Counts& config) {
+                                         EXPECT_EQ(config, initial);
+                                         ++visits;
+                                       }),
+            1u);
+  EXPECT_EQ(visits, 1u);
+}
+
 TEST(VerifierEdgeCases, VerdictCountsAreConsistent) {
   const core::KPartitionProtocol protocol(3);
   const pp::TransitionTable table(protocol);
