@@ -25,19 +25,19 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
+#include "io/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/sink.hpp"
 #include "obs/timeline.hpp"
 #include "pp/jump_simulator.hpp"
 #include "pp/transition_table.hpp"
 #include "util/cli.hpp"
+#include "util/stopwatch.hpp"
 
 namespace {
 
@@ -63,10 +63,10 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::uint32_t>(*n_flag);
   const auto k = static_cast<ppk::pp::GroupId>(*k_flag);
 
-  ppk::obs::PhaseProfile wall_profile;
-  ppk::obs::PhaseTimer wall(wall_profile);
+  // Wall-clock seconds of the setup, simulate and report phases.
+  double wall_seconds[3] = {};
+  ppk::Stopwatch wall;
 
-  wall.enter("setup");
   const ppk::core::KPartitionProtocol protocol(k);
   const ppk::pp::TransitionTable table(protocol);
   ppk::pp::Counts initial(protocol.num_states(), 0);
@@ -89,10 +89,12 @@ int main(int argc, char** argv) {
   sim.set_obs_sink(&sink);
   auto oracle = ppk::core::stable_pattern_oracle(protocol, n);
 
-  wall.enter("simulate");
+  wall_seconds[0] = wall.seconds();
+  wall.reset();
   const auto result = sim.run(*oracle);
   timeline.finish(sim.interactions(), sim.counts(), result.effective);
-  wall.enter("report");
+  wall_seconds[1] = wall.seconds();
+  wall.reset();
 
   // Per-grouping phases from the watch marks: grouping i spans from the
   // (i-1)-th completion to the i-th, the tail from the last completion to
@@ -152,8 +154,14 @@ int main(int argc, char** argv) {
 
   std::printf("\nwall-clock profile (excluded from the JSON bundle -- it "
               "would break determinism):\n");
-  wall.stop();
-  wall_profile.print(std::cout);
+  wall_seconds[2] = wall.seconds();
+  const double wall_total = wall_seconds[0] + wall_seconds[1] + wall_seconds[2];
+  const char* const wall_phases[3] = {"setup", "simulate", "report"};
+  for (int i = 0; i < 3; ++i) {
+    std::printf("  %-8s %10.3f ms  %5.1f%%\n", wall_phases[i],
+                wall_seconds[i] * 1e3,
+                wall_total > 0.0 ? 100.0 * wall_seconds[i] / wall_total : 0.0);
+  }
 
   if (!json_path->empty()) {
     std::ofstream out(*json_path);

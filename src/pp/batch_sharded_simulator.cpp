@@ -25,7 +25,8 @@ BatchShardedSimulator::BatchShardedSimulator(const TransitionTable& table,
     : table_(&table),
       counts_(std::move(initial)),
       rng_(seed),
-      log_fact_(0) {
+      log_fact_(0),
+      sampler_(table, counts_) {
   PPK_EXPECTS(counts_.size() == table.num_states());
   n_ = 0;
   for (auto c : counts_) n_ += c;
@@ -36,28 +37,11 @@ BatchShardedSimulator::BatchShardedSimulator(const TransitionTable& table,
                           : threads;
 
   const StateId num_states = table.num_states();
-  d_padded_ = round_up8(static_cast<std::size_t>(num_states) + 1);
+  d_padded_ = round_up8(num_states);
   counts_soa_.assign(d_padded_, 0);
   fresh_.assign(d_padded_, 0);
   touched_.assign(d_padded_, 0);
   count_delta_.assign(d_padded_, 0);
-  sync_soa_counts();
-
-  // Effective cells in row-major order (the reference engine's scan order),
-  // padded with sentinel cells of weight zero: index `num_states` is the
-  // permanently-zero slot in the padded count mirror.
-  for (StateId p = 0; p < num_states; ++p) {
-    for (StateId q = 0; q < num_states; ++q) {
-      if (!table.effective(p, q)) continue;
-      cell_p_.push_back(static_cast<std::int32_t>(p));
-      cell_q_.push_back(static_cast<std::int32_t>(q));
-      cell_diag_.push_back(p == q ? 1u : 0u);
-    }
-  }
-  e_padded_ = round_up8(cell_p_.size());
-  cell_p_.resize(e_padded_, static_cast<std::int32_t>(num_states));
-  cell_q_.resize(e_padded_, static_cast<std::int32_t>(num_states));
-  cell_diag_.resize(e_padded_, 0);
 
   initiators_.resize(num_states);
   responders_.resize(num_states);
@@ -79,17 +63,6 @@ BatchShardedSimulator::BatchShardedSimulator(const TransitionTable& table,
 }
 
 BatchShardedSimulator::~BatchShardedSimulator() = default;
-
-void BatchShardedSimulator::sync_soa_counts() {
-  std::fill(counts_soa_.begin(), counts_soa_.end(), 0);
-  std::copy(counts_.begin(), counts_.end(), counts_soa_.begin());
-}
-
-std::uint64_t BatchShardedSimulator::effective_weight() const {
-  return simd::pair_weight_total(counts_soa_.data(), cell_p_.data(),
-                                 cell_q_.data(), cell_diag_.data(),
-                                 e_padded_);
-}
 
 bool BatchShardedSimulator::step(StabilityOracle& oracle) {
   return advance(oracle, UINT64_MAX).interactions > 0;
@@ -118,17 +91,18 @@ void BatchShardedSimulator::restore(const Snapshot& snap) {
   for (const std::uint32_t c : counts_) n += c;
   PPK_EXPECTS(n == n_);
   mode_ = static_cast<BatchMode>(mode);
-  sync_soa_counts();
+  sampler_.rebuild(counts_);
 }
 
 Advance BatchShardedSimulator::advance(StabilityOracle& oracle,
                                        std::uint64_t budget) {
-  const std::uint64_t weight = effective_weight();
+  const std::uint64_t weight = sampler_.weight();
   if (weight == 0) return {};  // silent configuration
   if (use_batch_regime(mode_, weight, n_)) {
     return {batch_advance(oracle, budget), true};  // one on_batch callback
   }
-  return thin_advance(oracle, budget, weight);
+  return sampler_.step(rng_, counts_, oracle, budget, interactions_,
+                       effective_, obs_, obs::AdvanceKind::kThin);
 }
 
 void BatchShardedSimulator::apply_pair(StateId p, StateId q) {
@@ -137,47 +111,7 @@ void BatchShardedSimulator::apply_pair(StateId p, StateId q) {
   --counts_[q];
   ++counts_[t.initiator];
   ++counts_[t.responder];
-  counts_soa_[p] = counts_[p];
-  counts_soa_[q] = counts_[q];
-  counts_soa_[t.initiator] = counts_[t.initiator];
-  counts_soa_[t.responder] = counts_[t.responder];
   ++effective_;
-}
-
-Advance BatchShardedSimulator::thin_advance(StabilityOracle& oracle,
-                                            std::uint64_t budget,
-                                            std::uint64_t weight) {
-  const double p_eff =
-      static_cast<double>(weight) /
-      (static_cast<double>(n_) * static_cast<double>(n_ - 1));
-  const std::uint64_t nulls = rng_.geometric(p_eff);
-  if (nulls >= budget) {
-    interactions_ += budget;
-    PPK_OBS_HOOK(obs_, on_skip(counts_, interactions_, budget,
-                               obs::AdvanceKind::kThin));
-    return {budget, false};
-  }
-  interactions_ += nulls + 1;
-  if (nulls > 0) {
-    PPK_OBS_HOOK(obs_, on_skip(counts_, interactions_ - 1, nulls,
-                               obs::AdvanceKind::kThin));
-  }
-
-  // One effective ordered pair with exact integer weights: the SIMD pick
-  // selects the same cell a linear scan over the row-major cell list would.
-  const std::uint64_t u = rng_.below(weight);
-  const std::size_t cell =
-      simd::pair_weight_pick(counts_soa_.data(), cell_p_.data(),
-                             cell_q_.data(), cell_diag_.data(), e_padded_, u);
-  PPK_ASSERT(cell < e_padded_);
-  const auto p = static_cast<StateId>(cell_p_[cell]);
-  const auto q = static_cast<StateId>(cell_q_[cell]);
-  const Transition& t = table_->apply(p, q);  // fetch before counts move
-  apply_pair(p, q);
-  oracle.on_transition(p, q, t.initiator, t.responder);
-  PPK_OBS_HOOK(obs_,
-               on_apply(counts_, interactions_, obs::AdvanceKind::kThin));
-  return {nulls + 1, true};
 }
 
 std::uint64_t BatchShardedSimulator::sample_run_length() {
@@ -387,6 +321,7 @@ std::uint64_t BatchShardedSimulator::batch_advance(StabilityOracle& oracle,
     ++advanced;
   }
 
+  sampler_.rebuild(counts_);
   oracle.on_batch(counts_, advanced, batch_effective);
   PPK_OBS_HOOK(obs_, on_advance(counts_, interactions_, advanced,
                                 batch_effective, obs::AdvanceKind::kBatch));

@@ -1,16 +1,14 @@
 // The sharded structure-of-arrays batch engine: the collision-free batch
 // algorithm (batch_simulator.hpp) rebuilt for single trials at
 // n = 10^8..10^9, where the plain batch engine's remaining per-batch costs
-// -- live lgamma past its table bound, division-bound pmf walks, O(|Q|^2)
-// scalar weight scans -- dominate the wall clock.
+// -- live lgamma past its table bound, division-bound pmf walks -- dominate
+// the wall clock.
 //
 // Same stochastic process, three structural changes:
 //
-//  1. SoA tiles + SIMD kernels.  Counts live in a 64-byte-aligned padded
-//     mirror; the effective cells are flat index arrays (cell_p / cell_q /
-//     diag) in aligned tiles.  Weight totals, the thin-regime weighted
-//     pick and the collision-pair row scans run through the
-//     runtime-dispatched kernels in util/simd.hpp (AVX2 gathers with a
+//  1. SoA tiles + SIMD kernels.  The collision pair's row scans read a
+//     64-byte-aligned padded mirror of the post-batch counts through the
+//     runtime-dispatched kernels in util/simd.hpp (AVX2 with a
 //     bit-identical scalar fallback), and every hypergeometric draw uses
 //     the blocked sampler (util/block_sampler.hpp) whose packed divides
 //     take the pmf walk's division off the critical path.  Log-factorials
@@ -41,13 +39,15 @@
 //     when a batch clears the parallel grain (small batches and small |Q|
 //     run inline; the pool is created lazily on first use).
 //
-// Thin regime, kAuto crossover, budget truncation, the exact collision
-// interaction, oracle on_batch endpoints and the snapshot contract are all
-// inherited from the batch engine's design unchanged; the engine is
-// distribution-identical to it (and so to AgentSimulator), which the
-// conformance KS net enforces.  Like the batch engine it is excluded from
-// the pairwise chunked-resume net: budget truncation legitimately changes
-// where the RNG stream is consumed.
+// Thin regime (the effective-pair sampler, pp/effective_pair_sampler.hpp,
+// rebuilt after every batch), kAuto crossover, budget truncation, the exact
+// collision interaction, oracle on_batch endpoints and the snapshot
+// contract are all inherited from the batch engine's design unchanged; the
+// engine is distribution-identical to it (and so to AgentSimulator), which
+// the conformance KS net enforces, and in kForceThin it draws exactly what
+// JumpSimulator draws from the same seed.  Like the batch engine it is
+// excluded from the pairwise chunked-resume net: budget truncation
+// legitimately changes where the RNG stream is consumed.
 
 #pragma once
 
@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "pp/batch_simulator.hpp"
+#include "pp/effective_pair_sampler.hpp"
 #include "pp/engine_loop.hpp"
 #include "pp/population.hpp"
 #include "pp/sim_result.hpp"
@@ -128,7 +129,9 @@ class BatchShardedSimulator : public EngineLoop<BatchShardedSimulator> {
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
   /// Exact total weight of effective ordered pairs; 0 iff silent.
-  [[nodiscard]] std::uint64_t effective_weight() const;
+  [[nodiscard]] std::uint64_t effective_weight() const noexcept {
+    return sampler_.weight();
+  }
 
  private:
   /// Per-shard workspace: one contiguous initiator-row block, its private
@@ -146,12 +149,9 @@ class BatchShardedSimulator : public EngineLoop<BatchShardedSimulator> {
   };
 
   std::uint64_t batch_advance(StabilityOracle& oracle, std::uint64_t budget);
-  Advance thin_advance(StabilityOracle& oracle, std::uint64_t budget,
-                       std::uint64_t weight);
   std::uint64_t sample_run_length();
   void run_shard(Shard& shard);
   void apply_pair(StateId p, StateId q);
-  void sync_soa_counts();
 
   const TransitionTable* table_;
   Counts counts_;
@@ -160,16 +160,15 @@ class BatchShardedSimulator : public EngineLoop<BatchShardedSimulator> {
   BatchMode mode_ = BatchMode::kAuto;
   obs::ObsSink* obs_ = nullptr;
   LogFact log_fact_;
+  /// The thin regime, and the total weight W the regime choice and the
+  /// silence check read; rebuilt from the counts after every batch.
+  EffectivePairSampler sampler_;
 
-  std::size_t d_padded_ = 0;  // states + zero sentinel, rounded up to 8
-  std::size_t e_padded_ = 0;  // effective cells rounded up to 8
+  std::size_t d_padded_ = 0;  // states rounded up to 8
 
-  // SoA tiles (64-byte aligned; padded entries weigh zero by construction).
-  AlignedVector<std::uint32_t> counts_soa_;  // counts mirror + sentinel
+  // SoA tiles for the collision scan (64-byte aligned; padding stays 0).
+  AlignedVector<std::uint32_t> counts_soa_;  // post-batch counts mirror
   AlignedVector<std::uint32_t> fresh_;       // counts - touched scratch
-  AlignedVector<std::int32_t> cell_p_;       // effective-cell initiators
-  AlignedVector<std::int32_t> cell_q_;       // effective-cell responders
-  AlignedVector<std::uint32_t> cell_diag_;   // 1 on p == q cells
   AlignedVector<std::uint32_t> touched_;     // merged touched counts
   AlignedVector<std::int64_t> count_delta_;  // merged batch deltas
 

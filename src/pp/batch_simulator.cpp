@@ -10,18 +10,16 @@ namespace ppk::pp {
 
 BatchSimulator::BatchSimulator(const TransitionTable& table, Counts initial,
                                std::uint64_t seed)
-    : table_(&table), counts_(std::move(initial)), rng_(seed) {
+    : table_(&table),
+      counts_(std::move(initial)),
+      rng_(seed),
+      sampler_(table, counts_) {
   PPK_EXPECTS(counts_.size() == table.num_states());
   n_ = 0;
   for (auto c : counts_) n_ += c;
   PPK_EXPECTS(n_ >= 2);
 
   const StateId num_states = table.num_states();
-  for (StateId p = 0; p < num_states; ++p) {
-    for (StateId q = 0; q < num_states; ++q) {
-      if (table.effective(p, q)) effective_cells_.emplace_back(p, q);
-    }
-  }
   initiators_.resize(num_states);
   responders_.resize(num_states);
   remaining_.resize(num_states);
@@ -29,16 +27,6 @@ BatchSimulator::BatchSimulator(const TransitionTable& table, Counts initial,
   count_delta_.resize(num_states);
 
   if (n_ <= kLogFactTableMax) log_fact_ = LogFactTable::shared(n_);
-}
-
-std::uint64_t BatchSimulator::effective_weight() const {
-  std::uint64_t weight = 0;
-  for (const auto& [p, q] : effective_cells_) {
-    const std::uint64_t cp = counts_[p];
-    const std::uint64_t cq = counts_[q];
-    weight += p == q ? cp * (cp - 1) : cp * cq;  // cp == 0 makes either 0
-  }
-  return weight;
 }
 
 bool use_batch_regime(BatchMode mode, std::uint64_t weight,
@@ -86,16 +74,18 @@ void BatchSimulator::restore(const Snapshot& snap) {
   PPK_EXPECTS(n == n_);
   counts_ = std::move(counts);
   mode_ = static_cast<BatchMode>(mode);
+  sampler_.rebuild(counts_);
 }
 
 Advance BatchSimulator::advance(StabilityOracle& oracle,
                                 std::uint64_t budget) {
-  const std::uint64_t weight = effective_weight();
+  const std::uint64_t weight = sampler_.weight();
   if (weight == 0) return {};  // silent configuration
   if (use_batch_regime(mode_, weight, n_)) {
     return {batch_advance(oracle, budget), true};  // one on_batch callback
   }
-  return thin_advance(oracle, budget, weight);
+  return sampler_.step(rng_, counts_, oracle, budget, interactions_,
+                       effective_, obs_, obs::AdvanceKind::kThin);
 }
 
 void BatchSimulator::apply_pair(StateId p, StateId q) {
@@ -105,53 +95,6 @@ void BatchSimulator::apply_pair(StateId p, StateId q) {
   ++counts_[t.initiator];
   ++counts_[t.responder];
   ++effective_;
-}
-
-Advance BatchSimulator::thin_advance(StabilityOracle& oracle,
-                                     std::uint64_t budget,
-                                     std::uint64_t weight) {
-  const double p_eff =
-      static_cast<double>(weight) /
-      (static_cast<double>(n_) * static_cast<double>(n_ - 1));
-  const std::uint64_t nulls = rng_.geometric(p_eff);
-  if (nulls >= budget) {
-    // Clamp at the boundary without applying a pair; exact by the
-    // memorylessness of the geometric (see jump_simulator.cpp).
-    interactions_ += budget;
-    PPK_OBS_HOOK(obs_, on_skip(counts_, interactions_, budget,
-                               obs::AdvanceKind::kThin));
-    return {budget, false};
-  }
-  interactions_ += nulls + 1;
-  // Counts are untouched during the null run; report it before the pair is
-  // applied so timeline boundaries inside the run get exact configurations.
-  if (nulls > 0) {
-    PPK_OBS_HOOK(obs_, on_skip(counts_, interactions_ - 1, nulls,
-                               obs::AdvanceKind::kThin));
-  }
-
-  // One effective ordered pair with exact integer weights.
-  std::uint64_t u = rng_.below(weight);
-  StateId p = 0;
-  StateId q = 0;
-  for (const auto& [cp_state, cq_state] : effective_cells_) {
-    const std::uint64_t cp = counts_[cp_state];
-    const std::uint64_t cq = counts_[cq_state];
-    const std::uint64_t w =
-        cp_state == cq_state ? cp * (cp - 1) : cp * cq;
-    if (u < w) {
-      p = cp_state;
-      q = cq_state;
-      break;
-    }
-    u -= w;
-  }
-  const Transition& t = table_->apply(p, q);  // fetch before counts move
-  apply_pair(p, q);
-  oracle.on_transition(p, q, t.initiator, t.responder);
-  PPK_OBS_HOOK(obs_,
-               on_apply(counts_, interactions_, obs::AdvanceKind::kThin));
-  return {nulls + 1, true};
 }
 
 std::uint64_t BatchSimulator::sample_run_length() {
@@ -306,6 +249,7 @@ std::uint64_t BatchSimulator::batch_advance(StabilityOracle& oracle,
     ++advanced;
   }
 
+  sampler_.rebuild(counts_);
   oracle.on_batch(counts_, advanced, batch_effective);
   PPK_OBS_HOOK(obs_, on_advance(counts_, interactions_, advanced,
                                 batch_effective, obs::AdvanceKind::kBatch));

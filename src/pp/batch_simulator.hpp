@@ -46,12 +46,17 @@
 //
 // Sparse regime.  Near silence the batch above still advances only
 // Theta(sqrt(n)) interactions per O(|Q|^2) of work while almost all of them
-// are null.  There the engine switches to a thin regime -- the jump
-// engine's trick: skip the geometric(p_eff) null run in O(1), draw one
-// effective pair with exact integer weights.  kAuto picks per advance:
-// batch while p_eff * sqrt(n) >= 8, thin below (the crossover where a
-// single geometric skip outruns a whole batch; see use_batch_regime()).
-// Tests pin either regime via set_batch_mode().
+// are null.  There the engine switches to a thin regime: one step of the
+// effective-pair sampler (pp/effective_pair_sampler.hpp), the jump engine's
+// whole advance -- skip the geometric(p_eff) null run in O(1), draw one
+// effective pair with exact integer weights and apply it as transfers, in
+// O(|Q|).  The sampler's sums are rebuilt from the counts after every
+// batch, in O(E) for E effective ordered pairs, and its total weight W
+// drives the silence check and the regime choice.  kAuto picks per
+// advance: batch while p_eff * sqrt(n) >= 8, thin below (see
+// use_batch_regime()).  Tests pin either regime via set_batch_mode(); in
+// kForceThin the engine draws exactly what JumpSimulator draws from the
+// same seed.
 //
 // Oracles see batches through StabilityOracle::on_batch (endpoints only;
 // see stability.hpp for why that is exact for configuration-function
@@ -64,6 +69,7 @@
 #include <memory>
 #include <vector>
 
+#include "pp/effective_pair_sampler.hpp"
 #include "pp/engine_loop.hpp"
 #include "pp/population.hpp"
 #include "pp/sim_result.hpp"
@@ -89,9 +95,11 @@ enum class BatchMode {
 /// The regime rule both batch engines apply once per advance: true for a
 /// collision-free batch, false for one thin-regime draw.  kAuto batches
 /// while p_eff * sqrt(n) >= 8, with p_eff = weight / (n (n - 1)): below
-/// that, one thin advance (expected 1/p_eff interactions for one cell
-/// scan) outruns a whole batch (~sqrt(n)/2 interactions for dozens of
-/// hypergeometric draws), and 8 is their measured cost ratio per advance.
+/// that, one thin advance (expected 1/p_eff interactions for one sampler
+/// step) outruns a whole batch (~sqrt(n)/2 interactions for dozens of
+/// hypergeometric draws).  8 is their cost ratio per advance as measured
+/// when a thin draw still scanned every effective cell; the sampler step
+/// is cheaper, and the rule is not retuned for it.
 [[nodiscard]] bool use_batch_regime(BatchMode mode, std::uint64_t weight,
                                     std::uint64_t n);
 
@@ -145,12 +153,12 @@ class BatchSimulator : public EngineLoop<BatchSimulator> {
 
   /// Exact total weight of effective ordered pairs (out of n(n-1)) in the
   /// current configuration; 0 iff silent.
-  [[nodiscard]] std::uint64_t effective_weight() const;
+  [[nodiscard]] std::uint64_t effective_weight() const noexcept {
+    return sampler_.weight();
+  }
 
  private:
   std::uint64_t batch_advance(StabilityOracle& oracle, std::uint64_t budget);
-  Advance thin_advance(StabilityOracle& oracle, std::uint64_t budget,
-                       std::uint64_t weight);
 
   /// Samples the birthday run length L (largest l such that the first l
   /// interactions touch 2l distinct agents), capped at floor(n/2).
@@ -182,9 +190,9 @@ class BatchSimulator : public EngineLoop<BatchSimulator> {
   /// Shared table of log(i!) for i <= n when n is tabulable, else null.
   std::shared_ptr<const std::vector<double>> log_fact_;
 
-  /// Effective cells (p, q) in deterministic (row-major) order; the thin
-  /// regime's weight scans and the silence check iterate these.
-  std::vector<std::pair<StateId, StateId>> effective_cells_;
+  /// The thin regime, and the total weight W the regime choice and the
+  /// silence check read; rebuilt from the counts after every batch.
+  EffectivePairSampler sampler_;
 
   // Scratch buffers reused across batches (never shrink; |Q| is tiny).
   std::vector<std::uint32_t> initiators_;    // U: initiator state multiset

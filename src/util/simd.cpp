@@ -16,38 +16,6 @@ namespace ppk::simd {
 
 namespace {
 
-std::uint64_t pair_weight_total_scalar(const std::uint32_t* counts,
-                                       const std::int32_t* cell_p,
-                                       const std::int32_t* cell_q,
-                                       const std::uint32_t* diag,
-                                       std::size_t m) noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::uint64_t cp = counts[cell_p[i]];
-    // Wraps to 2^32-ish only on a diagonal cell with count 0, where cp == 0
-    // zeroes the product -- same in both dispatches.
-    const std::uint32_t cq =
-        counts[cell_q[i]] - diag[i];
-    total += cp * cq;
-  }
-  return total;
-}
-
-std::size_t pair_weight_pick_scalar(const std::uint32_t* counts,
-                                    const std::int32_t* cell_p,
-                                    const std::int32_t* cell_q,
-                                    const std::uint32_t* diag, std::size_t m,
-                                    std::uint64_t u) noexcept {
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::uint64_t cp = counts[cell_p[i]];
-    const std::uint32_t cq = counts[cell_q[i]] - diag[i];
-    const std::uint64_t w = cp * cq;
-    if (u < w) return i;
-    u -= w;
-  }
-  return m;  // unreachable when u < total (padded cells weigh 0)
-}
-
 std::uint64_t collision_row_total_scalar(const std::uint32_t* counts,
                                          const std::uint32_t* fresh,
                                          std::size_t d_padded,
@@ -90,9 +58,8 @@ void hyper_block4_scalar(const double* num, const double* den, double pmf_in,
   pmf_out[3] = pmf_in * (cum_n3 / cum_d3);
 }
 
-constexpr detail::Kernels kScalar = {
-    &pair_weight_total_scalar, &pair_weight_pick_scalar,
-    &collision_row_total_scalar, &add_i64_scalar, &hyper_block4_scalar};
+constexpr detail::Kernels kScalar = {&collision_row_total_scalar,
+                                     &add_i64_scalar, &hyper_block4_scalar};
 
 /// PPK_NO_SIMD unset, empty or "0" keeps SIMD eligible; anything else
 /// forces scalar from startup (the CI forced-scalar leg).
@@ -133,22 +100,6 @@ void set_enabled(bool on) noexcept {
 }
 
 const char* active_name() noexcept { return enabled() ? "avx2" : "scalar"; }
-
-std::uint64_t pair_weight_total(const std::uint32_t* counts,
-                                const std::int32_t* cell_p,
-                                const std::int32_t* cell_q,
-                                const std::uint32_t* diag,
-                                std::size_t m) noexcept {
-  return active().pair_weight_total(counts, cell_p, cell_q, diag, m);
-}
-
-std::size_t pair_weight_pick(const std::uint32_t* counts,
-                             const std::int32_t* cell_p,
-                             const std::int32_t* cell_q,
-                             const std::uint32_t* diag, std::size_t m,
-                             std::uint64_t u) noexcept {
-  return active().pair_weight_pick(counts, cell_p, cell_q, diag, m, u);
-}
 
 std::uint64_t collision_row_total(const std::uint32_t* counts,
                                   const std::uint32_t* fresh,

@@ -1,13 +1,20 @@
 // Runtime-dispatched SIMD kernels for the structure-of-arrays batch engine.
 //
+// Three kernels, all on the batch path of BatchShardedSimulator: the
+// collision pair's row totals (collision_row_total), the shard-delta
+// reduction (add_i64) and the blocked hypergeometric pmf step
+// (hyper_block4, via util/block_sampler.hpp).  The engine's thin regime
+// is the scalar effective-pair sampler (pp/effective_pair_sampler.hpp),
+// whose O(|Q|) transfer passes the compiler vectorizes on its own.
+//
 // Dispatch contract -- the part that makes SIMD admissible in engines whose
 // trajectories are pinned bit-for-bit by the conformance nets:
 //
 //   Every kernel has a scalar implementation and an AVX2 implementation
 //   that produce IDENTICAL results, bit for bit, for every input.
 //
-// For the integer kernels (pair-weight totals, weighted picks, tile
-// reductions) this is free: unsigned arithmetic is exact and associative
+// For the integer kernels (collision row totals, tile reductions) this is
+// free: unsigned arithmetic is exact and associative
 // mod 2^64, so lane order cannot matter.  For the one floating-point kernel
 // (the blocked hypergeometric pmf evaluation) identity is engineered: both
 // implementations perform the same IEEE double operations in the same
@@ -27,10 +34,9 @@
 // hook); set_enabled(true) re-enables AVX2 only where supported.
 //
 // Kernel preconditions: `counts`/`fresh` point at 64-byte-aligned arrays
-// padded to a multiple of 8 entries with zero-count sentinel slots, and the
-// cell index arrays are padded with sentinel indices referring to such a
-// zero slot, so padded cells carry weight 0 and cannot perturb totals or
-// picks.  AlignedVector (util/aligned.hpp) is the intended storage.
+// padded to a multiple of 8 entries with zero counts in the padding, so
+// padded lanes cannot perturb a total.  AlignedVector (util/aligned.hpp)
+// is the intended storage.
 
 #pragma once
 
@@ -56,27 +62,6 @@ void set_enabled(bool on) noexcept;
 
 // ---------------------------------------------------------------------------
 // Integer kernels (exact; SIMD/scalar identity is structural)
-
-/// Sum over i < m of counts[cell_p[i]] * (counts[cell_q[i]] - diag[i]),
-/// in u64 arithmetic -- the total effective-pair weight of a cell list.
-/// diag[i] is 1 for p == q cells (ordered pairs of distinct agents within
-/// one state), else 0.  m must be a multiple of 8; padded cells must index
-/// a zero-count slot.
-[[nodiscard]] std::uint64_t pair_weight_total(const std::uint32_t* counts,
-                                              const std::int32_t* cell_p,
-                                              const std::int32_t* cell_q,
-                                              const std::uint32_t* diag,
-                                              std::size_t m) noexcept;
-
-/// The index a uniform draw u in [0, pair_weight_total(...)) selects when
-/// the cell weights are laid out consecutively -- identical semantics to
-/// the linear scan `if (u < w_i) return i; u -= w_i`.
-[[nodiscard]] std::size_t pair_weight_pick(const std::uint32_t* counts,
-                                           const std::int32_t* cell_p,
-                                           const std::int32_t* cell_q,
-                                           const std::uint32_t* diag,
-                                           std::size_t m,
-                                           std::uint64_t u) noexcept;
 
 /// Total collision weight of ordered state-pair row s1 against every s2 in
 /// [0, d_padded): sum of c1*(c2 - [s1==s2]) - f1*(f2 - [s1==s2]) where
@@ -113,12 +98,6 @@ void hyper_block4(const double* num, const double* den, double pmf_in,
 namespace detail {
 
 struct Kernels {
-  std::uint64_t (*pair_weight_total)(const std::uint32_t*, const std::int32_t*,
-                                     const std::int32_t*, const std::uint32_t*,
-                                     std::size_t) noexcept;
-  std::size_t (*pair_weight_pick)(const std::uint32_t*, const std::int32_t*,
-                                  const std::int32_t*, const std::uint32_t*,
-                                  std::size_t, std::uint64_t) noexcept;
   std::uint64_t (*collision_row_total)(const std::uint32_t*,
                                        const std::uint32_t*, std::size_t,
                                        std::uint32_t) noexcept;

@@ -29,90 +29,12 @@ namespace {
 
 #define PPK_AVX2 __attribute__((target("avx2")))
 
-/// Widens 8 u32 lanes into two 4-lane u64 vectors and accumulates
-/// acc += a * b per lane (32x32 -> 64 multiply).
-PPK_AVX2 inline __m256i mul_acc_lo(__m256i acc, __m256i a32,
-                                   __m256i b32) noexcept {
-  const __m256i a = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(a32));
-  const __m256i b = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(b32));
-  return _mm256_add_epi64(acc, _mm256_mul_epu32(a, b));
-}
-
-PPK_AVX2 inline __m256i mul_acc_hi(__m256i acc, __m256i a32,
-                                   __m256i b32) noexcept {
-  const __m256i a = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(a32, 1));
-  const __m256i b = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(b32, 1));
-  return _mm256_add_epi64(acc, _mm256_mul_epu32(a, b));
-}
-
 PPK_AVX2 inline std::uint64_t hsum_epi64(__m256i v) noexcept {
   const __m128i lo = _mm256_castsi256_si128(v);
   const __m128i hi = _mm256_extracti128_si256(v, 1);
   const __m128i s = _mm_add_epi64(lo, hi);
   return static_cast<std::uint64_t>(_mm_extract_epi64(s, 0)) +
          static_cast<std::uint64_t>(_mm_extract_epi64(s, 1));
-}
-
-/// Weight vector of one 8-cell block: counts[cell_p[i]]*(counts[cell_q[i]]
-/// - diag[i]) accumulated into `acc` (u64 lanes, mod 2^64).
-PPK_AVX2 inline __m256i block_weights_acc(__m256i acc,
-                                          const std::uint32_t* counts,
-                                          const std::int32_t* cell_p,
-                                          const std::int32_t* cell_q,
-                                          const std::uint32_t* diag,
-                                          std::size_t i) noexcept {
-  const auto* base = reinterpret_cast<const int*>(counts);
-  const __m256i idx_p =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(cell_p + i));
-  const __m256i idx_q =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(cell_q + i));
-  const __m256i d =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(diag + i));
-  const __m256i cp = _mm256_i32gather_epi32(base, idx_p, 4);
-  __m256i cq = _mm256_i32gather_epi32(base, idx_q, 4);
-  cq = _mm256_sub_epi32(cq, d);  // wraps only where cp == 0 (diag zero cell)
-  acc = mul_acc_lo(acc, cp, cq);
-  return mul_acc_hi(acc, cp, cq);
-}
-
-PPK_AVX2 std::uint64_t pair_weight_total_avx2(const std::uint32_t* counts,
-                                              const std::int32_t* cell_p,
-                                              const std::int32_t* cell_q,
-                                              const std::uint32_t* diag,
-                                              std::size_t m) noexcept {
-  __m256i acc = _mm256_setzero_si256();
-  for (std::size_t i = 0; i < m; i += 8) {
-    acc = block_weights_acc(acc, counts, cell_p, cell_q, diag, i);
-  }
-  return hsum_epi64(acc);
-}
-
-PPK_AVX2 std::size_t pair_weight_pick_avx2(const std::uint32_t* counts,
-                                           const std::int32_t* cell_p,
-                                           const std::int32_t* cell_q,
-                                           const std::uint32_t* diag,
-                                           std::size_t m,
-                                           std::uint64_t u) noexcept {
-  for (std::size_t i = 0; i < m; i += 8) {
-    const __m256i acc = block_weights_acc(_mm256_setzero_si256(), counts,
-                                          cell_p, cell_q, diag, i);
-    const std::uint64_t block = hsum_epi64(acc);
-    if (u >= block) {
-      u -= block;
-      continue;
-    }
-    // The selected cell is in this block: finish with the scalar scan
-    // (identical in-order semantics; exact integers make the tile split
-    // invisible).
-    for (std::size_t j = i; j < i + 8; ++j) {
-      const std::uint64_t cp = counts[cell_p[j]];
-      const std::uint32_t cq = counts[cell_q[j]] - diag[j];
-      const std::uint64_t w = cp * cq;
-      if (u < w) return j;
-      u -= w;
-    }
-  }
-  return m;  // unreachable when u < total
 }
 
 PPK_AVX2 std::uint64_t collision_row_total_avx2(const std::uint32_t* counts,
@@ -171,8 +93,7 @@ PPK_AVX2 void hyper_block4_avx2(const double* num, const double* den,
   _mm256_storeu_pd(pmf_out, out);
 }
 
-constexpr Kernels kAvx2 = {&pair_weight_total_avx2, &pair_weight_pick_avx2,
-                           &collision_row_total_avx2, &add_i64_avx2,
+constexpr Kernels kAvx2 = {&collision_row_total_avx2, &add_i64_avx2,
                            &hyper_block4_avx2};
 
 }  // namespace

@@ -49,86 +49,26 @@ TEST(SimdDispatch, EnableWithoutSupportIsANoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// Integer kernels: scalar vs AVX2 on random padded cell lists
+// Integer kernels: scalar vs AVX2 on random padded count tiles
 
-struct CellFixture {
+struct CountFixture {
   AlignedVector<std::uint32_t> counts;
   AlignedVector<std::uint32_t> fresh;
-  AlignedVector<std::int32_t> cell_p;
-  AlignedVector<std::int32_t> cell_q;
-  AlignedVector<std::uint32_t> diag;
-  std::size_t m = 0;         // padded cell count (multiple of 8)
   std::size_t d_padded = 0;  // padded state count (multiple of 8)
 };
 
-/// Random states/cells with the engine's invariants: the last counts slot
-/// is a zero sentinel, padding cells index it, fresh <= counts pointwise.
-CellFixture random_fixture(Xoshiro256& rng, std::size_t num_states,
-                           std::size_t num_cells) {
-  CellFixture f;
-  f.d_padded = (num_states + 1 + 7) / 8 * 8;
-  f.m = (num_cells + 7) / 8 * 8;
+/// Random counts with the engine's invariants: zero padding, fresh <=
+/// counts pointwise.
+CountFixture random_fixture(Xoshiro256& rng, std::size_t num_states) {
+  CountFixture f;
+  f.d_padded = (num_states + 7) / 8 * 8;
   f.counts.assign(f.d_padded, 0);
   f.fresh.assign(f.d_padded, 0);
   for (std::size_t s = 0; s < num_states; ++s) {
     f.counts[s] = static_cast<std::uint32_t>(rng.below(50'000));
     f.fresh[s] = static_cast<std::uint32_t>(rng.below(f.counts[s] + 1));
   }
-  const auto sentinel = static_cast<std::int32_t>(num_states);
-  f.cell_p.assign(f.m, sentinel);
-  f.cell_q.assign(f.m, sentinel);
-  f.diag.assign(f.m, 0);
-  for (std::size_t i = 0; i < num_cells; ++i) {
-    const auto p = static_cast<std::int32_t>(rng.below(num_states));
-    const auto q = static_cast<std::int32_t>(rng.below(num_states));
-    f.cell_p[i] = p;
-    f.cell_q[i] = q;
-    f.diag[i] = p == q ? 1u : 0u;
-  }
   return f;
-}
-
-TEST(SimdKernels, PairWeightTotalMatchesScalarOnRandomInputs) {
-  const simd::detail::Kernels* avx2 = simd::detail::avx2_kernels();
-  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 kernels in this build";
-  const simd::detail::Kernels& scalar = simd::detail::scalar_kernels();
-  Xoshiro256 rng(2024);
-  for (int round = 0; round < 200; ++round) {
-    const std::size_t states = 2 + rng.below(120);
-    const CellFixture f = random_fixture(rng, states, 1 + rng.below(200));
-    EXPECT_EQ(scalar.pair_weight_total(f.counts.data(), f.cell_p.data(),
-                                       f.cell_q.data(), f.diag.data(), f.m),
-              avx2->pair_weight_total(f.counts.data(), f.cell_p.data(),
-                                      f.cell_q.data(), f.diag.data(), f.m));
-  }
-}
-
-TEST(SimdKernels, PairWeightPickMatchesScalarForEveryDrawPosition) {
-  const simd::detail::Kernels* avx2 = simd::detail::avx2_kernels();
-  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 kernels in this build";
-  const simd::detail::Kernels& scalar = simd::detail::scalar_kernels();
-  Xoshiro256 rng(77);
-  for (int round = 0; round < 60; ++round) {
-    const CellFixture f = random_fixture(rng, 2 + rng.below(40),
-                                         1 + rng.below(60));
-    const std::uint64_t total =
-        scalar.pair_weight_total(f.counts.data(), f.cell_p.data(),
-                                 f.cell_q.data(), f.diag.data(), f.m);
-    if (total == 0) continue;
-    // Boundary draws (first/last of each cell) are where an off-by-one in
-    // the block-skipping pick would hide; probe them plus random interiors.
-    std::vector<std::uint64_t> draws = {0, total - 1, total / 2};
-    for (int extra = 0; extra < 40; ++extra) draws.push_back(rng.below(total));
-    for (const std::uint64_t u : draws) {
-      EXPECT_EQ(scalar.pair_weight_pick(f.counts.data(), f.cell_p.data(),
-                                        f.cell_q.data(), f.diag.data(), f.m,
-                                        u),
-                avx2->pair_weight_pick(f.counts.data(), f.cell_p.data(),
-                                       f.cell_q.data(), f.diag.data(), f.m,
-                                       u))
-          << "u=" << u;
-    }
-  }
 }
 
 TEST(SimdKernels, CollisionRowTotalMatchesScalarOnRandomInputs) {
@@ -138,7 +78,7 @@ TEST(SimdKernels, CollisionRowTotalMatchesScalarOnRandomInputs) {
   Xoshiro256 rng(555);
   for (int round = 0; round < 200; ++round) {
     const std::size_t states = 2 + rng.below(100);
-    const CellFixture f = random_fixture(rng, states, 8);
+    const CountFixture f = random_fixture(rng, states);
     for (std::uint32_t s1 = 0; s1 < states; ++s1) {
       EXPECT_EQ(scalar.collision_row_total(f.counts.data(), f.fresh.data(),
                                            f.d_padded, s1),
